@@ -12,65 +12,40 @@
    (aged tree, concurrent users) and emit a Chrome trace_event timeline /
    a metrics-registry dump instead of the experiment suite. *)
 
-let experiments : (string * string * (unit -> unit)) list =
+let experiments : (string * string * (unit -> Util.Table.t)) list =
   [
     ( "table1",
       "Table 1: lock-mode compatibility matrix",
-      fun () ->
-        let table, ok = Sim.Exp_lock_table.run () in
-        Util.Table.print table;
-        Printf.printf "Table 1 reproduced exactly: %b\n" ok );
-    ( "figure1",
-      "Figure 1: three-pass walkthrough",
-      fun () -> Util.Table.print (Sim.Exp_passes.run_figure1 ()) );
-    ( "figure2",
-      "Figure 2: leaf-reorg main loop branch profile",
-      fun () -> Util.Table.print (Sim.Exp_passes.run_figure2 ()) );
+      fun () -> fst (Sim.Exp_lock_table.run ()) );
+    ("figure1", "Figure 1: three-pass walkthrough", Sim.Exp_passes.run_figure1);
+    ("figure2", "Figure 2: leaf-reorg main loop branch profile", Sim.Exp_passes.run_figure2);
     ( "swaps",
       "E1: Find-Free-Space heuristic vs naive (swap reduction)",
-      fun () -> Util.Table.print (Sim.Exp_swaps.run ()) );
-    ( "concurrency",
-      "E2: user throughput during reorganization vs Tandem",
-      fun () -> Util.Table.print (Sim.Exp_concurrency.run ()) );
-    ( "recovery",
-      "E3: forward recovery vs rollback after a crash",
-      fun () -> Util.Table.print (Sim.Exp_recovery.run ()) );
-    ( "logsize",
-      "E4: log volume with/without careful writing",
-      fun () -> Util.Table.print (Sim.Exp_logsize.run ()) );
-    ( "range",
-      "E5: range-scan I/O before/after reorganization",
-      fun () -> Util.Table.print (Sim.Exp_range.run ()) );
-    ( "granularity",
-      "E6: pages per unit and overhead vs Tandem",
-      fun () -> Util.Table.print (Sim.Exp_granularity.run ()) );
-    ( "shrink",
-      "E7: pass-3 height reduction and lock footprint",
-      fun () -> Util.Table.print (Sim.Exp_shrink.run ()) );
-    ( "switch",
-      "E8: switch latency under concurrent updates",
-      fun () -> Util.Table.print (Sim.Exp_switch.run ()) );
+      fun () -> Sim.Exp_swaps.run () );
+    ("concurrency", "E2: user throughput during reorganization vs Tandem", Sim.Exp_concurrency.run);
+    ("recovery", "E3: forward recovery vs rollback after a crash", Sim.Exp_recovery.run);
+    ("logsize", "E4: log volume with/without careful writing", Sim.Exp_logsize.run);
+    ("range", "E5: range-scan I/O before/after reorganization", Sim.Exp_range.run);
+    ("granularity", "E6: pages per unit and overhead vs Tandem", Sim.Exp_granularity.run);
+    ("shrink", "E7: pass-3 height reduction and lock footprint", Sim.Exp_shrink.run);
+    ("switch", "E8: switch latency under concurrent updates", Sim.Exp_switch.run);
     ( "ablation",
       "Design-knob ablations (pass 2/3 off, f2 sweep, careful writing, stable cadence)",
-      fun () -> Util.Table.print (Sim.Exp_ablation.run ()) );
-    ( "unitsize",
-      "§6 trade-off: pages per lock envelope vs user blocking",
-      fun () -> Util.Table.print (Sim.Exp_unitsize.run ()) );
-    ( "parallel",
-      "Future work: range-partitioned parallel pass 1",
-      fun () -> Util.Table.print (Sim.Exp_parallel.run ()) );
+      Sim.Exp_ablation.run );
+    ("unitsize", "§6 trade-off: pages per lock envelope vs user blocking", Sim.Exp_unitsize.run);
+    ("parallel", "Future work: range-partitioned parallel pass 1", Sim.Exp_parallel.run);
     ( "health",
       "H1: online tree-health telemetry (sparsify, reorg, sampled series)",
-      fun () -> Util.Table.print (Sim.Exp_health.run ()) );
+      Sim.Exp_health.run );
     ( "shard",
       "S1: keyspace-sharded engine — per-shard reorganizers, makespan scaling",
-      fun () -> Util.Table.print (Sim.Exp_shard.run ()) );
+      fun () -> Sim.Exp_shard.run () );
     ( "groupcommit",
       "G1: group commit + async I/O pipeline vs synchronous durability",
-      fun () -> Util.Table.print (Sim.Exp_groupcommit.run ()) );
+      Sim.Exp_groupcommit.run );
     ( "olc",
       "R1: optimistic version-validated reads vs the locked reader protocol",
-      fun () -> Util.Table.print (Sim.Exp_olc.run ()) );
+      Sim.Exp_olc.run );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -202,48 +177,14 @@ let micro () =
 (* Machine-readable baseline (--json FILE)                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Schema: one BENCH_<rev>.json per revision, committed next to the code,
-   so any two revisions can be diffed field-by-field.  Every experiment
-   entry carries wall-clock plus the deterministic counters the Probe
-   collector sums over all arms: logical clock ticks, disk I/O (with the
-   seek/transfer cost model applied), pager hit/miss/eviction counts,
-   lock-manager work (including [scan_steps], the lock-table traversal
-   metric) and WAL volume.
+(* Schema (version 6): one BENCH_<rev>.json per revision, committed next to
+   the code, so any two revisions can be diffed field-by-field.  Every
+   experiment entry carries wall-clock, the deterministic counters the Probe
+   collector sums over all arms, and [rows]: the experiment's printed table
+   as header-keyed raw values (EXPERIMENTS.md documents the fields). *)
+let json_schema_version = 6
 
-   Version 2 adds a per-experiment [timeseries] array (empty for most):
-   deterministic health-sampler snapshots — logical tick, leaf count,
-   utilization, fragmentation index, side-file backlog, free pages, the
-   fill-factor decile histogram, probe values with per-interval deltas, and
-   the names of any threshold watches that fired at that tick.
-
-   Version 3 adds a per-experiment [shard_sweep] array (empty for all but
-   the "shard" experiment): one point per shard count with the parallel
-   makespan, the mixed-workload user commit/abort counts, a [per_shard]
-   block of counters for every shard (ticks, I/O, lock, WAL), and a
-   [totals] block that must equal the field-wise sum of the per-shard
-   blocks — ci/check.sh validates that equality.
-
-   Version 4 adds a per-experiment [groupcommit] array (empty for all but
-   the "groupcommit" experiment): one block per arm (sync vs. pipelined) —
-   WAL forces, group-commit batching counters, checkpoint/truncation
-   counts, the sequential/random split of the disk's read and write
-   streams, the io-cost model total and the user commits.  ci/check.sh
-   asserts the pipelined arm forces strictly less and writes more
-   sequentially than the sync arm.
-
-   Version 5 adds a per-experiment [olc] array (empty for all but the
-   "olc" experiment): one block per arm (locked vs. olc) — the reader
-   operation counts and their xor-combined result digest (which must be
-   identical across the two arms), S-mode and total lock acquires for the
-   arm, the optimistic-path counters (committed reads, retries, fallbacks,
-   version bumps, non-enqueuing RX probes) and the arm makespan.  The
-   [lock] block also gains [instant_checks].  ci/check.sh asserts the olc
-   arm's S acquires are <= 0.30x the locked arm's and the digests are
-   equal.  Pre-v5 baselines omit both additions; all other fields remain
-   comparable field-by-field. *)
-let json_schema_version = 5
-
-let emit_experiment buf (wall, s) =
+let emit_experiment buf (wall, s, table) =
   let module J = Obs.Json in
   let i n = fun b -> J.int b n in
   let d = s.Sim.Probe.disk in
@@ -307,97 +248,7 @@ let emit_experiment buf (wall, s) =
               ("bytes", i w.Wal.Log.bytes);
               ("forced", i w.Wal.Log.forced);
             ] );
-      ( "timeseries",
-        fun b ->
-          J.arr b
-            (List.map
-               (fun snap b -> Obs.Health.Sampler.emit_snapshot b snap)
-               s.Sim.Probe.timeseries) );
-      ( "shard_sweep",
-        fun b ->
-          J.arr b
-            (List.map
-               (fun (pt : Sim.Probe.shard_point) b ->
-                 let arm (a : Sim.Probe.shard_arm) b =
-                   J.obj b
-                     [
-                       ("shard", i a.Sim.Probe.a_shard);
-                       ("ticks", i a.Sim.Probe.a_ticks);
-                       ("io_reads", i a.Sim.Probe.a_io_reads);
-                       ("io_writes", i a.Sim.Probe.a_io_writes);
-                       ("io_cost", fun b -> J.float b a.Sim.Probe.a_io_cost);
-                       ("lock_acquires", i a.Sim.Probe.a_lock_acquires);
-                       ("wal_records", i a.Sim.Probe.a_wal_records);
-                     ]
-                 in
-                 let sum f = List.fold_left (fun acc a -> acc + f a) 0 pt.Sim.Probe.p_arms in
-                 let sumf f = List.fold_left (fun acc a -> acc +. f a) 0. pt.Sim.Probe.p_arms in
-                 J.obj b
-                   [
-                     ("shards", i pt.Sim.Probe.p_shards);
-                     ("parallel_makespan", i pt.Sim.Probe.p_parallel_makespan);
-                     ("mixed_ticks", i pt.Sim.Probe.p_mixed_ticks);
-                     ("user_committed", i pt.Sim.Probe.p_user_committed);
-                     ("user_aborted", i pt.Sim.Probe.p_user_aborted);
-                     ("per_shard", fun b -> J.arr b (List.map arm pt.Sim.Probe.p_arms));
-                     ( "totals",
-                       fun b ->
-                         J.obj b
-                           [
-                             ("ticks", i (sum (fun a -> a.Sim.Probe.a_ticks)));
-                             ("io_reads", i (sum (fun a -> a.Sim.Probe.a_io_reads)));
-                             ("io_writes", i (sum (fun a -> a.Sim.Probe.a_io_writes)));
-                             ( "io_cost",
-                               fun b -> J.float b (sumf (fun a -> a.Sim.Probe.a_io_cost)) );
-                             ( "lock_acquires",
-                               i (sum (fun a -> a.Sim.Probe.a_lock_acquires)) );
-                             ("wal_records", i (sum (fun a -> a.Sim.Probe.a_wal_records)));
-                           ] );
-                   ])
-               s.Sim.Probe.shard_sweep) );
-      ( "groupcommit",
-        fun b ->
-          J.arr b
-            (List.map
-               (fun (a : Sim.Probe.gc_arm) b ->
-                 J.obj b
-                   [
-                     ("arm", fun b -> J.string b a.Sim.Probe.g_label);
-                     ("forced", i a.Sim.Probe.g_forced);
-                     ("batches", i a.Sim.Probe.g_batches);
-                     ("coalesced", i a.Sim.Probe.g_coalesced);
-                     ("max_batch", i a.Sim.Probe.g_max_batch);
-                     ("checkpoints", i a.Sim.Probe.g_checkpoints);
-                     ("wal_truncated", i a.Sim.Probe.g_truncated);
-                     ("seq_reads", i a.Sim.Probe.g_seq_reads);
-                     ("rand_reads", i a.Sim.Probe.g_rand_reads);
-                     ("seq_writes", i a.Sim.Probe.g_seq_writes);
-                     ("rand_writes", i a.Sim.Probe.g_rand_writes);
-                     ("io_cost", fun b -> J.float b a.Sim.Probe.g_io_cost);
-                     ("user_committed", i a.Sim.Probe.g_committed);
-                   ])
-               s.Sim.Probe.groupcommit) );
-      ( "olc",
-        fun b ->
-          J.arr b
-            (List.map
-               (fun (a : Sim.Probe.olc_arm) b ->
-                 J.obj b
-                   [
-                     ("arm", fun b -> J.string b a.Sim.Probe.o_label);
-                     ("reads", i a.Sim.Probe.o_reads);
-                     ("range_scans", i a.Sim.Probe.o_range_scans);
-                     ("digest", i a.Sim.Probe.o_digest);
-                     ("s_acquires", i a.Sim.Probe.o_s_acquires);
-                     ("acquires", i a.Sim.Probe.o_acquires);
-                     ("olc_reads", i a.Sim.Probe.o_olc_reads);
-                     ("retries", i a.Sim.Probe.o_retries);
-                     ("fallbacks", i a.Sim.Probe.o_fallbacks);
-                     ("version_bumps", i a.Sim.Probe.o_version_bumps);
-                     ("instant_checks", i a.Sim.Probe.o_instant_checks);
-                     ("ticks", i a.Sim.Probe.o_ticks);
-                   ])
-               s.Sim.Probe.olc) );
+      ("rows", fun b -> J.table_rows b table);
     ]
 
 let write_json ~file ~experiments:exps ~micro:micro_est =
@@ -445,8 +296,10 @@ let run_experiment (name, title, f) =
   Printf.printf "\n================================================================\n";
   Printf.printf "%s — %s\n" name title;
   Printf.printf "================================================================\n%!";
-  f ();
-  print_newline ()
+  let table = f () in
+  Util.Table.print table;
+  print_newline ();
+  table
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -472,26 +325,29 @@ let () =
       else List.map (fun (n, _, _) -> n) experiments @ [ "micro" ]
     else args
   in
+  let known = List.map (fun (n, _, _) -> n) experiments in
+  (match List.filter (fun t -> t <> "micro" && not (List.mem t known)) targets with
+  | [] -> ()
+  | unknown ->
+    List.iter (fun t -> Printf.eprintf "unknown target %S\n" t) unknown;
+    Printf.eprintf "known: %s micro\n" (String.concat " " known);
+    exit 2);
   let exp_samples = ref [] in
   let micro_est = ref [] in
   List.iter
     (fun target ->
       if target = "micro" then micro_est := micro ()
       else
-        match List.find_opt (fun (n, _, _) -> n = target) experiments with
-        | Some ((name, _, _) as e) ->
-          if json = None then run_experiment e
-          else begin
-            (* Same console output, but the run happens under the Probe
-               collector and a wall clock, feeding the JSON baseline. *)
-            let t0 = Unix.gettimeofday () in
-            let (), sample = Sim.Probe.with_collector (fun () -> run_experiment e) in
-            let wall = Unix.gettimeofday () -. t0 in
-            exp_samples := (name, (wall, sample)) :: !exp_samples
-          end
-        | None ->
-          Printf.eprintf "unknown target %S; known: %s micro\n" target
-            (String.concat " " (List.map (fun (n, _, _) -> n) experiments)))
+        let ((name, _, _) as e) = List.find (fun (n, _, _) -> n = target) experiments in
+        if json = None then ignore (run_experiment e : Util.Table.t)
+        else begin
+          (* Same console output, but the run happens under the Probe
+             collector and a wall clock, feeding the JSON baseline. *)
+          let t0 = Unix.gettimeofday () in
+          let table, sample = Sim.Probe.with_collector (fun () -> run_experiment e) in
+          let wall = Unix.gettimeofday () -. t0 in
+          exp_samples := (name, (wall, sample, table)) :: !exp_samples
+        end)
     targets;
   match json with
   | Some file -> write_json ~file ~experiments:(List.rev !exp_samples) ~micro:!micro_est

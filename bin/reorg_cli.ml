@@ -201,7 +201,7 @@ let reorganize records fill f2 seed page_size no_swap no_shrink heuristic lambda
   Format.printf "metrics: %a@." Reorg.Metrics.pp ctx.Reorg.Ctx.metrics;
   let log_stats = Wal.Log.stats db.Sim.Db.log in
   Printf.printf "log: %d records, %s total\n" log_stats.Wal.Log.records
-    (Util.Table.fmt_bytes log_stats.Wal.Log.bytes);
+    (Util.Table.bytes log_stats.Wal.Log.bytes).Util.Table.text;
   obs_report ~trace registry tracer;
   health_report ~health db;
   check_invariants db

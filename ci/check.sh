@@ -32,10 +32,12 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 
-assert doc["schema_version"] == 5, "unexpected schema_version"
+assert doc["schema_version"] == 6, "unexpected schema_version"
 assert doc["revision"] == "ci-smoke", "BENCH_REV not propagated"
 exps = doc["experiments"]
 assert exps, "no experiments recorded"
+for name, e in exps.items():
+    assert isinstance(e["rows"], list) and e["rows"], "%s: no rows" % name
 conc = exps["concurrency"]
 for path in [
     ("io", "reads"),
@@ -47,116 +49,91 @@ for path in [
     v = conc[path[0]][path[1]]
     assert isinstance(v, int) and v > 0, "%s.%s should be a positive int, got %r" % (*path, v)
 assert conc["wall_clock_s"] >= 0.0
+assert isinstance(conc["lock"]["instant_checks"], int), "lock.instant_checks missing"
 
-# Schema v2: the health experiment carries a sampled time series.
-series = exps["health"]["timeseries"]
-assert series, "health experiment recorded no timeseries"
+def by(exp, col):
+    """An experiment's rows keyed by the value of one column."""
+    return {r[col]: r for r in exps[exp]["rows"]}
+
+# Health: one row per sampled snapshot (integer sample index), then the
+# before/after summary rows.
+series = [r for r in exps["health"]["rows"] if isinstance(r["sample"], int)]
+assert series, "health experiment recorded no samples"
 prev = -1
 for snap in series:
-    assert snap["at"] >= prev, "timeseries logical clock went backwards"
-    prev = snap["at"]
-    assert 0.0 <= snap["utilization"] <= 1.0, "utilization outside [0,1]"
-    assert 0.0 <= snap["fragmentation"] <= 1.0, "fragmentation outside [0,1]"
+    assert snap["tick"] >= prev, "sampled logical clock went backwards"
+    prev = snap["tick"]
+    assert 0.0 <= snap["util"] <= 1.0, "utilization outside [0,1]"
+    assert 0.0 <= snap["frag"] <= 1.0, "fragmentation outside [0,1]"
     assert snap["leaves"] >= 0 and snap["backlog"] >= 0
-fired = [name for snap in series for name in snap["fired"]]
+fired = [w for snap in series for w in snap["watch fired"].split()]
 assert fired, "no watch fired across the sparsification run"
 
-# Schema v3: the shard experiment carries the makespan sweep with a
-# per-shard counter block per point, and totals that are exact sums.
-sweep = exps["shard"]["shard_sweep"]
-assert sweep, "shard experiment recorded no shard_sweep"
-makespans = {}
-for pt in sweep:
-    n = pt["shards"]
-    assert n >= 1, "shard count must be >= 1"
-    arms = pt["per_shard"]
-    assert len(arms) == n, "expected %d per-shard blocks, got %d" % (n, len(arms))
-    assert [a["shard"] for a in arms] == list(range(n)), "per-shard blocks out of order"
-    for field in ("ticks", "io_reads", "io_writes", "lock_acquires", "wal_records"):
-        total = sum(a[field] for a in arms)
-        assert pt["totals"][field] == total, (
-            "totals.%s (%r) != sum of per-shard values (%r) at %d shards"
-            % (field, pt["totals"][field], total, n))
-    assert abs(pt["totals"]["io_cost"] - sum(a["io_cost"] for a in arms)) < 1e-6
-    assert pt["parallel_makespan"] > 0 and pt["mixed_ticks"] > 0
-    assert pt["user_committed"] > 0, "mixed phase committed no user transactions"
-    makespans[n] = pt["parallel_makespan"]
-assert 1 in makespans and 4 in makespans, "sweep must include 1 and 4 shards"
-ratio = makespans[4] / makespans[1]
+# Shard: one row per shard count; 4 shards must reach <= 0.6x the 1-shard
+# parallel makespan, and the mixed phase must commit user work.
+shards = by("shard", "shards")
+assert 1 in shards and 4 in shards, "sweep must include 1 and 4 shards"
+for n, pt in shards.items():
+    assert pt["makespan"] > 0 and pt["mixed ticks"] > 0
+    assert pt["committed"] > 0, "mixed phase committed no user transactions at %d shards" % n
+ratio = shards[4]["makespan"] / shards[1]["makespan"]
 assert ratio <= 0.6, "4-shard makespan ratio %.2f exceeds 0.6" % ratio
 
-# Schema v4: the groupcommit experiment carries one block per arm; the
-# pipelined arm must force strictly less and write more sequentially than
-# the sync arm at the identical workload table.
-arms = {a["arm"]: a for a in exps["groupcommit"]["groupcommit"]}
-assert set(arms) == {"sync", "pipelined"}, "expected sync and pipelined arms"
+# Groupcommit: the pipelined arm must force strictly less and write more
+# sequentially than the sync arm at the identical workload.
+arms = by("groupcommit", "arm")
 sync, piped = arms["sync"], arms["pipelined"]
-assert piped["forced"] < sync["forced"], (
-    "group commit did not reduce wal.forced: %d vs %d" % (piped["forced"], sync["forced"]))
-assert piped["batches"] > 0 and piped["coalesced"] >= piped["batches"], \
+assert piped["forces"] < sync["forces"], (
+    "group commit did not reduce wal.forced: %d vs %d" % (piped["forces"], sync["forces"]))
+assert piped["gc batches"] > 0 and piped["coalesced"] >= piped["gc batches"], \
     "pipelined arm batched no commits"
-assert piped["max_batch"] >= 2, "no force covered more than one commit"
-assert sync["batches"] == 0, "sync arm must not group-commit"
+assert piped["max batch"] >= 2, "no force covered more than one commit"
+assert sync["gc batches"] == 0, "sync arm must not group-commit"
 def seq_ratio(a):
-    return a["seq_writes"] / max(1, a["rand_writes"])
+    return a["seq w"] / max(1, a["rand w"])
 assert seq_ratio(piped) > seq_ratio(sync), (
     "elevator did not improve the seq/rand write ratio: %.3f vs %.3f"
     % (seq_ratio(piped), seq_ratio(sync)))
-assert piped["checkpoints"] > 0, "no fuzzy checkpoint taken"
-assert piped["wal_truncated"] > 0, "checkpoints reclaimed no WAL records"
-assert piped["user_committed"] > 0 and sync["user_committed"] > 0
+assert piped["ckpts"] > 0, "no fuzzy checkpoint taken"
+assert piped["wal trunc"] > 0, "checkpoints reclaimed no WAL records"
+assert piped["commits"] > 0 and sync["commits"] > 0
 
-# Schema v5: the olc experiment carries one block per reader arm; the
-# optimistic arm must do the same reads (identical digests), shed at least
-# 70% of the locked arm's S acquires, and show the fallback path firing.
-assert isinstance(conc["lock"]["instant_checks"], int), "lock.instant_checks missing"
-oarms = {a["arm"]: a for a in exps["olc"]["olc"]}
-assert set(oarms) == {"locked", "olc"}, "expected locked and olc arms"
+# OLC: the optimistic arm must do the same reads (identical digests), shed
+# at least 70% of the locked arm's S acquires, and show the fallback path.
+oarms = by("olc", "arm")
 locked, olc = oarms["locked"], oarms["olc"]
 assert locked["reads"] == olc["reads"] > 0, "arms read different operation counts"
-assert locked["range_scans"] == olc["range_scans"] > 0
+assert locked["scans"] == olc["scans"] > 0
 assert locked["digest"] == olc["digest"], (
     "optimistic results diverge from locked results: %08x vs %08x"
     % (locked["digest"], olc["digest"]))
-assert locked["olc_reads"] == 0, "locked arm took the optimistic path"
-assert olc["olc_reads"] > 0, "olc arm committed no optimistic reads"
-s_ratio = olc["s_acquires"] / max(1, locked["s_acquires"])
+assert locked["olc reads"] == 0, "locked arm took the optimistic path"
+assert olc["olc reads"] > 0, "olc arm committed no optimistic reads"
+s_ratio = olc["S acq"] / max(1, locked["S acq"])
 assert s_ratio <= 0.30, (
     "OLC arm kept %.2fx of the locked arm's S acquires (want <= 0.30x: %d vs %d)"
-    % (s_ratio, olc["s_acquires"], locked["s_acquires"]))
+    % (s_ratio, olc["S acq"], locked["S acq"]))
 assert olc["fallbacks"] > 0, "no optimistic read ever fell back to the locked path"
-assert olc["instant_checks"] > 0, "no non-enqueuing RX probe recorded"
-assert olc["version_bumps"] > 0 and locked["version_bumps"] > 0
+assert olc["probes"] > 0, "no non-enqueuing RX probe recorded"
+assert olc["bumps"] > 0 and locked["bumps"] > 0
 
 print("bench JSON OK: %d experiment(s), %d health sample(s), watch fires: %s, "
       "shard sweep %s (4/1 makespan %.2f), groupcommit forces %d->%d, "
       "seq/rand writes %.2f->%.2f, olc S acquires %d->%d (%.2fx, digests equal)"
       % (len(exps), len(series), ",".join(sorted(set(fired))),
-         sorted(makespans), ratio, sync["forced"], piped["forced"],
+         sorted(shards), ratio, sync["forces"], piped["forces"],
          seq_ratio(sync), seq_ratio(piped),
-         locked["s_acquires"], olc["s_acquires"], s_ratio))
+         locked["S acq"], olc["S acq"], s_ratio))
 EOF
-elif command -v jq >/dev/null 2>&1; then
-  test "$(jq -r .schema_version "$BENCH_OUT")" = 5
-  test "$(jq -r '.experiments.concurrency.lock.acquires > 0' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.concurrency.lock.scan_steps > 0' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.concurrency.io.reads > 0' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.concurrency.pager.hits > 0' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.health.timeseries | length > 0' "$BENCH_OUT")" = true
-  test "$(jq -r '[.experiments.health.timeseries[].utilization] | min >= 0 and max <= 1' "$BENCH_OUT")" = true
-  test "$(jq -r '[.experiments.health.timeseries[].fired[]] | length > 0' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.shard.shard_sweep | length > 0' "$BENCH_OUT")" = true
-  test "$(jq -r '[.experiments.shard.shard_sweep[] | (.per_shard | length) == .shards] | all' "$BENCH_OUT")" = true
-  test "$(jq -r '[.experiments.shard.shard_sweep[] | .totals.ticks == ([.per_shard[].ticks] | add)] | all' "$BENCH_OUT")" = true
-  test "$(jq -r '(.experiments.shard.shard_sweep | (map(select(.shards == 4))[0].parallel_makespan) / (map(select(.shards == 1))[0].parallel_makespan)) <= 0.6' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.groupcommit.groupcommit | (map(select(.arm == "pipelined"))[0].forced) < (map(select(.arm == "sync"))[0].forced)' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.groupcommit.groupcommit | map(select(.arm == "pipelined"))[0] | (.batches > 0) and (.coalesced >= .batches) and (.checkpoints > 0) and (.wal_truncated > 0)' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.groupcommit.groupcommit | ((map(select(.arm == "pipelined"))[0]) as $p | (map(select(.arm == "sync"))[0]) as $s | ($p.seq_writes / ([1, $p.rand_writes] | max)) > ($s.seq_writes / ([1, $s.rand_writes] | max)))' "$BENCH_OUT")" = true
-  test "$(jq -r '.experiments.olc.olc | ((map(select(.arm == "olc"))[0]) as $o | (map(select(.arm == "locked"))[0]) as $l | ($o.digest == $l.digest) and ($o.reads == $l.reads) and ($o.olc_reads > 0) and ($o.fallbacks > 0) and ($o.s_acquires <= 0.30 * $l.s_acquires))' "$BENCH_OUT")" = true
-  echo "bench JSON OK (jq)"
 else
-  echo "python3/jq not available; skipping JSON validation" >&2
+  echo "python3 not available; skipping JSON validation" >&2
 fi
+echo "== bench rejects an unknown target =="
+set +e
+dune exec bench/main.exe -- tabel1 >/dev/null 2>&1
+rc=$?
+set -e
+test "$rc" -ne 0 || { echo "bench: unknown target exited 0" >&2; exit 1; }
 
 echo "== torture sweep =="
 dune exec bin/reorg_cli.exe -- torture --seed 11 --stride 1 -n 120 >/dev/null

@@ -377,41 +377,4 @@ module Sampler = struct
 
   let snapshots s = List.rev s.snaps
   let count s = List.length s.snaps
-
-  let emit_snapshot buf (snap : snapshot) =
-    Json.obj buf
-      [
-        ("at", fun b -> Json.int b snap.at);
-        ("leaves", fun b -> Json.int b snap.leaves);
-        ("utilization", fun b -> Json.float b snap.utilization);
-        ("fragmentation", fun b -> Json.float b snap.fragmentation);
-        ("backlog", fun b -> Json.int b snap.backlog);
-        ("free_pages", fun b -> Json.int b snap.free_pages);
-        ( "fill_buckets",
-          fun b ->
-            Json.arr b
-              (List.map
-                 (fun v b -> Json.int b v)
-                 (Array.to_list snap.fill_buckets)) );
-        ( "probes",
-          fun b ->
-            Json.obj b
-              (List.map
-                 (fun (name, v, d) ->
-                   ( name,
-                     fun b ->
-                       Json.obj b
-                         [
-                           ("value", fun b -> Json.int b v);
-                           ("delta", fun b -> Json.int b d);
-                         ] ))
-                 snap.probes) );
-        ( "fired",
-          fun b -> Json.arr b (List.map (fun n b -> Json.string b n) snap.fired) );
-      ]
-
-  let to_json snaps =
-    let buf = Buffer.create 256 in
-    Json.arr buf (List.map (fun s b -> emit_snapshot b s) snaps);
-    Buffer.contents buf
 end

@@ -195,11 +195,4 @@ module Sampler : sig
   (** All snapshots, oldest first. *)
 
   val count : t -> int
-
-  val emit_snapshot : Buffer.t -> snapshot -> unit
-  (** JSON object — the element type of the bench baseline's schema-v2
-      [timeseries] arrays. *)
-
-  val to_json : snapshot list -> string
-  (** JSON array of {!emit_snapshot} objects. *)
 end

@@ -63,3 +63,18 @@ let arr buf emits =
       emit buf)
     emits;
   Buffer.add_char buf ']'
+
+(* A results table's data rows: one header-keyed object per row, each cell
+   its raw value ([Null] cells, e.g. a nan ratio, become [null]). *)
+let table_rows buf table =
+  let value (v : Util.Table.value) buf =
+    match v with
+    | Int n -> int buf n
+    | Float x -> float buf x
+    | Text s -> string buf s
+    | Null -> Buffer.add_string buf "null"
+  in
+  arr buf
+    (List.map
+       (fun row buf -> obj buf (List.map (fun (h, v) -> (h, value v)) row))
+       (Util.Table.rows table))

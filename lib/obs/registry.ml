@@ -83,13 +83,14 @@ let dump t =
     (fun (name, m) ->
       let value =
         match m with
-        | Counter c -> Util.Table.fmt_int (Counter.get c)
-        | Gauge fn -> Util.Table.fmt_int (fn ())
+        | Counter c -> Util.Table.int (Counter.get c)
+        | Gauge fn -> Util.Table.int (fn ())
         | Histogram h ->
-          if Histogram.count h = 0 then "n=0"
-          else Format.asprintf "%a" Util.Stats.pp_summary (Histogram.summary h)
+          Util.Table.text
+            (if Histogram.count h = 0 then "n=0"
+             else Format.asprintf "%a" Util.Stats.pp_summary (Histogram.summary h))
       in
-      Util.Table.add_row table [ name; value ])
+      Util.Table.add_row table [ Util.Table.text name; value ])
     (sorted t);
   Util.Table.render table
 

@@ -52,10 +52,10 @@ let run () =
     (fun (name, config) ->
       let name, r, s, log_bytes, cost, dt = variant name config in
       Util.Table.add_row table
-        [ name; string_of_int r.Reorg.Driver.pass1_units; string_of_int r.Reorg.Driver.swaps;
-          string_of_int s.Tree.height; Util.Table.fmt_pct s.Tree.avg_leaf_fill;
-          Util.Table.fmt_bytes log_bytes; Util.Table.fmt_float cost;
-          Util.Table.fmt_float ~digits:2 dt ])
+        [ Util.Table.text name; Util.Table.num r.Reorg.Driver.pass1_units;
+          Util.Table.num r.Reorg.Driver.swaps; Util.Table.num s.Tree.height;
+          Util.Table.pct s.Tree.avg_leaf_fill; Util.Table.bytes log_bytes;
+          Util.Table.float cost; Util.Table.float dt ])
     [
       ("full (default)", d);
       ("no pass 2 (swap off)", { d with swap_pass = false });

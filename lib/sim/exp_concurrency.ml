@@ -126,11 +126,11 @@ let run () =
   List.iter
     (fun r ->
       Util.Table.add_row table
-        [ r.name; Util.Table.fmt_int r.duration; Util.Table.fmt_int r.committed;
-          Util.Table.fmt_float
+        [ Util.Table.text r.name; Util.Table.int r.duration; Util.Table.int r.committed;
+          Util.Table.float
             (Util.Stats.ratio (1000.0 *. float_of_int r.committed) (float_of_int r.duration));
-          Util.Table.fmt_float r.mean_latency; Util.Table.fmt_int r.max_latency;
-          Util.Table.fmt_int r.blocked; Util.Table.fmt_int r.give_ups;
-          Util.Table.fmt_int r.aborted ])
+          Util.Table.float r.mean_latency; Util.Table.int r.max_latency;
+          Util.Table.int r.blocked; Util.Table.int r.give_ups;
+          Util.Table.int r.aborted ])
     rows;
   table

@@ -34,10 +34,9 @@ let run () =
           (float_of_int (Reorg.Metrics.units m))
       in
       Util.Table.add_row table
-        [ Printf.sprintf "%.2f" f1; "paper (one process)";
-          string_of_int r.Reorg.Driver.pass1_units; Util.Table.fmt_float pages_per_unit;
-          Util.Table.fmt_float (0.9 /. f1); Util.Table.fmt_int locks;
-          Util.Table.fmt_int forces ];
+        [ Util.Table.float f1; Util.Table.text "paper (one process)";
+          Util.Table.num r.Reorg.Driver.pass1_units; Util.Table.float pages_per_unit;
+          Util.Table.float (0.9 /. f1); Util.Table.int locks; Util.Table.int forces ];
       (* Tandem. *)
       let db, _ = Scenario.aged ~seed:67 ~n:1500 ~f1 () in
       Lockmgr.Lock_mgr.reset_stats db.Db.locks;
@@ -50,9 +49,9 @@ let run () =
       let locks = (Lockmgr.Lock_mgr.stats db.Db.locks).Lockmgr.Lock_mgr.acquires in
       let forces = (Wal.Log.stats db.Db.log).Wal.Log.forced - forces0 in
       Util.Table.add_row table
-        [ Printf.sprintf "%.2f" f1; "tandem (txn per op)";
-          string_of_int stats.Baseline.Tandem.ops; "2.0"; "-"; Util.Table.fmt_int locks;
-          Util.Table.fmt_int forces ];
+        [ Util.Table.float f1; Util.Table.text "tandem (txn per op)";
+          Util.Table.num stats.Baseline.Tandem.ops; Util.Table.float ~digits:1 2.0;
+          Util.Table.none; Util.Table.int locks; Util.Table.int forces ];
       Util.Table.add_rule table)
     [ 0.15; 0.3; 0.45 ];
   table

@@ -17,7 +17,7 @@
 
 module Engine = Sched.Engine
 
-let run_arm ~pipelined ~seed ~n ~users () =
+let run_arm ~table ~pipelined ~seed ~n ~users () =
   let db, _ = Scenario.aged ~seed ~n ~f1:0.3 () in
   (* Snapshot after the build: the arms compare only the reorganization
      phase, not the identical initial load. *)
@@ -76,31 +76,18 @@ let run_arm ~pipelined ~seed ~n ~users () =
       rand_writes = d1.Pager.Disk.rand_writes - d0.Pager.Disk.rand_writes;
     }
   in
-  {
-    Probe.g_label = (if pipelined then "pipelined" else "sync");
-    g_forced = w1.Wal.Log.forced - w0.Wal.Log.forced;
-    g_batches = gc.Wal.Group_commit.batches;
-    g_coalesced = gc.Wal.Group_commit.coalesced;
-    g_max_batch = gc.Wal.Group_commit.max_batch;
-    g_checkpoints = !ckpts;
-    g_truncated = Wal.Log.truncated_records db.Db.log;
-    g_seq_reads = dd.Pager.Disk.seq_reads;
-    g_rand_reads = dd.Pager.Disk.rand_reads;
-    g_seq_writes = dd.Pager.Disk.seq_writes;
-    g_rand_writes = dd.Pager.Disk.rand_writes;
-    g_io_cost = Pager.Disk.io_cost dd;
-    g_committed = ustats.Workload.Mix.committed;
-  }
-
-let run_arms () =
-  let seed = 42 and n = 1500 and users = 4 in
-  let sync = run_arm ~pipelined:false ~seed ~n ~users () in
-  let piped = run_arm ~pipelined:true ~seed ~n ~users () in
-  (sync, piped)
+  let forced = w1.Wal.Log.forced - w0.Wal.Log.forced in
+  Util.Table.add_row table
+    [ Util.Table.text (if pipelined then "pipelined" else "sync"); Util.Table.num forced;
+      Util.Table.num gc.Wal.Group_commit.batches; Util.Table.num gc.Wal.Group_commit.coalesced;
+      Util.Table.num gc.Wal.Group_commit.max_batch; Util.Table.num !ckpts;
+      Util.Table.num (Wal.Log.truncated_records db.Db.log);
+      Util.Table.num dd.Pager.Disk.seq_writes; Util.Table.num dd.Pager.Disk.rand_writes;
+      Util.Table.float ~digits:1 (Pager.Disk.io_cost dd);
+      Util.Table.num ustats.Workload.Mix.committed ];
+  (forced, dd)
 
 let run () =
-  let sync, piped = run_arms () in
-  Probe.note_groupcommit [ sync; piped ];
   let table =
     Util.Table.create
       ~title:
@@ -113,26 +100,16 @@ let run () =
         ("rand w", Util.Table.Right); ("io cost", Util.Table.Right);
         ("commits", Util.Table.Right) ]
   in
-  let row (a : Probe.gc_arm) =
-    Util.Table.add_row table
-      [ a.Probe.g_label; string_of_int a.Probe.g_forced;
-        string_of_int a.Probe.g_batches; string_of_int a.Probe.g_coalesced;
-        string_of_int a.Probe.g_max_batch; string_of_int a.Probe.g_checkpoints;
-        string_of_int a.Probe.g_truncated; string_of_int a.Probe.g_seq_writes;
-        string_of_int a.Probe.g_rand_writes;
-        Printf.sprintf "%.1f" a.Probe.g_io_cost;
-        string_of_int a.Probe.g_committed ]
-  in
-  row sync;
-  row piped;
+  let seed = 42 and n = 1500 and users = 4 in
+  let sync_forced, sync = run_arm ~table ~pipelined:false ~seed ~n ~users () in
+  let piped_forced, piped = run_arm ~table ~pipelined:true ~seed ~n ~users () in
   Util.Table.add_rule table;
-  let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
+  let ratio a b = Util.Table.ratio (if b = 0 then 1.0 else float_of_int a /. float_of_int b) in
   Util.Table.add_row table
-    [ "pipelined/sync";
-      Printf.sprintf "%.2fx" (ratio piped.Probe.g_forced sync.Probe.g_forced);
-      "-"; "-"; "-"; "-"; "-";
-      Printf.sprintf "%.2fx" (ratio piped.Probe.g_seq_writes sync.Probe.g_seq_writes);
-      Printf.sprintf "%.2fx" (ratio piped.Probe.g_rand_writes sync.Probe.g_rand_writes);
-      Printf.sprintf "%.2fx" (piped.Probe.g_io_cost /. Float.max 1.0 sync.Probe.g_io_cost);
-      "-" ];
+    [ Util.Table.text "pipelined/sync"; ratio piped_forced sync_forced; Util.Table.none;
+      Util.Table.none; Util.Table.none; Util.Table.none; Util.Table.none;
+      ratio piped.Pager.Disk.seq_writes sync.Pager.Disk.seq_writes;
+      ratio piped.Pager.Disk.rand_writes sync.Pager.Disk.rand_writes;
+      Util.Table.ratio (Pager.Disk.io_cost piped /. Float.max 1.0 (Pager.Disk.io_cost sync));
+      Util.Table.none ];
   table

@@ -35,11 +35,12 @@ let run () =
     (fun (name, careful, swap_pass) ->
       let m, r = measure ~careful ~swap_pass in
       Util.Table.add_row table
-        [ name; string_of_int r.Reorg.Driver.pass1_units; string_of_int r.Reorg.Driver.swaps;
-          Util.Table.fmt_int (Reorg.Metrics.records_moved m);
-          Util.Table.fmt_int (Reorg.Metrics.log_records m);
-          Util.Table.fmt_bytes (Reorg.Metrics.log_bytes m);
-          Util.Table.fmt_float
+        [ Util.Table.text name; Util.Table.num r.Reorg.Driver.pass1_units;
+          Util.Table.num r.Reorg.Driver.swaps;
+          Util.Table.int (Reorg.Metrics.records_moved m);
+          Util.Table.int (Reorg.Metrics.log_records m);
+          Util.Table.bytes (Reorg.Metrics.log_bytes m);
+          Util.Table.float
             (Util.Stats.ratio
                (float_of_int (Reorg.Metrics.log_bytes m))
                (float_of_int (Reorg.Metrics.records_moved m))) ])

@@ -27,7 +27,7 @@ module Access = Btree.Access
    the total is independent of reader interleaving. *)
 let mix_into d v = d := ((!d * 31) + Hashtbl.hash v) land 0x3FFFFFFF
 
-let run_arm ~use_olc ~seed ~n ~readers ~reads_per_reader () =
+let run_arm ~table ~use_olc ~seed ~n ~readers ~reads_per_reader () =
   let db, _ = Scenario.aged ~seed ~n ~f1:0.3 () in
   Access.set_olc db.Db.access
     ~max_retries:Reorg.Config.default.Reorg.Config.olc_max_retries use_olc;
@@ -99,30 +99,18 @@ let run_arm ~use_olc ~seed ~n ~readers ~reads_per_reader () =
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   let s1, _, _ = Lock_mgr.mode_tally db.Db.locks Mode.S in
   let l1 = Lock_mgr.stats db.Db.locks in
-  {
-    Probe.o_label = (if use_olc then "olc" else "locked");
-    o_reads = !reads;
-    o_range_scans = !scans;
-    o_digest = !digest;
-    o_s_acquires = s1 - s0;
-    o_acquires = l1.Lock_mgr.acquires - l0.Lock_mgr.acquires;
-    o_olc_reads = Btree.Olc.reads olc - or0;
-    o_retries = Btree.Olc.retries olc - rt0;
-    o_fallbacks = Btree.Olc.fallbacks olc - fb0;
-    o_version_bumps = Btree.Olc.version_bumps olc - vb0;
-    o_instant_checks = l1.Lock_mgr.instant_checks - l0.Lock_mgr.instant_checks;
-    o_ticks = Engine.now eng;
-  }
-
-let run_arms () =
-  let seed = 31 and n = 1500 and readers = 6 and reads_per_reader = 400 in
-  let locked = run_arm ~use_olc:false ~seed ~n ~readers ~reads_per_reader () in
-  let olc = run_arm ~use_olc:true ~seed ~n ~readers ~reads_per_reader () in
-  (locked, olc)
+  let s_acquires = s1 - s0 and acquires = l1.Lock_mgr.acquires - l0.Lock_mgr.acquires in
+  let num = Util.Table.num in
+  Util.Table.add_row table
+    [ Util.Table.text (if use_olc then "olc" else "locked"); num !reads; num !scans;
+      { Util.Table.value = Int !digest; text = Printf.sprintf "%08x" !digest };
+      num s_acquires; num acquires;
+      num (Btree.Olc.reads olc - or0); num (Btree.Olc.retries olc - rt0);
+      num (Btree.Olc.fallbacks olc - fb0); num (Btree.Olc.version_bumps olc - vb0);
+      num (l1.Lock_mgr.instant_checks - l0.Lock_mgr.instant_checks); num (Engine.now eng) ];
+  (!digest, s_acquires, acquires)
 
 let run () =
-  let locked, olc = run_arms () in
-  Probe.note_olc [ locked; olc ];
   let table =
     Util.Table.create
       ~title:
@@ -135,24 +123,14 @@ let run () =
         ("fallbacks", Util.Table.Right); ("bumps", Util.Table.Right);
         ("probes", Util.Table.Right); ("ticks", Util.Table.Right) ]
   in
-  let row (a : Probe.olc_arm) =
-    Util.Table.add_row table
-      [ a.Probe.o_label; string_of_int a.Probe.o_reads;
-        string_of_int a.Probe.o_range_scans;
-        Printf.sprintf "%08x" a.Probe.o_digest;
-        string_of_int a.Probe.o_s_acquires; string_of_int a.Probe.o_acquires;
-        string_of_int a.Probe.o_olc_reads; string_of_int a.Probe.o_retries;
-        string_of_int a.Probe.o_fallbacks; string_of_int a.Probe.o_version_bumps;
-        string_of_int a.Probe.o_instant_checks; string_of_int a.Probe.o_ticks ]
-  in
-  row locked;
-  row olc;
+  let seed = 31 and n = 1500 and readers = 6 and reads_per_reader = 400 in
+  let l_digest, l_s, l_acq = run_arm ~table ~use_olc:false ~seed ~n ~readers ~reads_per_reader () in
+  let o_digest, o_s, o_acq = run_arm ~table ~use_olc:true ~seed ~n ~readers ~reads_per_reader () in
   Util.Table.add_rule table;
-  let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
+  let ratio a b = Util.Table.ratio (if b = 0 then 1.0 else float_of_int a /. float_of_int b) in
+  let none = Util.Table.none in
   Util.Table.add_row table
-    [ "olc/locked"; "-"; "-";
-      (if olc.Probe.o_digest = locked.Probe.o_digest then "equal" else "DIFFER");
-      Printf.sprintf "%.2fx" (ratio olc.Probe.o_s_acquires locked.Probe.o_s_acquires);
-      Printf.sprintf "%.2fx" (ratio olc.Probe.o_acquires locked.Probe.o_acquires);
-      "-"; "-"; "-"; "-"; "-"; "-" ];
+    [ Util.Table.text "olc/locked"; none; none;
+      Util.Table.text (if o_digest = l_digest then "equal" else "DIFFER");
+      ratio o_s l_s; ratio o_acq l_acq; none; none; none; none; none; none ];
   table

@@ -50,9 +50,9 @@ let run () =
       let elapsed, units, stats = run_one ~workers in
       if workers = 1 then base := float_of_int elapsed;
       Util.Table.add_row table
-        [ string_of_int workers; Util.Table.fmt_int elapsed;
-          Util.Table.fmt_ratio (Util.Stats.ratio !base (float_of_int elapsed));
-          string_of_int units; Util.Table.fmt_int stats.Workload.Mix.committed;
-          string_of_int stats.Workload.Mix.give_ups ])
+        [ Util.Table.num workers; Util.Table.int elapsed;
+          Util.Table.ratio (Util.Stats.ratio !base (float_of_int elapsed));
+          Util.Table.num units; Util.Table.int stats.Workload.Mix.committed;
+          Util.Table.num stats.Workload.Mix.give_ups ])
     [ 1; 2; 4; 8 ];
   table

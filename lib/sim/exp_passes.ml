@@ -41,8 +41,8 @@ let run_figure1 () =
   let snap stage =
     let s = Tree.stats db.Db.tree in
     Util.Table.add_row table
-      [ stage; string_of_int s.Tree.height; Util.Table.fmt_pct s.Tree.avg_leaf_fill;
-        layout_string db ]
+      [ Util.Table.text stage; Util.Table.num s.Tree.height; Util.Table.pct s.Tree.avg_leaf_fill;
+        Util.Table.text (layout_string db) ]
   in
   snap "initial (sparse, scattered)";
   let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
@@ -81,9 +81,9 @@ let run_figure2 () =
           /. float_of_int (Reorg.Metrics.units m)
       in
       Util.Table.add_row table
-        [ Printf.sprintf "%.2f" f1; string_of_int r.Reorg.Driver.pass1_units;
-          string_of_int (Reorg.Metrics.new_place_units m);
-          string_of_int (Reorg.Metrics.in_place_units m); Printf.sprintf "%.1f" d;
-          string_of_int r.Reorg.Driver.swaps; string_of_int r.Reorg.Driver.moves ])
+        [ Util.Table.float f1; Util.Table.num r.Reorg.Driver.pass1_units;
+          Util.Table.num (Reorg.Metrics.new_place_units m);
+          Util.Table.num (Reorg.Metrics.in_place_units m); Util.Table.float ~digits:1 d;
+          Util.Table.num r.Reorg.Driver.swaps; Util.Table.num r.Reorg.Driver.moves ])
     [ 0.15; 0.25; 0.35; 0.45 ];
   table

@@ -43,12 +43,12 @@ let run () =
         let stats, cost, _ = scan_cost db ~ranges:60 ~width:800 in
         let leaves = (Tree.stats db.Db.tree).Tree.leaf_count in
         Util.Table.add_row table
-          [ Printf.sprintf "%.2f" f1; stage; string_of_int leaves;
-            Util.Table.fmt_int stats.Disk.reads; Util.Table.fmt_int stats.Disk.seq_reads;
-            Util.Table.fmt_int stats.Disk.rand_reads; Util.Table.fmt_float cost;
+          [ Util.Table.float f1; Util.Table.text stage; Util.Table.num leaves;
+            Util.Table.int stats.Disk.reads; Util.Table.int stats.Disk.seq_reads;
+            Util.Table.int stats.Disk.rand_reads; Util.Table.float cost;
             (match cost_before with
-            | None -> "-"
-            | Some b -> Util.Table.fmt_ratio (Util.Stats.ratio b cost)) ];
+            | None -> Util.Table.none
+            | Some b -> Util.Table.ratio (Util.Stats.ratio b cost)) ];
         cost
       in
       let before = row "before (sparse, scattered)" None in

@@ -75,14 +75,14 @@ let run () =
     (fun crash_at ->
       let before, preserved, after_resume, finished = crash_ours ~crash_at in
       Util.Table.add_row table
-        [ string_of_int crash_at; "paper (forward recovery)"; string_of_int before;
-          string_of_int preserved;
-          (if finished > 0 then "finished forward" else "none in flight");
-          string_of_int after_resume ];
+        [ Util.Table.num crash_at; Util.Table.text "paper (forward recovery)";
+          Util.Table.num before; Util.Table.num preserved;
+          Util.Table.text (if finished > 0 then "finished forward" else "none in flight");
+          Util.Table.num after_resume ];
       let t_before, t_after = crash_tandem ~crash_at in
       Util.Table.add_row table
-        [ string_of_int crash_at; "tandem (rollback)"; string_of_int t_before; "state only";
-          "rolled back"; string_of_int t_after ];
+        [ Util.Table.num crash_at; Util.Table.text "tandem (rollback)"; Util.Table.num t_before;
+          Util.Table.text "state only"; Util.Table.text "rolled back"; Util.Table.num t_after ];
       Util.Table.add_rule table)
     [ 40; 120; 300 ];
   table

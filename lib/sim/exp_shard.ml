@@ -11,9 +11,7 @@
      shard's reorganizer on ONE engine together with cross-shard client
      transactions committing through the shard-ordered 2PL protocol.
 
-   Per-shard counter blocks (ticks, io, locks, wal) from the parallel phase
-   are reported to the ambient Probe collector, so `bench --json` emits them
-   as this experiment's schema-v3 [shard_sweep] array. *)
+   One table row per shard count. *)
 
 module Store = Shard.Store
 
@@ -22,60 +20,7 @@ let default_n = 4000
 let survive = 0.35
 let default_counts = [ 1; 2; 4; 8 ]
 
-let arm_of_store i ticks (st : Store.t) =
-  let d = Pager.Disk.stats st.Store.disk in
-  let l = Lockmgr.Lock_mgr.stats st.Store.locks in
-  let w = Wal.Log.stats st.Store.log in
-  {
-    Probe.a_shard = i;
-    a_ticks = ticks;
-    a_io_reads = d.Pager.Disk.reads;
-    a_io_writes = d.Pager.Disk.writes;
-    a_io_cost = Pager.Disk.io_cost d;
-    a_lock_acquires = l.Lockmgr.Lock_mgr.acquires;
-    a_wal_records = w.Wal.Log.records;
-  }
-
-let run_point ?registry ~n shards =
-  (* Phase A: parallel reorganization, engine per shard. *)
-  let t, expected = Sharded.thinned ~seed ~n ~survive ~shards () in
-  let outcome = Sharded.reorg_parallel ?registry t in
-  Sharded.check_invariants t;
-  if Sharded.contents t <> expected then
-    failwith
-      (Printf.sprintf "exp_shard: %d-shard parallel phase lost records" shards);
-  let arms =
-    Array.to_list
-      (Array.mapi (fun i st -> arm_of_store i outcome.Sharded.ticks.(i) st) t.Sharded.stores)
-  in
-  (* Phase B: fresh assembly, reorganizers and cross-shard users contending
-     on one engine.  Same total client load at every shard count. *)
-  let t2, _ = Sharded.thinned ~seed ~n ~survive ~shards () in
-  let mixed, ustats =
-    Sharded.reorg_with_users ?registry ~users:6 ~user_ops:40 ~seed:(seed + 1)
-      ~key_space:(2 * n) t2
-  in
-  Sharded.check_invariants t2;
-  ( {
-      Probe.p_shards = shards;
-      p_parallel_makespan = outcome.Sharded.makespan;
-      p_mixed_ticks = mixed.Sharded.makespan;
-      p_user_committed = ustats.Workload.Mix.committed;
-      p_user_aborted = ustats.Workload.Mix.aborted;
-      p_arms = arms;
-    },
-    outcome )
-
-let run_points ?registry ~n counts = List.map (fun c -> run_point ?registry ~n c) counts
-
-let run () =
-  let points = run_points ~n:default_n default_counts in
-  Probe.note_shard_sweep (List.map fst points);
-  let base =
-    match points with
-    | (p, _) :: _ -> float_of_int p.Probe.p_parallel_makespan
-    | [] -> 1.0
-  in
+let run ?(n = default_n) ?(counts = default_counts) () =
   let table =
     Util.Table.create
       ~title:
@@ -83,42 +28,41 @@ let run () =
            "S1 — keyspace-sharded reorganization: %d records thinned to %.0f%%,\n\
             partitioned across N shards (parallel phase: engine per shard;\n\
             mixed phase: shared engine + 6 cross-shard 2PL users)"
-           default_n (100.0 *. survive))
+           n (100.0 *. survive))
       [ ("shards", Util.Table.Right); ("makespan", Util.Table.Right);
         ("speedup", Util.Table.Right); ("total ticks", Util.Table.Right);
         ("io cost", Util.Table.Right); ("mixed ticks", Util.Table.Right);
         ("committed", Util.Table.Right); ("aborted", Util.Table.Right) ]
   in
+  let base = ref 0.0 in (* first point's makespan *)
   List.iter
-    (fun ((p : Probe.shard_point), (o : Sharded.reorg_outcome)) ->
+    (fun shards ->
+      (* Phase A: parallel reorganization, engine per shard. *)
+      let t, expected = Sharded.thinned ~seed ~n ~survive ~shards () in
+      let outcome = Sharded.reorg_parallel t in
+      Sharded.check_invariants t;
+      if Sharded.contents t <> expected then
+        failwith (Printf.sprintf "exp_shard: %d-shard parallel phase lost records" shards);
       let io =
-        List.fold_left (fun acc (a : Probe.shard_arm) -> acc +. a.Probe.a_io_cost) 0.0
-          p.Probe.p_arms
+        Array.fold_left
+          (fun acc (st : Store.t) -> acc +. Pager.Disk.io_cost (Pager.Disk.stats st.Store.disk))
+          0.0 t.Sharded.stores
       in
+      (* Phase B: fresh assembly, reorganizers and cross-shard users contending
+         on one engine.  Same total client load at every shard count. *)
+      let t2, _ = Sharded.thinned ~seed ~n ~survive ~shards () in
+      let mixed, ustats =
+        Sharded.reorg_with_users ~users:6 ~user_ops:40 ~seed:(seed + 1) ~key_space:(2 * n) t2
+      in
+      Sharded.check_invariants t2;
+      let makespan = outcome.Sharded.makespan in
+      if !base = 0.0 then base := float_of_int makespan;
       Util.Table.add_row table
-        [ string_of_int p.Probe.p_shards;
-          string_of_int p.Probe.p_parallel_makespan;
-          Printf.sprintf "%.2fx" (base /. float_of_int p.Probe.p_parallel_makespan);
-          string_of_int o.Sharded.total_ticks;
-          Printf.sprintf "%.0f" io;
-          string_of_int p.Probe.p_mixed_ticks;
-          string_of_int p.Probe.p_user_committed;
-          string_of_int p.Probe.p_user_aborted ])
-    points;
+        [ Util.Table.num shards; Util.Table.num makespan;
+          Util.Table.ratio (!base /. float_of_int makespan);
+          Util.Table.num outcome.Sharded.total_ticks; Util.Table.float ~digits:0 io;
+          Util.Table.num mixed.Sharded.makespan;
+          Util.Table.num ustats.Workload.Mix.committed;
+          Util.Table.num ustats.Workload.Mix.aborted ])
+    counts;
   table
-
-(* The parts of the sweep a test (or CI) wants to assert on. *)
-type outcome = {
-  o_points : Probe.shard_point list;
-  o_makespan_1 : int;  (** 1-shard parallel makespan *)
-  o_makespan_4 : int;  (** 4-shard parallel makespan; criterion: <= 0.6x *)
-}
-
-let run_outcome ?(n = 2000) () =
-  let points = List.map fst (run_points ~n [ 1; 4 ]) in
-  let find c =
-    match List.find_opt (fun (p : Probe.shard_point) -> p.Probe.p_shards = c) points with
-    | Some p -> p.Probe.p_parallel_makespan
-    | None -> failwith "exp_shard: missing sweep point"
-  in
-  { o_points = points; o_makespan_1 = find 1; o_makespan_4 = find 4 }

@@ -41,9 +41,9 @@ let run () =
       Btree.Invariant.check_consistent_with db.Db.tree ~expected;
       let after = Tree.stats db.Db.tree in
       Util.Table.add_row table
-        [ Util.Table.fmt_int n; Printf.sprintf "%.2f" f1;
-          string_of_int before.Tree.height; string_of_int after.Tree.height;
-          string_of_int before.Tree.internal_count; string_of_int after.Tree.internal_count;
-          string_of_int !max_locks ])
+        [ Util.Table.int n; Util.Table.float f1;
+          Util.Table.num before.Tree.height; Util.Table.num after.Tree.height;
+          Util.Table.num before.Tree.internal_count; Util.Table.num after.Tree.internal_count;
+          Util.Table.num !max_locks ])
     [ (1500, 0.3, 512); (4000, 0.15, 256); (6000, 0.12, 256) ];
   table

@@ -43,12 +43,12 @@ let run ?(n = 2500) () =
       List.iter
         (fun (name, r, log_bytes) ->
           Util.Table.add_row table
-            [ Printf.sprintf "%.2f" f1; name; string_of_int r.Reorg.Driver.pass1_units;
-              string_of_int r.Reorg.Driver.swaps; string_of_int r.Reorg.Driver.moves;
-              Util.Table.fmt_ratio
+            [ Util.Table.float f1; Util.Table.text name; Util.Table.num r.Reorg.Driver.pass1_units;
+              Util.Table.num r.Reorg.Driver.swaps; Util.Table.num r.Reorg.Driver.moves;
+              Util.Table.ratio
                 (Util.Stats.ratio (float_of_int r.Reorg.Driver.swaps)
                    (float_of_int paper_swaps));
-              Util.Table.fmt_bytes log_bytes ])
+              Util.Table.bytes log_bytes ])
         results;
       Util.Table.add_rule table)
     [ 0.2; 0.3; 0.4 ];

@@ -58,15 +58,13 @@ let run () =
   in
   List.iter
     (fun (updaters, think) ->
-      let ticks, side, aborts, ops = run_one ~updaters ~think ~switch_wait:150 () in
-      Util.Table.add_row table
-        [ "paper"; string_of_int updaters; string_of_int think; Util.Table.fmt_int ticks;
-          string_of_int side; string_of_int aborts; Util.Table.fmt_int ops ];
-      let ticks, side, aborts, ops =
-        run_one ~lambda:true ~updaters ~think ~switch_wait:150 ()
-      in
-      Util.Table.add_row table
-        [ "lambda-tree"; string_of_int updaters; string_of_int think; Util.Table.fmt_int ticks;
-          string_of_int side; string_of_int aborts; Util.Table.fmt_int ops ])
+      List.iter
+        (fun (variant, lambda) ->
+          let ticks, side, aborts, ops = run_one ~lambda ~updaters ~think ~switch_wait:150 () in
+          Util.Table.add_row table
+            [ Util.Table.text variant; Util.Table.num updaters; Util.Table.num think;
+              Util.Table.int ticks; Util.Table.num side; Util.Table.num aborts;
+              Util.Table.int ops ])
+        [ ("paper", false); ("lambda-tree", true) ])
     [ (0, 1); (2, 4); (4, 2); (8, 1); (12, 0) ];
   table

@@ -54,14 +54,14 @@ let run () =
     (fun unit_pages ->
       let ticks, metrics, stats = run_one ~unit_pages in
       Util.Table.add_row table
-        [ string_of_int unit_pages; Util.Table.fmt_int ticks;
-          string_of_int (Reorg.Metrics.units metrics);
-          Util.Table.fmt_int stats.Workload.Mix.blocked_ticks;
-          Util.Table.fmt_float
+        [ Util.Table.num unit_pages; Util.Table.int ticks;
+          Util.Table.num (Reorg.Metrics.units metrics);
+          Util.Table.int stats.Workload.Mix.blocked_ticks;
+          Util.Table.float
             (Util.Stats.ratio
                (float_of_int stats.Workload.Mix.blocked_ticks)
                (float_of_int stats.Workload.Mix.committed));
-          string_of_int stats.Workload.Mix.give_ups;
-          Util.Table.fmt_int stats.Workload.Mix.committed ])
+          Util.Table.num stats.Workload.Mix.give_ups;
+          Util.Table.int stats.Workload.Mix.committed ])
     [ 1; 2; 4; 8 ];
   table

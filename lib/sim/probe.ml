@@ -9,56 +9,6 @@
    counters — totals over all arms, which is the right unit for regression
    tracking (the arms are part of the experiment's work). *)
 
-type shard_arm = {
-  a_shard : int;
-  a_ticks : int;
-  a_io_reads : int;
-  a_io_writes : int;
-  a_io_cost : float;
-  a_lock_acquires : int;
-  a_wal_records : int;
-}
-
-type shard_point = {
-  p_shards : int;
-  p_parallel_makespan : int;
-  p_mixed_ticks : int;
-  p_user_committed : int;
-  p_user_aborted : int;
-  p_arms : shard_arm list;
-}
-
-type gc_arm = {
-  g_label : string;
-  g_forced : int;
-  g_batches : int;
-  g_coalesced : int;
-  g_max_batch : int;
-  g_checkpoints : int;
-  g_truncated : int;
-  g_seq_reads : int;
-  g_rand_reads : int;
-  g_seq_writes : int;
-  g_rand_writes : int;
-  g_io_cost : float;
-  g_committed : int;
-}
-
-type olc_arm = {
-  o_label : string;
-  o_reads : int;
-  o_range_scans : int;
-  o_digest : int;
-  o_s_acquires : int;
-  o_acquires : int;
-  o_olc_reads : int;
-  o_retries : int;
-  o_fallbacks : int;
-  o_version_bumps : int;
-  o_instant_checks : int;
-  o_ticks : int;
-}
-
 type sample = {
   disk : Pager.Disk.stats;
   io_cost : float;
@@ -68,10 +18,6 @@ type sample = {
   engines : int;
   ticks : int;  (* summed logical clocks *)
   dispatches : int;
-  timeseries : Obs.Health.Sampler.snapshot list;
-  shard_sweep : shard_point list;
-  groupcommit : gc_arm list;
-  olc : olc_arm list;
 }
 
 type parts = {
@@ -80,10 +26,6 @@ type parts = {
   mutable lockms : Lockmgr.Lock_mgr.t list;
   mutable logs : Wal.Log.t list;
   mutable engs : Sched.Engine.t list;
-  mutable tseries : Obs.Health.Sampler.snapshot list; (* reversed batches *)
-  mutable sweep : shard_point list; (* reversed *)
-  mutable gc_arms : gc_arm list; (* reversed *)
-  mutable olc_arms : olc_arm list; (* reversed *)
 }
 
 let current : parts option ref = ref None
@@ -100,26 +42,6 @@ let note_parts ~disk ~pool ~locks ~log =
 let note_store (st : Shard.Store.t) =
   note_parts ~disk:st.Shard.Store.disk ~pool:st.Shard.Store.pool ~locks:st.Shard.Store.locks
     ~log:st.Shard.Store.log
-
-let note_timeseries snaps =
-  match !current with
-  | None -> ()
-  | Some c -> c.tseries <- List.rev_append snaps c.tseries
-
-let note_shard_sweep points =
-  match !current with
-  | None -> ()
-  | Some c -> c.sweep <- List.rev_append points c.sweep
-
-let note_groupcommit arms =
-  match !current with
-  | None -> ()
-  | Some c -> c.gc_arms <- List.rev_append arms c.gc_arms
-
-let note_olc arms =
-  match !current with
-  | None -> ()
-  | Some c -> c.olc_arms <- List.rev_append arms c.olc_arms
 
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
@@ -215,29 +137,13 @@ let total c =
     engines = List.length c.engs;
     ticks = sum Sched.Engine.now c.engs;
     dispatches = sum Sched.Engine.dispatches c.engs;
-    timeseries = List.rev c.tseries;
-    shard_sweep = List.rev c.sweep;
-    groupcommit = List.rev c.gc_arms;
-    olc = List.rev c.olc_arms;
   }
 
 let with_collector f =
   (match !current with
   | Some _ -> invalid_arg "Probe.with_collector: collector already active"
   | None -> ());
-  let c =
-    {
-      disks = [];
-      pools = [];
-      lockms = [];
-      logs = [];
-      engs = [];
-      tseries = [];
-      sweep = [];
-      gc_arms = [];
-      olc_arms = [];
-    }
-  in
+  let c = { disks = []; pools = []; lockms = []; logs = []; engs = [] } in
   current := Some c;
   (* Register by id so hooks installed by anyone else stay in place. *)
   let hook = Sched.Engine.add_create_hook (fun e -> c.engs <- e :: c.engs) in

@@ -14,64 +14,6 @@
     themselves still do not nest; only the benchmark harness should use
     this. *)
 
-type shard_arm = {
-  a_shard : int;  (** shard index within its sweep point *)
-  a_ticks : int;  (** that shard's final engine clock (parallel phase) *)
-  a_io_reads : int;
-  a_io_writes : int;
-  a_io_cost : float;
-  a_lock_acquires : int;
-  a_wal_records : int;
-}
-(** Per-shard counter block of one shard-sweep configuration. *)
-
-type shard_point = {
-  p_shards : int;  (** shard count of this sweep point; [List.length p_arms] *)
-  p_parallel_makespan : int;  (** max per-shard clock — the scaling figure *)
-  p_mixed_ticks : int;  (** single-engine clock of the contended phase *)
-  p_user_committed : int;
-  p_user_aborted : int;
-  p_arms : shard_arm list;
-}
-(** One configuration of the shard-count sweep; totals in the benchmark
-    JSON are computed as sums over [p_arms]. *)
-
-type gc_arm = {
-  g_label : string;  (** ["sync"] or ["pipelined"] *)
-  g_forced : int;  (** stable-boundary advances (the figure group commit cuts) *)
-  g_batches : int;  (** group-commit flushes that woke at least one waiter *)
-  g_coalesced : int;  (** commit waiters covered by those batches *)
-  g_max_batch : int;
-  g_checkpoints : int;  (** fuzzy checkpoints taken during the run *)
-  g_truncated : int;  (** WAL records reclaimed by checkpoint truncation *)
-  g_seq_reads : int;
-  g_rand_reads : int;
-  g_seq_writes : int;
-  g_rand_writes : int;
-  g_io_cost : float;
-  g_committed : int;  (** user transactions acknowledged *)
-}
-(** One arm of the group-commit experiment: the same workload run with the
-    synchronous commit path vs. the asynchronous durability pipeline. *)
-
-type olc_arm = {
-  o_label : string;  (** ["locked"] or ["olc"] *)
-  o_reads : int;  (** reader point lookups performed *)
-  o_range_scans : int;  (** reader range scans performed *)
-  o_digest : int;  (** order-independent digest of every result — must be
-                       identical across the arms *)
-  o_s_acquires : int;  (** S-mode lock acquires during the arm *)
-  o_acquires : int;  (** all lock acquires during the arm *)
-  o_olc_reads : int;  (** committed optimistic reads ([olc.reads]) *)
-  o_retries : int;
-  o_fallbacks : int;
-  o_version_bumps : int;
-  o_instant_checks : int;  (** non-enqueuing RX-presence probes *)
-  o_ticks : int;  (** arm makespan (engine clock) *)
-}
-(** One arm of the optimistic-read experiment: the same read-heavy workload
-    run with the locked Table-1 reader protocol vs. the lock-free OLC path. *)
-
 type sample = {
   disk : Pager.Disk.stats;  (** summed over every disk assembled *)
   io_cost : float;  (** {!Pager.Disk.io_cost} of the summed stats, default cost model *)
@@ -81,10 +23,6 @@ type sample = {
   engines : int;  (** engines created inside the window *)
   ticks : int;  (** summed final logical clocks *)
   dispatches : int;
-  timeseries : Obs.Health.Sampler.snapshot list;  (** health samples reported via {!note_timeseries} *)
-  shard_sweep : shard_point list;  (** sweep points reported via {!note_shard_sweep} *)
-  groupcommit : gc_arm list;  (** pipeline arms reported via {!note_groupcommit} *)
-  olc : olc_arm list;  (** optimistic-read arms reported via {!note_olc} *)
 }
 
 val with_collector : (unit -> 'a) -> 'a * sample
@@ -97,24 +35,3 @@ val note_parts :
     collector is active, a {!Shard.Store.add_assemble_hook} registration
     feeds every assembled store here automatically — experiments never call
     this themselves. *)
-
-val note_timeseries : Obs.Health.Sampler.snapshot list -> unit
-(** Report health time-series snapshots for the current experiment (appended
-    in call order); a no-op when no collector is active.  They surface as
-    the [timeseries] array of the schema-v2 benchmark baseline. *)
-
-val note_shard_sweep : shard_point list -> unit
-(** Report shard-count sweep points for the current experiment (appended in
-    call order); a no-op when no collector is active.  They surface as the
-    [shard_sweep] array — with per-shard counter blocks — of the schema-v3
-    benchmark baseline. *)
-
-val note_groupcommit : gc_arm list -> unit
-(** Report sync-vs-pipelined arms for the current experiment (appended in
-    call order); a no-op when no collector is active.  They surface as the
-    [groupcommit] array of the schema-v4 benchmark baseline. *)
-
-val note_olc : olc_arm list -> unit
-(** Report locked-vs-optimistic reader arms for the current experiment
-    (appended in call order); a no-op when no collector is active.  They
-    surface as the [olc] array of the schema-v5 benchmark baseline. *)

@@ -1,12 +1,17 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
+type value = Int of int | Float of float | Text of string | Null
+
+type cell = { value : value; text : string }
+
+type row = Cells of cell list | Rule
 
 type t = {
   title : string option;
   headers : string list;
   aligns : align list;
   mutable rows : row list; (* reversed *)
+  mutable notes : string list; (* reversed *)
 }
 
 let create ?title columns =
@@ -15,6 +20,7 @@ let create ?title columns =
     headers = List.map fst columns;
     aligns = List.map snd columns;
     rows = [];
+    notes = [];
   }
 
 let add_row t cells =
@@ -23,6 +29,15 @@ let add_row t cells =
   t.rows <- Cells cells :: t.rows
 
 let add_rule t = t.rows <- Rule :: t.rows
+
+let add_note t line = t.notes <- line :: t.notes
+
+let rows t =
+  List.filter_map
+    (function
+      | Rule -> None
+      | Cells cs -> Some (List.map2 (fun h c -> (h, c.value)) t.headers cs))
+    (List.rev t.rows)
 
 let pad align width s =
   let n = String.length s in
@@ -38,7 +53,7 @@ let render t =
       (fun acc row ->
         match row with
         | Rule -> acc
-        | Cells cs -> List.map2 (fun w c -> max w (String.length c)) acc cs)
+        | Cells cs -> List.map2 (fun w c -> max w (String.length c.text)) acc cs)
       (List.map String.length t.headers)
       rows
   in
@@ -68,13 +83,24 @@ let render t =
   line '-';
   List.iter
     (fun row ->
-      match row with Rule -> line '-' | Cells cs -> emit cs t.aligns)
+      match row with
+      | Rule -> line '-'
+      | Cells cs -> emit (List.map (fun c -> c.text) cs) t.aligns)
     rows;
+  List.iter
+    (fun note ->
+      Buffer.add_string buf note;
+      Buffer.add_char buf '\n')
+    (List.rev t.notes);
   Buffer.contents buf
 
 let print t = print_string (render t)
 
-let fmt_int n =
+let text s = { value = Text s; text = s }
+let none = { value = Null; text = "-" }
+let num n = { value = Int n; text = string_of_int n }
+
+let int n =
   (* Thousands separators make big I/O and byte counts scannable. *)
   let s = string_of_int (abs n) in
   let len = String.length s in
@@ -85,18 +111,18 @@ let fmt_int n =
       if i > 0 && (len - i) mod 3 = 0 then Buffer.add_char buf ',';
       Buffer.add_char buf c)
     s;
-  Buffer.contents buf
+  { value = Int n; text = Buffer.contents buf }
 
-let fmt_float ?(digits = 2) x =
-  if Float.is_nan x then "-" else Printf.sprintf "%.*f" digits x
+(* NaN (an undefined ratio) has no value to record: it prints "-". *)
+let real text x = if Float.is_nan x then none else { value = Float x; text }
+let float ?(digits = 2) x = real (Printf.sprintf "%.*f" digits x) x
+let pct x = real (Printf.sprintf "%.1f%%" (100.0 *. x)) x
+let ratio x = real (Printf.sprintf "%.2fx" x) x
 
-let fmt_pct x =
-  if Float.is_nan x then "-" else Printf.sprintf "%.1f%%" (100.0 *. x)
-
-let fmt_ratio x =
-  if Float.is_nan x then "-" else Printf.sprintf "%.2fx" x
-
-let fmt_bytes n =
-  if n < 1024 then Printf.sprintf "%d B" n
-  else if n < 1024 * 1024 then Printf.sprintf "%.1f KiB" (float_of_int n /. 1024.0)
-  else Printf.sprintf "%.1f MiB" (float_of_int n /. (1024.0 *. 1024.0))
+let bytes n =
+  let text =
+    if n < 1024 then Printf.sprintf "%d B" n
+    else if n < 1024 * 1024 then Printf.sprintf "%.1f KiB" (float_of_int n /. 1024.0)
+    else Printf.sprintf "%.1f MiB" (float_of_int n /. (1024.0 *. 1024.0))
+  in
+  { value = Int n; text }

@@ -256,13 +256,13 @@ let sampled_health_run () =
   Obs.Health.watch db.Sim.Db.health ~name:"util<0.55" ~signal:Obs.Health.Utilization
     ~op:`Lt ~threshold:0.55 (fun _ -> ());
   ignore (Sim.Scenario.run_reorg ~tracer ~sampler ~sample_every:20 db);
-  (Obs.Health.Sampler.to_json (Obs.Health.Sampler.snapshots sampler), tracer)
+  (Obs.Health.Sampler.snapshots sampler, tracer)
 
 let test_sampler_golden_determinism () =
   let series1, tr1 = sampled_health_run () in
   let series2, tr2 = sampled_health_run () in
-  Alcotest.(check bool) "series non-trivial" true (String.length series1 > 2);
-  Alcotest.(check string) "identical sampled series" series1 series2;
+  Alcotest.(check bool) "series non-trivial" true (series1 <> []);
+  Alcotest.(check bool) "identical sampled series" true (series1 = series2);
   Alcotest.(check string) "identical chrome JSON (incl. counter events)"
     (Trace.to_chrome_json tr1) (Trace.to_chrome_json tr2);
   (* The trace carries the sampler's counter rows and the watch fire. *)

@@ -260,13 +260,18 @@ let test_commit_atomicity_sweep () =
 (* ------------------------------------------------------------------ *)
 
 let test_parallel_makespan_scales () =
-  let o = Sim.Exp_shard.run_outcome ~n:1600 () in
-  List.iter
-    (fun (p : Sim.Probe.shard_point) ->
-      Alcotest.(check int) "one arm per shard" p.Sim.Probe.p_shards
-        (List.length p.Sim.Probe.p_arms))
-    o.Sim.Exp_shard.o_points;
-  let m1 = o.Sim.Exp_shard.o_makespan_1 and m4 = o.Sim.Exp_shard.o_makespan_4 in
+  let rows = Util.Table.rows (Sim.Exp_shard.run ~n:1600 ~counts:[ 1; 4 ] ()) in
+  let makespan shards =
+    match
+      List.find_opt (fun row -> List.assoc "shards" row = Util.Table.Int shards) rows
+    with
+    | Some row -> (
+      match List.assoc "makespan" row with
+      | Util.Table.Int m -> m
+      | _ -> Alcotest.fail "makespan cell is not an int")
+    | None -> Alcotest.failf "no %d-shard row" shards
+  in
+  let m1 = makespan 1 and m4 = makespan 4 in
   Alcotest.(check bool)
     (Printf.sprintf "4-shard makespan %d <= 0.6 * 1-shard %d" m4 m1)
     true

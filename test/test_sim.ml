@@ -61,6 +61,27 @@ let test_lock_table_experiment () =
   let _table, ok = Sim.Exp_lock_table.run () in
   Alcotest.(check bool) "table 1 reproduced" true ok
 
+let test_lock_table_rows_match_print () =
+  (* The bench JSON's [rows] are the printed table's cells: every printed
+     line with a column separator (header, then data rows; rules use -+-)
+     must read back as the header keys and the rows' text values. *)
+  let table, _ = Sim.Exp_lock_table.run () in
+  let rows = Util.Table.rows table in
+  let printed =
+    Util.Table.render table |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.contains l '|')
+    |> List.map (fun l -> List.map String.trim (String.split_on_char '|' l))
+  in
+  let text = function
+    | Util.Table.Text s -> s
+    | _ -> Alcotest.fail "Table 1 cells are text"
+  in
+  Alcotest.(check int) "one row per granted mode plus the tally" 8 (List.length rows);
+  Alcotest.(check (list (list string)))
+    "printed header and cells = rows"
+    (List.map fst (List.hd rows) :: List.map (List.map (fun (_, v) -> text v)) rows)
+    printed
+
 let test_layout_string_render () =
   (* The Figure-1 renderer must place every leaf symbol. *)
   let table = Sim.Exp_passes.run_figure1 () in
@@ -130,6 +151,8 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "lock table" `Quick test_lock_table_experiment;
+          Alcotest.test_case "lock table rows match print" `Quick
+            test_lock_table_rows_match_print;
           Alcotest.test_case "figure-1 renderer" `Quick test_layout_string_render;
           Alcotest.test_case "probe collector" `Quick test_probe_collects_totals;
           Alcotest.test_case "catch-up batches" `Quick test_catchup_batches_metric;

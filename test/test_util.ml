@@ -63,23 +63,55 @@ let test_percentile_extremes () =
   Alcotest.(check (float 1e-9)) "p1" 1.0 (Util.Stats.percentile xs 1.0);
   Alcotest.(check (float 1e-9)) "p100" 100.0 (Util.Stats.percentile xs 100.0)
 
+module Table = Util.Table
+
 let test_table_render () =
-  let t = Util.Table.create ~title:"T" [ ("a", Util.Table.Left); ("b", Util.Table.Right) ] in
-  Util.Table.add_row t [ "x"; "1" ];
-  Util.Table.add_row t [ "longer"; "22" ];
-  let s = Util.Table.render t in
+  let t = Table.create ~title:"T" [ ("a", Table.Left); ("b", Table.Right) ] in
+  Table.add_row t [ Table.text "x"; Table.num 1 ];
+  Table.add_row t [ Table.text "longer"; Table.num 22 ];
+  let s = Table.render t in
   Alcotest.(check bool) "contains rows" true
     (String.length s > 0
     && String.split_on_char '\n' s |> List.exists (fun l -> l = "longer | 22"));
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: arity mismatch") (fun () ->
-      Util.Table.add_row t [ "only-one" ])
+      Table.add_row t [ Table.text "only-one" ])
 
+(* Each constructor prints exactly what the string formatter it replaced
+   printed, and keeps the raw value next to the text. *)
 let test_formats () =
-  Alcotest.(check string) "int commas" "1,234,567" (Util.Table.fmt_int 1234567);
-  Alcotest.(check string) "neg int" "-1,000" (Util.Table.fmt_int (-1000));
-  Alcotest.(check string) "pct" "50.0%" (Util.Table.fmt_pct 0.5);
-  Alcotest.(check string) "ratio nan" "-" (Util.Table.fmt_ratio nan);
-  Alcotest.(check string) "bytes" "2.0 KiB" (Util.Table.fmt_bytes 2048)
+  let check name text value (c : Table.cell) =
+    Alcotest.(check string) (name ^ " text") text c.Table.text;
+    Alcotest.(check bool) (name ^ " value") true (c.Table.value = value)
+  in
+  check "int commas" "1,234,567" (Table.Int 1234567) (Table.int 1234567);
+  check "neg int" "-1,000" (Table.Int (-1000)) (Table.int (-1000));
+  check "plain int" "1234567" (Table.Int 1234567) (Table.num 1234567);
+  check "pct" "50.0%" (Table.Float 0.5) (Table.pct 0.5);
+  check "ratio" "3.10x" (Table.Float 3.1) (Table.ratio 3.1);
+  check "ratio nan" "-" Table.Null (Table.ratio nan);
+  check "float" "0.25" (Table.Float 0.25) (Table.float 0.25);
+  check "float digits" "2.0" (Table.Float 2.0) (Table.float ~digits:1 2.0);
+  check "float nan" "-" Table.Null (Table.float nan);
+  check "bytes" "2.0 KiB" (Table.Int 2048) (Table.bytes 2048);
+  check "text" "paper" (Table.Text "paper") (Table.text "paper");
+  check "none" "-" Table.Null Table.none
+
+let test_rows () =
+  let t = Table.create [ ("arm", Table.Left); ("ratio", Table.Right) ] in
+  Table.add_row t [ Table.text "sync"; Table.ratio 1.0 ];
+  Table.add_rule t;
+  Table.add_row t [ Table.text "nan"; Table.ratio nan ];
+  Table.add_note t "a note is not a row";
+  Alcotest.(check bool) "rules and notes skipped, header-keyed" true
+    (Table.rows t
+    = [
+        [ ("arm", Table.Text "sync"); ("ratio", Table.Float 1.0) ];
+        [ ("arm", Table.Text "nan"); ("ratio", Table.Null) ];
+      ]);
+  let buf = Buffer.create 64 in
+  Obs.Json.table_rows buf t;
+  Alcotest.(check string) "nan cell is JSON null"
+    {|[{"arm":"sync","ratio":1},{"arm":"nan","ratio":null}]|} (Buffer.contents buf)
 
 let () =
   Alcotest.run "util"
@@ -102,5 +134,6 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "formats" `Quick test_formats;
+          Alcotest.test_case "rows" `Quick test_rows;
         ] );
     ]
