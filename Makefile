@@ -15,7 +15,7 @@ check:
 bench:
 	dune exec bench/main.exe
 
-# Machine-readable baseline: every experiment + the microbenchmarks, written
+# Machine-readable baseline: every experiment's table and counters, written
 # to BENCH_<rev>.json (schema documented in EXPERIMENTS.md).  Commit the file
 # to give the next performance PR a before/after datapoint.
 bench-json:

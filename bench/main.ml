@@ -1,12 +1,10 @@
 (* Benchmark & experiment harness.
 
    With no arguments: run every experiment (the paper's table, figures and
-   quantitative claims) and then the Bechamel micro-benchmarks.  With
-   arguments: run only the named targets.
+   quantitative claims).  With arguments: run only the named targets.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table1 swaps recovery
-     dune exec bench/main.exe micro      # microbenchmarks only
 
    --trace FILE and/or --metrics run an instrumented canonical scenario
    (aged tree, concurrent users) and emit a Chrome trace_event timeline /
@@ -49,140 +47,15 @@ let experiments : (string * string * (unit -> Util.Table.t)) list =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let mk_loaded n =
-  let records = List.init n (fun i -> (2 * i, Sim.Db.payload_for (2 * i))) in
-  Sim.Db.load ~fill:0.9 records
-
-let bench_btree_search =
-  let db = mk_loaded 20_000 in
-  let rng = Util.Rng.create 1 in
-  Test.make ~name:"btree.search (20k records)"
-    (Staged.stage (fun () ->
-         ignore (Btree.Tree.search db.Sim.Db.tree (2 * Util.Rng.int rng 20_000))))
-
-let bench_btree_insert_delete =
-  let db = mk_loaded 20_000 in
-  let tx = Transact.Txn_mgr.fresh_owner db.Sim.Db.mgr in
-  let rng = Util.Rng.create 2 in
-  Test.make ~name:"btree.insert+delete"
-    (Staged.stage (fun () ->
-         let k = (2 * Util.Rng.int rng 1_000_000) + 1 in
-         (try Btree.Tree.insert db.Sim.Db.tree ~txn:tx ~key:k ~payload:"x" ()
-          with Btree.Tree.Duplicate_key _ -> ());
-         ignore (Btree.Tree.delete db.Sim.Db.tree ~txn:tx k)))
-
-let bench_btree_range =
-  let db = mk_loaded 20_000 in
-  let rng = Util.Rng.create 3 in
-  Test.make ~name:"btree.range (100 keys)"
-    (Staged.stage (fun () ->
-         let lo = 2 * Util.Rng.int rng 19_000 in
-         ignore (Btree.Tree.range db.Sim.Db.tree ~lo ~hi:(lo + 200))))
-
-let bench_leaf_insert =
-  let page = Pager.Page.create ~size:512 in
-  Btree.Leaf.init page ~low_mark:0;
-  let rng = Util.Rng.create 4 in
-  Test.make ~name:"leaf.insert/delete (in page)"
-    (Staged.stage (fun () ->
-         let k = Util.Rng.int rng 1_000_000 in
-         if Btree.Leaf.insert page { Btree.Leaf.key = k; payload = "0123456789" } then
-           ignore (Btree.Leaf.delete page k)))
-
-let bench_lock_acquire =
-  let locks = Lockmgr.Lock_mgr.create () in
-  let rng = Util.Rng.create 5 in
-  Test.make ~name:"lock.acquire+release (S)"
-    (Staged.stage (fun () ->
-         let page = Util.Rng.int rng 1000 in
-         match
-           Lockmgr.Lock_mgr.try_acquire locks ~owner:1 (Lockmgr.Resource.Page page)
-             Lockmgr.Mode.S
-         with
-         | `Granted ->
-           Lockmgr.Lock_mgr.release locks ~owner:1 (Lockmgr.Resource.Page page) Lockmgr.Mode.S
-         | `Conflict _ -> ()))
-
-let bench_log_append =
-  let log = Wal.Log.create () in
-  Test.make ~name:"wal.append (leaf insert record)"
-    (Staged.stage (fun () ->
-         ignore
-           (Wal.Log.append log
-              (Wal.Record.Leaf_insert
-                 { txn = 1; page = 42; key = 7; payload = "payload!"; prev = 0 }))))
-
-let bench_record_codec =
-  let body =
-    Wal.Record.Reorg_move
-      {
-        unit_id = 3;
-        org = 11;
-        dest = 14;
-        payload = Wal.Record.Keys_only [ 1; 2; 3; 4; 5; 6; 7; 8 ];
-        dest_init = None;
-        prev = 9;
-      }
-  in
-  Test.make ~name:"wal.record encode+decode"
-    (Staged.stage (fun () -> ignore (Wal.Record.decode (Wal.Record.encode body))))
-
-let bench_reorg_unit =
-  Test.make ~name:"reorg pass (120 records, end to end)"
-    (Staged.stage (fun () ->
-         let db, _ = Sim.Scenario.aged ~seed:9 ~n:120 ~f1:0.3 ~leaf_pages:512 () in
-         let config = { Reorg.Config.default with swap_pass = false; shrink_pass = false } in
-         ignore (Sim.Scenario.run_reorg ~config db)))
-
-let micro () =
-  let tests =
-    [
-      bench_leaf_insert;
-      bench_btree_search;
-      bench_btree_insert_delete;
-      bench_btree_range;
-      bench_lock_acquire;
-      bench_log_append;
-      bench_record_codec;
-      bench_reorg_unit;
-    ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  print_endline "Micro-benchmarks (monotonic clock):";
-  let estimates = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols_results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            estimates := (name, est) :: !estimates;
-            Printf.printf "  %-42s %14.1f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-42s (no estimate)\n%!" name)
-        ols_results)
-    tests;
-  List.rev !estimates
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable baseline (--json FILE)                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Schema (version 6): one BENCH_<rev>.json per revision, committed next to
+(* Schema (version 7): one BENCH_<rev>.json per revision, committed next to
    the code, so any two revisions can be diffed field-by-field.  Every
    experiment entry carries wall-clock, the deterministic counters the Probe
    collector sums over all arms, and [rows]: the experiment's printed table
    as header-keyed raw values (EXPERIMENTS.md documents the fields). *)
-let json_schema_version = 6
+let json_schema_version = 7
 
 let emit_experiment buf (wall, s, table) =
   let module J = Obs.Json in
@@ -251,7 +124,7 @@ let emit_experiment buf (wall, s, table) =
       ("rows", fun b -> J.table_rows b table);
     ]
 
-let write_json ~file ~experiments:exps ~micro:micro_est =
+let write_json ~file ~experiments:exps =
   let module J = Obs.Json in
   let rev = try Sys.getenv "BENCH_REV" with Not_found -> "unknown" in
   let buf = Buffer.create 4096 in
@@ -263,15 +136,12 @@ let write_json ~file ~experiments:exps ~micro:micro_est =
       ( "experiments",
         fun b -> J.obj b (List.map (fun (name, e) -> (name, fun b -> emit_experiment b e)) exps)
       );
-      ( "micro_ns_per_run",
-        fun b -> J.obj b (List.map (fun (n, v) -> (n, fun b -> J.float b v)) micro_est) );
     ];
   Buffer.add_char buf '\n';
   let oc = open_out file in
   Buffer.output_buffer oc buf;
   close_out oc;
-  Printf.printf "\nbench baseline -> %s (%d experiments, %d micro estimates)\n" file
-    (List.length exps) (List.length micro_est)
+  Printf.printf "\nbench baseline -> %s (%d experiments)\n" file (List.length exps)
 
 (* ------------------------------------------------------------------ *)
 
@@ -322,33 +192,30 @@ let () =
   let targets =
     if args = [] then
       if (trace <> None || metrics) && json = None then []
-      else List.map (fun (n, _, _) -> n) experiments @ [ "micro" ]
+      else List.map (fun (n, _, _) -> n) experiments
     else args
   in
   let known = List.map (fun (n, _, _) -> n) experiments in
-  (match List.filter (fun t -> t <> "micro" && not (List.mem t known)) targets with
+  (match List.filter (fun t -> not (List.mem t known)) targets with
   | [] -> ()
   | unknown ->
     List.iter (fun t -> Printf.eprintf "unknown target %S\n" t) unknown;
-    Printf.eprintf "known: %s micro\n" (String.concat " " known);
+    Printf.eprintf "known: %s\n" (String.concat " " known);
     exit 2);
   let exp_samples = ref [] in
-  let micro_est = ref [] in
   List.iter
     (fun target ->
-      if target = "micro" then micro_est := micro ()
-      else
-        let ((name, _, _) as e) = List.find (fun (n, _, _) -> n = target) experiments in
-        if json = None then ignore (run_experiment e : Util.Table.t)
-        else begin
-          (* Same console output, but the run happens under the Probe
-             collector and a wall clock, feeding the JSON baseline. *)
-          let t0 = Unix.gettimeofday () in
-          let table, sample = Sim.Probe.with_collector (fun () -> run_experiment e) in
-          let wall = Unix.gettimeofday () -. t0 in
-          exp_samples := (name, (wall, sample, table)) :: !exp_samples
-        end)
+      let ((name, _, _) as e) = List.find (fun (n, _, _) -> n = target) experiments in
+      if json = None then ignore (run_experiment e : Util.Table.t)
+      else begin
+        (* Same console output, but the run happens under the Probe
+           collector and a wall clock, feeding the JSON baseline. *)
+        let t0 = Unix.gettimeofday () in
+        let table, sample = Sim.Probe.with_collector (fun () -> run_experiment e) in
+        let wall = Unix.gettimeofday () -. t0 in
+        exp_samples := (name, (wall, sample, table)) :: !exp_samples
+      end)
     targets;
   match json with
-  | Some file -> write_json ~file ~experiments:(List.rev !exp_samples) ~micro:!micro_est
+  | Some file -> write_json ~file ~experiments:(List.rev !exp_samples)
   | None -> ()

@@ -28,6 +28,16 @@ let f2_t =
 
 let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* A crash-boundary stride: every K-th boundary is swept, so K < 1 is a
+   usage error rather than a failure inside the sweep. *)
+let stride_t ~doc =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) 17 & info [ "stride" ] ~docv:"K" ~doc)
+
 let page_size_t =
   Arg.(value & opt int 512 & info [ "page-size" ] ~docv:"BYTES" ~doc:"Page size in bytes.")
 
@@ -263,7 +273,8 @@ let crash at records seed =
 let torture seed stride records users pipeline olc trace metrics =
   setup_logs ();
   let registry, tracer = obs_setup ~trace ~metrics in
-  match Sim.Torture.run ?registry ?tracer ~seed ~stride ~n:records ~users ~pipeline ~olc () with
+  let config = { Reorg.Config.default with olc } in
+  match Sim.Torture.run ?registry ?tracer ~config ~seed ~stride ~n:records ~users ~pipeline () with
   | r ->
     Printf.printf
       "torture: seed=%d stride=%d\n\
@@ -435,10 +446,7 @@ let crash_cmd =
 
 let torture_cmd =
   let stride_t =
-    Arg.(
-      value & opt int 17
-      & info [ "stride" ] ~docv:"K"
-          ~doc:"Test every $(docv)-th crash point (1 = exhaustive sweep of every boundary).")
+    stride_t ~doc:"Test every $(docv)-th crash point (1 = exhaustive sweep of every boundary)."
   in
   let users_t =
     Arg.(
@@ -514,10 +522,7 @@ let model_cmd =
           ~doc:"Comma-separated subset of: workload, torture, shard.")
   in
   let stride_t =
-    Arg.(
-      value & opt int 17
-      & info [ "stride" ] ~docv:"K"
-          ~doc:"Crash-boundary stride for the torture conformance runs (1 = exhaustive).")
+    stride_t ~doc:"Crash-boundary stride for the torture conformance runs (1 = exhaustive)."
   in
   let records_t =
     Arg.(value & opt int 120 & info [ "records"; "n" ] ~docv:"N" ~doc:"Records per tree.")

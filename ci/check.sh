@@ -32,7 +32,7 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 
-assert doc["schema_version"] == 6, "unexpected schema_version"
+assert doc["schema_version"] == 7, "unexpected schema_version"
 assert doc["revision"] == "ci-smoke", "BENCH_REV not propagated"
 exps = doc["experiments"]
 assert exps, "no experiments recorded"
@@ -143,6 +143,12 @@ dune exec bin/reorg_cli.exe -- torture --seed 11 --stride 7 -n 120 --users 2 --p
 dune exec bin/reorg_cli.exe -- torture --seed 42 --stride 7 -n 120 --users 2 --pipeline >/dev/null
 echo "== torture sweep (optimistic readers: crashes inside lock-free descents) =="
 dune exec bin/reorg_cli.exe -- torture --seed 7 --stride 17 -n 120 --users 2 --olc >/dev/null
+echo "== torture rejects --stride 0 as a usage error (exit 124) =="
+set +e
+dune exec bin/reorg_cli.exe -- torture --stride 0 >/dev/null 2>&1
+rc=$?
+set -e
+test "$rc" -eq 124 || { echo "torture --stride 0: expected exit 124, got $rc" >&2; exit 1; }
 echo "torture OK"
 
 echo "== model conformance =="

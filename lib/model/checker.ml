@@ -19,6 +19,7 @@ type t = {
   mutable violations : Machine.violation list; (* newest first *)
   max_violations : int;
   mutable events : int;
+  mutable retired_tracks : int; (* tracks dropped by earlier resets *)
 }
 
 let create ?(max_violations = 20) () =
@@ -44,15 +45,18 @@ let create ?(max_violations = 20) () =
       violations = [];
       max_violations;
       events = 0;
+      retired_tracks = 0;
     }
   in
   t_ref := Some t;
   t
 
-let cycle t label =
-  (* New scenario phase: protocol state restarts from scratch (fresh engine
-     or post-crash restart), but accumulated violations are kept. *)
-  t.label <- (if label = "" then "" else label ^ ": ");
+let live_tracks t =
+  Machine.track_count t.locks + Machine.track_count t.units + Machine.track_count t.actors
+  + Machine.track_count t.switches + Machine.track_count t.olc + Machine.track_count t.coords
+
+let reset t =
+  t.retired_tracks <- t.retired_tracks + live_tracks t;
   Machine.reset t.locks;
   Machine.reset t.units;
   Machine.reset t.actors;
@@ -60,15 +64,15 @@ let cycle t label =
   Machine.reset t.olc;
   Machine.reset t.coords
 
-let crash t =
-  (* A crash wipes all volatile protocol state: locks are gone, in-flight
-     units and switches are represented again by recovery's own events. *)
-  Machine.reset t.locks;
-  Machine.reset t.units;
-  Machine.reset t.actors;
-  Machine.reset t.switches;
-  Machine.reset t.olc;
-  Machine.reset t.coords
+let cycle t label =
+  (* New scenario phase: protocol state restarts from scratch (fresh engine
+     or post-crash restart), but accumulated violations are kept. *)
+  t.label <- (if label = "" then "" else label ^ ": ");
+  reset t
+
+(* A crash wipes all volatile protocol state: locks are gone, in-flight
+   units and switches are represented again by recovery's own events. *)
+let crash = reset
 
 let lock_hook t ~shard =
   let track ev =
@@ -145,9 +149,7 @@ let finalize t =
 
 let events t = t.events
 
-let tracks t =
-  Machine.track_count t.locks + Machine.track_count t.units + Machine.track_count t.actors
-  + Machine.track_count t.switches + Machine.track_count t.olc + Machine.track_count t.coords
+let tracks t = t.retired_tracks + live_tracks t
 
 let violations t = List.rev t.violations
 

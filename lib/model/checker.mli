@@ -36,6 +36,9 @@ val finalize : t -> unit
 
 val events : t -> int
 val tracks : t -> int
+(** Machine instances created since {!create}, across every {!cycle} and
+    {!crash} (which drop the live ones). *)
+
 val violations : t -> Machine.violation list
 val ok : t -> bool
 val first_violation : t -> Machine.violation option

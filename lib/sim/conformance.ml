@@ -47,24 +47,18 @@ let workload ?(olc = false) ~seed () =
   let c = Model.Checker.create () in
   let db, _ = Scenario.aged ~page_size:512 ~leaf_pages:512 ~seed ~n:400 ~f1:0.3 () in
   let _ctx, _report, _ustats =
-    Scenario.run_reorg ~checker:c ~olc ~users:4 ~user_mix:Workload.Mix.update_heavy
-      ~user_ops:400 ~seed db
+    Scenario.run_reorg ~checker:c
+      ~config:{ Reorg.Config.default with olc }
+      ~users:4 ~user_mix:Workload.Mix.update_heavy ~user_ops:400 ~seed db
   in
   Model.Checker.finalize c;
   summarize (Printf.sprintf "workload-%d%s" seed (if olc then "+olc" else "")) c
 
-(* The crash sweeps: every [stride]-th write/force boundary of the seeded
-   torture workloads, each crash replayed through recovery with the models
-   watching both sides of the boundary. *)
-let torture ?(n = 120) ?(leaf_pages = 128) ?(pipeline = false) ?(olc = false) ~seed ~stride
-    ~users () =
+(* A crash sweep with the checker attached; a harness [Failed] (data loss
+   rather than a protocol violation) is folded into the summary too. *)
+let sweep label run =
   let c = Model.Checker.create () in
-  let label =
-    Printf.sprintf "torture-%d/%d%s%s" seed stride
-      (if pipeline then "+pipe" else "")
-      (if olc then "+olc" else "")
-  in
-  match Torture.run ~checker:c ~n ~leaf_pages ~pipeline ~olc ~seed ~stride ~users () with
+  match run c with
   | (_ : Torture.report) -> summarize label c
   | exception Torture.Failed msg ->
     let s = summarize label c in
@@ -85,29 +79,24 @@ let torture ?(n = 120) ?(leaf_pages = 128) ?(pipeline = false) ?(olc = false) ~s
           ];
       }
 
+(* The crash sweeps: every [stride]-th write/force boundary of the seeded
+   torture workloads, each crash replayed through recovery with the models
+   watching both sides of the boundary. *)
+let torture ?(n = 120) ?(leaf_pages = 128) ?(pipeline = false) ?(olc = false) ~seed ~stride
+    ~users () =
+  let label =
+    Printf.sprintf "torture-%d/%d%s%s" seed stride
+      (if pipeline then "+pipe" else "")
+      (if olc then "+olc" else "")
+  in
+  sweep label (fun c ->
+      Torture.run ~checker:c
+        ~config:{ Reorg.Config.default with olc }
+        ~n ~leaf_pages ~pipeline ~seed ~stride ~users ())
+
 let shard_torture ?(n = 120) ~seed ~stride () =
-  let c = Model.Checker.create () in
-  let label = Printf.sprintf "shard-%d/%d" seed stride in
-  match Shard_torture.run ~checker:c ~n ~seed ~stride () with
-  | (_ : Shard_torture.report) -> summarize label c
-  | exception Shard_torture.Failed msg ->
-    let s = summarize label c in
-    if s.violations <> [] then s
-    else
-      {
-        s with
-        violations =
-          [
-            {
-              Model.Machine.v_machine = "shard-torture";
-              v_track = label;
-              v_state = "";
-              v_event = "";
-              v_reason = msg;
-              v_history = [];
-            };
-          ];
-      }
+  sweep (Printf.sprintf "shard-%d/%d" seed stride) (fun c ->
+      Torture.run_sharded ~checker:c ~n ~seed ~stride ())
 
 (* ---- mutation self-tests: each flips one protocol cell under a test flag
    and must make the checker report a violation. ---- *)
@@ -168,9 +157,10 @@ let mutate_olc () =
               Scenario.aged ~page_size:512 ~leaf_pages:512 ~seed ~n:400 ~f1:0.3 ()
             in
             ignore
-              (Scenario.run_reorg ~checker:c ~olc:true ~users:6
-                 ~user_mix:Workload.Mix.read_only ~user_ops:4_000 ~user_key_space:400 ~seed
-                 db)
+              (Scenario.run_reorg ~checker:c
+                 ~config:{ Reorg.Config.default with olc = true }
+                 ~users:6 ~user_mix:Workload.Mix.read_only ~user_ops:4_000 ~user_key_space:400
+                 ~seed db)
           end)
         seeds);
   Model.Checker.finalize c;

@@ -37,6 +37,8 @@ val torture :
     optimistic descents (the epoch invalidation must force a clean retry). *)
 
 val shard_torture : ?n:int -> seed:int -> stride:int -> unit -> summary
+(** {!Torture.run_sharded} with the checker attached (its lock, protocol and
+    coordinator streams), folding a harness [Failed] in the same way. *)
 
 val mutate_table1 : unit -> summary
 (** Flips one Table-1 cell ({!Lockmgr.Mode.test_break_compat}) and drives the

@@ -51,9 +51,19 @@ let purged ?(page_size = 512) ~seed ~n ~ranges ~width () =
   in
   (db, expected)
 
-let run_reorg ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?olc ?(users = 0)
+let arm_olc ?prot ~config db =
+  let on = config.Reorg.Config.olc in
+  Btree.Access.set_olc db.Db.access ~max_retries:config.Reorg.Config.olc_max_retries on;
+  (* With a checker attached, every committed optimistic read carries its
+     oracle verdict into the olc conformance machine. *)
+  Btree.Access.set_read_probe db.Db.access
+    (match (on, prot) with
+    | true, Some p -> Some (fun ~leaf ~key ~valid -> p (Reorg.Prot.Olc_read { leaf; key; valid }))
+    | _ -> None)
+
+let run_reorg ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?(users = 0)
     ?(user_mix = Workload.Mix.read_mostly) ?(user_ops = 10_000) ?user_key_space ?(seed = 1) ?sampler
-    ?(sample_every = 25) ?(pipeline = false) ?pipeline_ckpt_every db =
+    ?(sample_every = 25) db =
   let prot =
     match checker with
     | Some c ->
@@ -61,15 +71,7 @@ let run_reorg ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?olc ?
       Some (Model.Checker.prot_hook c ~shard:0)
     | None -> None
   in
-  let olc_on = match olc with Some b -> b | None -> config.Reorg.Config.olc in
-  Btree.Access.set_olc db.Db.access ~max_retries:config.Reorg.Config.olc_max_retries olc_on;
-  (* With a checker attached, every committed optimistic read carries its
-     oracle verdict into the olc conformance machine. *)
-  (match (olc_on, prot) with
-  | true, Some p ->
-    Btree.Access.set_read_probe db.Db.access
-      (Some (fun ~leaf ~key ~valid -> p (Reorg.Prot.Olc_read { leaf; key; valid })))
-  | _ -> Btree.Access.set_read_probe db.Db.access None);
+  arm_olc ?prot ~config db;
   let ctx = Reorg.Ctx.make ?registry ?tracer ?prot ~access:db.Db.access ~config () in
   let eng = Engine.create () in
   Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
@@ -106,9 +108,7 @@ let run_reorg ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?olc ?
         ~mix:user_mix ()
     else Workload.Mix.create_stats ()
   in
-  Pipeline.with_pipeline ~enabled:pipeline ?ckpt_every:pipeline_ckpt_every ~ctx eng db
-    ~stop:(fun () -> !report <> None)
-    (fun () -> Engine.run eng);
+  Engine.run eng;
   match !report with
   | Some r -> (ctx, r, ustats)
   | None -> failwith "Scenario.run_reorg: reorganizer did not finish"

@@ -37,12 +37,17 @@ val purged :
   Db.t * (int * string) list
 (** Clustered range deletions (retention purges). *)
 
+val arm_olc : ?prot:(Reorg.Prot.event -> unit) -> config:Reorg.Config.t -> Db.t -> unit
+(** Set [db]'s optimistic read path to [config.olc].  With it on and a
+    [prot] sink given, every committed optimistic read also flows into
+    [prot] with its oracle verdict ({!Reorg.Prot.Olc_read}), which is how the
+    olc conformance machine sees it. *)
+
 val run_reorg :
   ?registry:Obs.Registry.t ->
   ?tracer:Obs.Trace.t ->
   ?checker:Model.Checker.t ->
   ?config:Reorg.Config.t ->
-  ?olc:bool ->
   ?users:int ->
   ?user_mix:Workload.Mix.mix ->
   ?user_ops:int ->
@@ -50,20 +55,14 @@ val run_reorg :
   ?seed:int ->
   ?sampler:Obs.Health.Sampler.t ->
   ?sample_every:int ->
-  ?pipeline:bool ->
-  ?pipeline_ckpt_every:int ->
   Db.t ->
   Reorg.Ctx.t * Reorg.Driver.report * Workload.Mix.stats
 (** Run the full reorganization inside a fresh scheduler, optionally with
     concurrent users (they stop when the reorganizer finishes or after
     [user_ops], default 10_000 each).  [checker] attaches the protocol-model
     conformance checker to the lock manager and the reorganization context
-    (the caller finalizes and inspects it afterwards).
-
-    [olc] (default {!Reorg.Config.t.olc}) turns the optimistic read path on
-    for the user processes; with a checker attached, every committed
-    optimistic read also flows into the olc conformance machine with its
-    oracle verdict ({!Reorg.Prot.Olc_read}).
+    (the caller finalizes and inspects it afterwards).  [config.olc] turns
+    the optimistic read path on for the user processes ({!arm_olc}).
 
     [registry] collects every subsystem's
     counters (scheduler, locks, pager, WAL, reorganizer); [tracer] records
@@ -73,9 +72,4 @@ val run_reorg :
     [sampler] spawns a sampling process on the same engine: its clock is
     pointed at the engine, it snapshots at tick 0 and then every
     [sample_every] ticks (default 25), plus one final snapshot after the
-    reorganizer reports — deterministic health time series for free.
-
-    [pipeline:true] attaches the asynchronous durability pipeline
-    ({!Pipeline}): commits group-commit through a background ticker, an
-    elevator flusher writes dirty pages back sequentially, and (with
-    [pipeline_ckpt_every]) a fuzzy checkpointer truncates the WAL. *)
+    reorganizer reports — deterministic health time series for free. *)

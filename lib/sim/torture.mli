@@ -1,42 +1,50 @@
-(** Forward-recovery torture harness.
+(** Forward-recovery torture harness, for one store and for a sharded
+    machine.
 
     The paper's §5.1 claim — a crashed reorganization unit is {e finished},
     never rolled back — is only believable if it holds at {e every} write
-    boundary, not a sampled handful.  {!run} makes that systematic: a
-    fault-free dry run of a seeded workload (bulk-loaded aged tree, full
-    reorganization, optional concurrent writers) counts the page-write and
-    log-force boundaries; then, for every boundary in turn (or every
-    [stride]-th), a fresh identical database is built, a fault plan is armed
-    to kill the machine exactly there — sometimes tearing the final page
-    write or the WAL tail — and after {!Db.crash_now} + restart + resumed
-    reorganization the harness asserts:
+    boundary, not a sampled handful.  Both entry points make that
+    systematic with one sweep: a fault-free dry run of a seeded workload
+    counts the page-write and log-force boundaries across every store; then,
+    for every boundary in turn (or every [stride]-th), a fresh identical
+    build is made, the shared fault controller is armed to kill the machine
+    exactly there — sometimes tearing the final page write or a WAL tail —
+    and after the crash, recovery of every store and the resumed
+    reorganizations, {!verify} runs.
 
-    - the structural B+-tree invariant, including the leaf side-pointer
-      chain ({!Btree.Invariant.check});
-    - no base record lost, changed or duplicated; no phantom user record;
-      every acknowledged user insert still present;
-    - every unit whose BEGIN is in the stable log also has its END — i.e.
-      recovery finished all interrupted units forward.
-
-    Any violation raises {!Failed} naming the crash point, so a deliberately
-    broken recovery is caught with a precise reproducer
-    ([--seed N] + the reported boundary). *)
+    Any violation, and any exception escaping recovery, raises {!Failed}
+    naming the crash point, so a deliberately broken recovery is caught
+    with a precise reproducer ([--seed N] + the reported boundary). *)
 
 exception Failed of string
 
 type expectation = {
   base : (int * string) list;  (** even-keyed records that must survive exactly *)
   attempted : (int, string) Hashtbl.t;  (** odd-keyed inserts that {e may} survive *)
-  acked : (int, string) Hashtbl.t;  (** odd-keyed inserts that {e must} survive *)
+  mutable acked : (int * string) list list;
+      (** acknowledged transactions, each one group of odd-keyed inserts that
+          {e must} survive whole; a single insert is a group of one *)
 }
 
 val expectation_of_base : (int * string) list -> expectation
-(** No concurrent users: the tree must hold exactly [base]. *)
+(** No concurrent users: the stores must hold exactly [base]. *)
 
-val verify : Db.t -> expectation -> unit
-(** The post-recovery checks above; raises {!Failed} on the first
-    violation.  Public so tests can demonstrate that a corrupted database
-    {e is} caught (the harness's own mutation test). *)
+val verify : Shard.Store.t array -> expectation -> unit
+(** The post-recovery checks, over stores whose key ranges ascend in array
+    order (one store is [[|db|]]):
+
+    - every store's structural B+-tree invariant, including the leaf
+      side-pointer chain ({!Btree.Invariant.check}), and key order of the
+      merged contents;
+    - no base record lost, changed or duplicated; no phantom user record;
+    - {b all-or-nothing}: every key of every acknowledged group is present
+      (unacknowledged transactions may commit a prefix of their shards —
+      the client was never told they committed);
+    - every unit whose BEGIN is in a store's stable log also has its END —
+      recovery finished all interrupted units forward.
+
+    Raises {!Failed} on the first violation.  Public so tests can show that
+    a corrupted database {e is} caught (the harness's own mutation test). *)
 
 type report = {
   write_boundaries : int;  (** page-write crash points discovered *)
@@ -48,6 +56,7 @@ type report = {
   units_finished : int;  (** units recovery finished forward, summed *)
   torn_repaired : int;  (** torn pages detected and rebuilt by redo *)
   survivors : int;  (** armed plans whose boundary was never reached *)
+  acked_txns : int;  (** acknowledged transactions verified, summed *)
 }
 
 val run :
@@ -55,25 +64,42 @@ val run :
   ?tracer:Obs.Trace.t ->
   ?checker:Model.Checker.t ->
   ?config:Reorg.Config.t ->
-  ?page_size:int ->
   ?leaf_pages:int ->
   ?n:int ->
   ?users:int ->
-  ?f1:float ->
   ?pipeline:bool ->
-  ?olc:bool ->
   seed:int ->
   stride:int ->
   unit ->
   report
-(** Sweep every crash point ([stride = 1]) or a sampled subset.  Fully
-    deterministic from the arguments.  Defaults: 512-byte pages, 512-page
-    leaf zone, [n = 400] records at fill 0.3, no concurrent users.
-    [registry] accumulates [fault.*], [recovery.*] and per-subsystem
-    counters across all cycles.  [pipeline:true] runs every cycle with the
-    asynchronous durability pipeline attached ({!Pipeline}) — crash
-    boundaries then land inside group-commit windows and elevator sweeps,
-    and fuzzy checkpoints truncate the WAL mid-workload.  [olc:true] makes
-    every user read its inserted key back through the optimistic lock-free
-    path in each cycle, so crashes land inside optimistic descents and the
-    post-crash epoch invalidation is exercised. *)
+(** One store: an aged tree of [n] records (default 400) at fill 0.3 in a
+    [leaf_pages] leaf zone (default 512) with 512-byte pages, its full
+    reorganization, and [users] writers (default 0) doing single-insert
+    transactions.  Fully deterministic from the arguments.  [registry]
+    accumulates [fault.*], [recovery.*] and per-subsystem counters across
+    all cycles.  [pipeline:true] runs every cycle with the asynchronous
+    durability pipeline attached ({!Pipeline}) — crash boundaries then land
+    inside group-commit windows and elevator sweeps, and fuzzy checkpoints
+    truncate the WAL mid-workload.  With [config.olc] every user reads its
+    inserted key back through the optimistic lock-free path, so crashes
+    land inside optimistic descents and the post-crash epoch invalidation is
+    exercised. *)
+
+val run_sharded :
+  ?checker:Model.Checker.t ->
+  ?n:int ->
+  ?shards:int ->
+  ?users:int ->
+  ?xspan:int ->
+  seed:int ->
+  stride:int ->
+  unit ->
+  report
+(** A sharded machine: [n] base records (default 300) over [shards] shards
+    (default 3), one reorganizer per shard, and [users] clients (default 3)
+    each issuing transactions that insert into [xspan] distinct shards
+    (default 2) through the router and the shard-ordered commit protocol.
+    The coordinator acknowledges only after the last shard's commit record
+    is forced, so the sweep includes the boundaries {e between} the first
+    and the last shard's commit record, and the all-or-nothing check of
+    {!verify} must hold at each of them. *)

@@ -187,13 +187,17 @@ let test_clean_workload () =
   Alcotest.(check bool) "saw events" true (s.Sim.Conformance.events > 0);
   Alcotest.(check bool) "saw tracks" true (s.Sim.Conformance.tracks > 0)
 
+(* A sweep's track count spans all its cycles, not just the last one
+   (every cycle and crash drops the live tracks). *)
 let test_torture_conformance () =
   let s = Sim.Conformance.torture ~n:60 ~leaf_pages:64 ~seed:7 ~stride:13 ~users:2 () in
-  if not (Sim.Conformance.ok s) then Alcotest.fail (Sim.Conformance.to_string s)
+  if not (Sim.Conformance.ok s) then Alcotest.fail (Sim.Conformance.to_string s);
+  Alcotest.(check bool) "saw tracks" true (s.Sim.Conformance.tracks > 0)
 
 let test_shard_torture_conformance () =
   let s = Sim.Conformance.shard_torture ~n:90 ~seed:7 ~stride:31 () in
-  if not (Sim.Conformance.ok s) then Alcotest.fail (Sim.Conformance.to_string s)
+  if not (Sim.Conformance.ok s) then Alcotest.fail (Sim.Conformance.to_string s);
+  Alcotest.(check bool) "saw tracks" true (s.Sim.Conformance.tracks > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation self-tests                                                 *)

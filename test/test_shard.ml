@@ -244,16 +244,18 @@ let test_prefixed_registry () =
 (* ------------------------------------------------------------------ *)
 
 let test_commit_atomicity_sweep () =
-  let report = Sim.Shard_torture.run ~n:140 ~shards:2 ~users:2 ~seed:5 ~stride:1 () in
-  Alcotest.(check bool) "boundaries found" true (report.Sim.Shard_torture.write_boundaries > 0);
-  Alcotest.(check bool) "crashes exercised" true (report.Sim.Shard_torture.crashes > 0);
+  let r = Sim.Torture.run_sharded ~n:140 ~shards:2 ~users:2 ~seed:5 ~stride:1 () in
+  Alcotest.(check bool) "boundaries found" true (r.Sim.Torture.write_boundaries > 0);
+  Alcotest.(check bool) "crashes exercised" true (r.Sim.Torture.crashes > 0);
   Alcotest.(check bool) "every boundary swept" true
-    (report.Sim.Shard_torture.points
-    >= report.Sim.Shard_torture.write_boundaries + report.Sim.Shard_torture.force_boundaries);
-  Alcotest.(check bool) "acked txns verified" true (report.Sim.Shard_torture.acked_txns > 0);
+    (r.Sim.Torture.points >= r.Sim.Torture.write_boundaries + r.Sim.Torture.force_boundaries);
+  (* Every armed plan either tripped or its boundary was never reached. *)
+  Alcotest.(check int) "crashes + survivors = points" r.Sim.Torture.points
+    (r.Sim.Torture.crashes + r.Sim.Torture.survivors);
+  Alcotest.(check bool) "acked txns verified" true (r.Sim.Torture.acked_txns > 0);
   (* A three-shard sweep too: commit records span more than two WALs. *)
-  let r3 = Sim.Shard_torture.run ~n:150 ~shards:3 ~users:2 ~xspan:3 ~seed:9 ~stride:5 () in
-  Alcotest.(check bool) "3-shard crashes exercised" true (r3.Sim.Shard_torture.crashes > 0)
+  let r3 = Sim.Torture.run_sharded ~n:150 ~shards:3 ~users:2 ~xspan:3 ~seed:9 ~stride:5 () in
+  Alcotest.(check bool) "3-shard crashes exercised" true (r3.Sim.Torture.crashes > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-phase scaling                                              *)

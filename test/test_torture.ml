@@ -58,30 +58,51 @@ let test_torn_faults_seen () =
 (* Mutation test: a database that really is corrupt must fail verification —
    otherwise the sweeps above prove nothing. *)
 let test_mutation_caught () =
+  let in_engine f =
+    let eng = Sched.Engine.create () in
+    Sched.Engine.spawn eng f;
+    Sched.Engine.run eng
+  in
   let mutate_and_expect label mutate =
     let db, base = Sim.Scenario.aged ~seed:3 ~n:80 ~f1:0.3 () in
     let exp = Torture.expectation_of_base base in
-    mutate db;
-    let caught = try Torture.verify db exp; false with Torture.Failed _ -> true in
+    in_engine (fun () -> mutate db);
+    let caught = try Torture.verify [| db |] exp; false with Torture.Failed _ -> true in
     Alcotest.(check bool) label true caught
   in
-  let in_engine f db =
-    let eng = Sched.Engine.create () in
-    Sched.Engine.spawn eng (fun () -> f db);
-    Sched.Engine.run eng
-  in
   (* A lost base record (a unit that rolled back instead of forward). *)
-  mutate_and_expect "lost record caught"
-    (in_engine (fun db ->
-         let tx = Transact.Txn_mgr.begin_txn db.Sim.Db.mgr in
-         ignore (Btree.Access.delete db.Sim.Db.access ~txn:tx 40);
-         Transact.Txn_mgr.commit db.Sim.Db.mgr tx));
+  mutate_and_expect "lost record caught" (fun db ->
+      let tx = Transact.Txn_mgr.begin_txn db.Sim.Db.mgr in
+      ignore (Btree.Access.delete db.Sim.Db.access ~txn:tx 40);
+      Transact.Txn_mgr.commit db.Sim.Db.mgr tx);
   (* A phantom record nobody ever inserted (a replayed-twice dup). *)
-  mutate_and_expect "phantom record caught"
-    (in_engine (fun db ->
-         let tx = Transact.Txn_mgr.begin_txn db.Sim.Db.mgr in
-         Btree.Access.insert db.Sim.Db.access ~txn:tx ~key:41 ~payload:"ghost";
-         Transact.Txn_mgr.commit db.Sim.Db.mgr tx))
+  mutate_and_expect "phantom record caught" (fun db ->
+      let tx = Transact.Txn_mgr.begin_txn db.Sim.Db.mgr in
+      Btree.Access.insert db.Sim.Db.access ~txn:tx ~key:41 ~payload:"ghost";
+      Transact.Txn_mgr.commit db.Sim.Db.mgr tx);
+  (* Two shards and an acknowledged transaction that wrote one key in each:
+     once one of its keys is gone, the transaction is half-applied and the
+     all-or-nothing clause must object. *)
+  let t, base = Sim.Sharded.thinned ~seed:3 ~n:80 ~survive:0.5 ~shards:2 () in
+  let stores = t.Sim.Sharded.stores in
+  let group = List.map (fun k -> (k, Shard.Store.payload_for k)) [ 41; 121 ] in
+  let exp = Torture.expectation_of_base base in
+  List.iter (fun (k, v) -> Hashtbl.replace exp.Torture.attempted k v) group;
+  exp.Torture.acked <- [ group ];
+  let xtxn f =
+    in_engine (fun () ->
+        let x = Shard.Coordinator.begin_x t.Sim.Sharded.coord in
+        f x;
+        Shard.Coordinator.commit t.Sim.Sharded.coord x)
+  in
+  xtxn (fun x ->
+      List.iter (fun (k, v) -> Shard.Router.insert t.Sim.Sharded.router x ~key:k ~payload:v) group);
+  Alcotest.(check (list int)) "group spans both shards" [ 0; 1 ]
+    (List.map (fun (k, _) -> Shard.Shard_map.owner t.Sim.Sharded.map k) group);
+  Torture.verify stores exp;
+  xtxn (fun x -> ignore (Shard.Router.delete t.Sim.Sharded.router x 121 : string option));
+  let caught = try Torture.verify stores exp; false with Torture.Failed _ -> true in
+  Alcotest.(check bool) "half-applied acked transaction caught" true caught
 
 let () =
   Alcotest.run "torture"
