@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-json health shard groupcommit olc torture model clean
+.PHONY: all build test check bench bench-json perf-ab health shard groupcommit olc torture model clean
 
 all: build
 
@@ -21,6 +21,14 @@ bench:
 bench-json:
 	REV=$$(git rev-parse --short HEAD) && \
 	BENCH_REV=$$REV dune exec bench/main.exe -- --json BENCH_$$REV.json
+
+# Interleaved perfbench A/B: BASE (default HEAD) against the working tree,
+# PAIRS pairs per workload (default 10), all workloads unless WORKLOADS is
+# set.  Outputs stay under .bench_out/ab/; ends with `perf.exe compare`.
+#   make perf-ab BASE=main WORKLOADS=reads-during-reorg
+BASE ?= HEAD
+perf-ab:
+	sh ci/perf_ab.sh $(BASE) $(WORKLOADS)
 
 # Online tree-health telemetry demo: sparsify a tree, reorganize it, and
 # print the sampled utilization/fragmentation series with watch fires.

@@ -227,13 +227,13 @@ let inspect records fill seed page_size verbose =
   end;
   (* Physical layout of the leaf zone. *)
   let lo, _ = Pager.Alloc.leaf_zone db.Sim.Db.alloc in
-  let leaves = Btree.Tree.leaf_pids db.Sim.Db.tree in
+  let order = Btree.Leaf_order.create db.Sim.Db.tree in
+  let leaves = Btree.Leaf_order.leaves order in
   Printf.printf "leaf zone starts at page %d; %d leaves; first 20 (key order): %s\n" lo
     (List.length leaves)
     (String.concat " " (List.map string_of_int (List.filteri (fun i _ -> i < 20) leaves)));
-  let ooo = ref 0 in
-  List.iteri (fun i pid -> if pid <> lo + i then incr ooo) leaves;
-  Printf.printf "out of disk order: %d of %d\n" !ooo (List.length leaves)
+  Printf.printf "out of disk order: %d of %d\n" (Btree.Leaf_order.out_of_order order)
+    (List.length leaves)
 
 let crash at records seed =
   setup_logs ();

@@ -12,6 +12,7 @@ module Inode = Btree.Inode
 module Tree = Btree.Tree
 module Access = Btree.Access
 module Layout = Btree.Layout
+module Leaf_order = Btree.Leaf_order
 
 type stats = {
   mutable ops : int;
@@ -221,20 +222,14 @@ let move_block tree tx ~org ~dest =
 let order_leaves ~access stats =
   let tree = Access.tree access in
   let alloc = Tree.alloc tree in
-  let leaf_lo, _ = Alloc.leaf_zone alloc in
+  let order = Leaf_order.create tree in
   let continue_ = ref true in
   let frontier = ref 0 in
   while !continue_ do
-    let leaves = Tree.leaf_pids tree in
-    let misplaced =
-      List.filteri (fun i _ -> i >= !frontier) leaves
-      |> List.mapi (fun j pid -> (!frontier + j, pid))
-      |> List.find_opt (fun (i, pid) -> pid <> leaf_lo + i)
-    in
-    match misplaced with
+    match Leaf_order.next order ~from:!frontier with
     | None -> continue_ := false
-    | Some (i, pid) ->
-      let target = leaf_lo + i in
+    | Some i ->
+      let pid = Leaf_order.leaf order i and target = Leaf_order.slot order i in
       let result =
         block_op ~access stats (fun tx ->
             (* Decide under the file lock. *)
@@ -249,12 +244,13 @@ let order_leaves ~access stats =
       | `Moved n ->
         stats.moves <- stats.moves + 1;
         stats.records_moved <- stats.records_moved + n;
-        frontier := i + 1
+        Leaf_order.moved order ~org:pid ~dest:target
       | `Swapped n ->
         stats.swaps <- stats.swaps + 1;
         stats.records_moved <- stats.records_moved + n;
-        frontier := i + 1
-      | `Stale -> frontier := i + 1)
+        Leaf_order.swapped order pid target
+      | `Stale -> Leaf_order.reload order);
+      frontier := i + 1
   done
 
 let reorganize ~access ~f2 =

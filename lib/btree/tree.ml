@@ -100,12 +100,11 @@ let height t =
   in
   go (root t) 1
 
-let first_leaf t =
-  let rec go pid =
-    let p = page t pid in
-    if Leaf.is_leaf p then pid else go (Inode.entry_at p 0).Inode.child
-  in
-  go (root t)
+let rec leftmost_leaf t pid =
+  let p = page t pid in
+  if Leaf.is_leaf p then pid else leftmost_leaf t (Inode.entry_at p 0).Inode.child
+
+let first_leaf t = leftmost_leaf t (root t)
 
 let first_base t =
   let rec go pid =
@@ -162,13 +161,12 @@ let range t ~lo ~hi =
   in
   List.rev (walk (find_leaf t lo) [])
 
-let iter_leaves t f =
-  let rec go pid =
-    let p = page t pid in
-    f pid p;
-    match Leaf.next p with None -> () | Some nxt -> go nxt
-  in
-  go (first_leaf t)
+let rec iter_chain t pid f =
+  let p = page t pid in
+  f pid p;
+  match Leaf.next p with None -> () | Some nxt -> iter_chain t nxt f
+
+let iter_leaves t f = iter_chain t (first_leaf t) f
 
 let leaf_pids t =
   let acc = ref [] in
@@ -423,24 +421,32 @@ type stats = {
 }
 
 let stats t =
+  (* One root lookup, one descent, then each leaf and each internal page
+     fixed once: the internal count stops at the base pages, whose children
+     are the leaves the chain walk already saw. *)
+  let root = root t in
   let leaves = ref 0 and records = ref 0 and fill_sum = ref 0.0 and fill_min = ref 1.0 in
-  iter_leaves t (fun _ p ->
+  iter_chain t (leftmost_leaf t root) (fun _ p ->
       incr leaves;
       records := !records + Leaf.nrecords p;
       let f = Leaf.fill_factor p in
       fill_sum := !fill_sum +. f;
       if f < !fill_min then fill_min := f);
   let internal = ref 0 in
+  (* Level of the page (0 for a leaf). *)
   let rec count pid =
     let p = page t pid in
-    if not (Leaf.is_leaf p) then begin
+    if Leaf.is_leaf p then 0
+    else begin
       incr internal;
-      List.iter (fun e -> count e.Inode.child) (Inode.entries p)
+      let level = Inode.level p in
+      if level > 1 then List.iter (fun e -> ignore (count e.Inode.child : int)) (Inode.entries p);
+      level
     end
   in
-  count (root t);
+  let height = count root + 1 in
   {
-    height = height t;
+    height;
     leaf_count = !leaves;
     internal_count = !internal;
     record_count = !records;

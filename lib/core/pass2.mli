@@ -9,6 +9,14 @@
     "one scenario we envision is choosing to do swapping only when range
     query performance falls below some acceptable level."
 
+    The pass plans from a {!Btree.Leaf_order} cursor read from the base
+    pages, never from the leaf chain: before each unit it re-reads the one
+    base page covering the position it works on, so planning costs a
+    constant number of page fixes per unit.  Before swapping it tries a
+    cascade — moving the leaf that occupies the target page into its own
+    free slot — and a slot still awaiting careful-writing release counts as
+    free once the write it waits on is forced.
+
     Returns (swaps, moves).  Must run inside a scheduler process. *)
 
 val run : Ctx.t -> int * int

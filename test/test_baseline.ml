@@ -43,6 +43,31 @@ let test_correctness_on_aged () =
     (Tree.leaf_pids db.Db.tree);
   Alcotest.(check bool) "swaps or moves happened" true (s.Tandem.swaps + s.Tandem.moves > 0)
 
+(* The ordering pass plans from the base-page leaf order, so its pool
+   misses per operation stay a small constant on a tree larger than the
+   pool, instead of a leaf-chain walk per operation. *)
+let test_order_leaves_misses_per_op () =
+  let db, expected = Sim.Scenario.aged ~seed:5 ~n:5_000 ~f1:0.3 () in
+  let misses () = (Pager.Buffer_pool.stats db.Db.pool).Pager.Buffer_pool.s_misses in
+  let stats = Tandem.create_stats () in
+  let used = ref 0 in
+  let eng = Engine.create () in
+  Engine.spawn eng (fun () ->
+      Tandem.compact ~access:db.Db.access ~f2:0.9 stats;
+      let before = misses () in
+      Tandem.order_leaves ~access:db.Db.access stats;
+      used := misses () - before);
+  Engine.run eng;
+  let ops = stats.Tandem.swaps + stats.Tandem.moves in
+  Alcotest.(check bool) "more leaves than frames" true
+    ((Tree.stats db.Db.tree).Tree.leaf_count > Pager.Buffer_pool.capacity db.Db.pool);
+  Alcotest.(check bool) "ordering ran operations" true (ops > 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d misses over %d operations <= 8 per operation" !used ops)
+    true
+    (!used <= 8 * ops);
+  Btree.Invariant.check_consistent_with db.Db.tree ~expected
+
 let test_file_lock_blocks_users () =
   (* While a block operation runs, even a reader is locked out — "[Smi90]
      prevents user transactions from accessing the entire file". *)
@@ -212,6 +237,7 @@ let () =
         [
           Alcotest.test_case "thinned tree" `Quick test_correctness_on_thinned;
           Alcotest.test_case "aged tree" `Quick test_correctness_on_aged;
+          Alcotest.test_case "ordering misses per op" `Quick test_order_leaves_misses_per_op;
           Alcotest.test_case "no cross-parent merge" `Quick test_no_cross_parent_merge;
         ] );
       ( "semantics",

@@ -176,6 +176,27 @@ let test_next_base () =
   in
   Alcotest.(check int) "bases cover all leaves" (Tree.stats env.tree).Tree.leaf_count leaf_count
 
+(* [Tree.stats] walks the leaf chain once and stops its internal-page count
+   at the base pages, so no leaf is fixed twice. *)
+let test_stats_fixes_each_page_once () =
+  let env = mk ~leaf_pages:1024 () in
+  for k = 0 to 2999 do
+    insert env k
+  done;
+  let fixes () =
+    let s = Buffer_pool.stats env.pool in
+    s.Buffer_pool.s_hits + s.Buffer_pool.s_misses
+  in
+  let before = fixes () in
+  let s = Tree.stats env.tree in
+  let used = fixes () - before in
+  Alcotest.(check bool) "multi-level" true (s.Tree.height >= 3);
+  let bound = s.Tree.leaf_count + s.Tree.internal_count + (2 * s.Tree.height) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d fixes <= %d (%d leaves)" used bound s.Tree.leaf_count)
+    true (used <= bound);
+  Alcotest.(check int) "records" 3000 s.Tree.record_count
+
 let test_update () =
   let env = mk () in
   for k = 0 to 99 do
@@ -389,6 +410,7 @@ let () =
           Alcotest.test_case "bulk load" `Quick test_bulk_load;
           Alcotest.test_case "persistence" `Quick test_persistence;
           Alcotest.test_case "next_base cursor" `Quick test_next_base;
+          Alcotest.test_case "stats fixes each page once" `Quick test_stats_fixes_each_page_once;
         ] );
       ( "cursor + dump",
         [

@@ -362,6 +362,87 @@ let test_parallel_crash_recovery () =
        with Invariant.Violation m -> Alcotest.failf "parallel crash@%d: %s" crash_at m))
     [ 15; 40; 90; 200 ]
 
+(* ------------------------------------------------------------------ *)
+(* Leaf order from the base pages                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Leaf_order = Btree.Leaf_order
+
+let in_engine f =
+  let eng = Engine.create () in
+  let result = ref None in
+  Engine.spawn eng (fun () -> result := Some (f ()));
+  Engine.run eng;
+  match !result with Some r -> r | None -> Alcotest.fail "process did not finish"
+
+(* Out-of-order count from the leaf chain, the reference walk. *)
+let chain_out_of_order db =
+  let lo, _ = Pager.Alloc.leaf_zone db.Db.alloc in
+  let n = ref 0 in
+  List.iteri (fun i pid -> if pid <> lo + i then incr n) (Tree.leaf_pids db.Db.tree);
+  !n
+
+let check_order_is_chain label db =
+  Alcotest.(check (list int)) label (Tree.leaf_pids db.Db.tree)
+    (Leaf_order.leaves (Leaf_order.create db.Db.tree))
+
+let test_leaf_order_is_chain_order () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, db) ->
+          let label stage = Printf.sprintf "%s seed %d %s" name seed stage in
+          check_order_is_chain (label "initial") db;
+          let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
+          ignore (in_engine (fun () -> Reorg.Pass1.run ctx) : int);
+          check_order_is_chain (label "after pass 1") db;
+          Alcotest.(check int) (label "out of order after pass 1") (chain_out_of_order db)
+            (Reorg.Pass2.out_of_order ctx);
+          ignore (in_engine (fun () -> Reorg.Pass2.run ctx) : int * int);
+          check_order_is_chain (label "after pass 2") db;
+          Alcotest.(check int) (label "out of order after pass 2") (chain_out_of_order db)
+            (Reorg.Pass2.out_of_order ctx);
+          check db)
+        [
+          ("aged", fst (Sim.Scenario.aged ~seed ~n:1500 ~f1:0.3 ()));
+          ("thinned", fst (Sim.Scenario.thinned ~seed ~n:1500 ~survive:0.3 ()));
+          ("purged", fst (Sim.Scenario.purged ~seed ~n:1500 ~ranges:4 ~width:0.1 ()));
+        ])
+    [ 1; 2; 3 ]
+
+(* Writers split and empty leaves while pass 2 plans from its cursor. *)
+let test_leaf_order_with_writers () =
+  let db, _ = Sim.Scenario.aged ~seed:4 ~n:2000 ~f1:0.3 () in
+  let ctx, _, users =
+    Sim.Scenario.run_reorg ~users:4 ~user_mix:Workload.Mix.update_heavy ~seed:4 db
+  in
+  Alcotest.(check bool) "users inserted and deleted" true
+    (users.Workload.Mix.inserts > 0 && users.Workload.Mix.deletes > 0);
+  check db;
+  check_order_is_chain "order after the run" db;
+  Alcotest.(check int) "out of order" (chain_out_of_order db) (Reorg.Pass2.out_of_order ctx)
+
+(* Pass 2's planning cost is a count, not a time: pool misses per unit stay
+   a small constant instead of growing with the number of leaves. *)
+let test_pass2_misses_per_unit () =
+  let db, _ = Sim.Scenario.aged ~seed:5 ~n:10_000 ~f1:0.3 () in
+  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
+  let misses () = (Pager.Buffer_pool.stats db.Db.pool).Pager.Buffer_pool.s_misses in
+  let swaps, moves, used =
+    in_engine (fun () ->
+        ignore (Reorg.Pass1.run ctx : int);
+        let before = misses () in
+        let swaps, moves = Reorg.Pass2.run ctx in
+        (swaps, moves, misses () - before))
+  in
+  let units = swaps + moves in
+  Alcotest.(check bool) "pass 2 ran units" true (units > 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d misses over %d units <= 8 per unit" used units)
+    true
+    (used <= 8 * units);
+  Alcotest.(check int) "in order" 0 (Reorg.Pass2.out_of_order ctx)
+
 let () =
   Alcotest.run "reorg"
     [
@@ -382,6 +463,12 @@ let () =
           Alcotest.test_case "concurrent updaters" `Quick test_reorg_with_concurrent_updaters;
           Alcotest.test_case "give-up protocol" `Quick test_updater_blocked_by_rx_gives_up;
           Alcotest.test_case "lambda switch" `Quick test_lambda_switch;
+        ] );
+      ( "leaf order",
+        [
+          Alcotest.test_case "base pages = leaf chain" `Quick test_leaf_order_is_chain_order;
+          Alcotest.test_case "with writers" `Quick test_leaf_order_with_writers;
+          Alcotest.test_case "pass 2 misses per unit" `Quick test_pass2_misses_per_unit;
         ] );
       ( "baseline",
         [ Alcotest.test_case "tandem reorganize" `Quick test_tandem_baseline ] );

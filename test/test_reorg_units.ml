@@ -349,6 +349,40 @@ let test_unit_blocked_by_reader_waits () =
     (match !outcome with Some (Unit_exec.Done _) -> true | _ -> false);
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree
 
+(* Pass 2 at a position whose slot holds the leaf of a later position, and
+   that leaf's own slot is a page still awaiting careful-writing release:
+   the pending slot is resolved by forcing its dependency, so pass 2
+   cascades with two cheap moves instead of logging a two-page swap.
+   Whether the slot counted as free must not hinge on whether an eviction
+   happened to flush the dependency first. *)
+let test_pass2_cascades_into_pending_slot () =
+  let db = mk_tree_db () in
+  let ctx = mk_ctx db in
+  let order = Btree.Leaf_order.create db.Db.tree in
+  Alcotest.(check int) "leaves start in slot order" 0 (Btree.Leaf_order.out_of_order order);
+  let i = 1 and j = 3 in
+  let leaf k = Btree.Leaf_order.leaf order k and base k = Btree.Leaf_order.base order k in
+  let slot k = Btree.Leaf_order.slot order k in
+  let lo, hi = Pager.Alloc.leaf_zone db.Db.alloc in
+  let far = Option.get (Pager.Alloc.free_in_range db.Db.alloc ~lo:(lo + 200) ~hi) in
+  let swaps, moves =
+    in_engine (fun () ->
+        let done_ = function Unit_exec.Done _ -> () | _ -> Alcotest.fail "setup unit failed" in
+        (* Position j's leaf into slot i, then position i's leaf out of slot j
+           to a far page: slot j is freed but pending until [far] is durable. *)
+        done_
+          (Unit_exec.execute ctx
+             (Unit_exec.Swap { a_base = base i; a = leaf i; b_base = base j; b = leaf j }));
+        done_ (Unit_exec.execute ctx (Unit_exec.Move { base = base j; org = slot j; dest = far }));
+        Alcotest.(check (option int)) "slot j pending on the far page" (Some far)
+          (Pager.Alloc.pending_release db.Db.alloc (slot j));
+        Reorg.Pass2.run ctx)
+  in
+  Alcotest.(check int) "no swap" 0 swaps;
+  Alcotest.(check int) "cascade: two moves" 2 moves;
+  Alcotest.(check int) "leaves back in slot order" 0 (Reorg.Pass2.out_of_order ctx);
+  Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree
+
 let () =
   Alcotest.run "reorg units"
     [
@@ -372,5 +406,7 @@ let () =
           Alcotest.test_case "move" `Quick test_move_unit_direct;
           Alcotest.test_case "stale plan" `Quick test_stale_plan_rejected;
           Alcotest.test_case "waits for reader" `Quick test_unit_blocked_by_reader_waits;
+          Alcotest.test_case "pass 2 cascades into a pending slot" `Quick
+            test_pass2_cascades_into_pending_slot;
         ] );
     ]
