@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-json perf-ab health shard groupcommit olc torture model clean
+.PHONY: all build test check bench bench-json perf-ab bench-same health shard groupcommit olc torture model clean
 
 all: build
 
@@ -29,6 +29,14 @@ bench-json:
 BASE ?= HEAD
 perf-ab:
 	sh ci/perf_ab.sh $(BASE) $(WORKLOADS)
+
+# Determinism check: BASE (default HEAD) against the working tree.  Runs
+# every bench experiment (--json) and a stride-1 torture sweep on both,
+# diffs the JSON ignoring only wall clocks and provenance, compares the
+# torture output byte for byte, and fails on any difference.
+#   make bench-same BASE=main
+bench-same:
+	sh ci/bench_same.sh $(BASE)
 
 # Online tree-health telemetry demo: sparsify a tree, reorganize it, and
 # print the sampled utilization/fragmentation series with watch fires.

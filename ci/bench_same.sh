@@ -1,0 +1,104 @@
+#!/bin/sh
+# Determinism check for changes that must not move any deterministic output:
+# a base revision against the working tree.
+#
+#   ci/bench_same.sh BASE_REV
+#
+# BASE_REV is checked out into a git worktree under .bench_out/same/ and
+# built there; the working tree is built in place.  On both trees it runs
+#
+#   bench/main.exe --json            (every experiment, schema v7)
+#   reorg-cli torture --seed 42 --stride 1 -n 120 --metrics
+#
+# and compares them: the bench JSON field by field, ignoring only the
+# wall-clock and provenance fields (wall_clock_s, "wall s",
+# generated_at_unix, revision), and the torture output byte for byte.
+# Every output is kept under .bench_out/same/{base,work}/.  Prints each path
+# that differs and exits 1 on any difference, 0 when both match.
+set -eu
+
+cd "$(dirname "$0")/.."
+root=$(pwd)
+
+if [ $# -ne 1 ]; then
+  echo "usage: ci/bench_same.sh BASE_REV" >&2
+  exit 2
+fi
+base_rev=$1
+
+out=$root/.bench_out/same
+base_tree=$out/base-tree
+mkdir -p "$out"
+if [ -e "$base_tree" ]; then git worktree remove --force "$base_tree"; fi
+git worktree add --detach "$base_tree" "$base_rev" >/dev/null
+trap 'git -C "$root" worktree remove --force "$base_tree"' EXIT
+
+echo "== building $base_rev and the working tree =="
+(cd "$base_tree" && dune build --root . bench/main.exe bin/reorg_cli.exe)
+dune build --root . bench/main.exe bin/reorg_cli.exe
+
+# outputs SIDE DIR: the bench JSON and the torture transcript of one tree.
+outputs() {
+  dest=$out/$1
+  rm -rf "$dest"
+  mkdir -p "$dest"
+  echo "== $1: bench/main.exe --json =="
+  (cd "$2" && BENCH_REV=$1 dune exec --root . bench/main.exe -- --json "$dest/bench.json") \
+    >"$dest/bench.out" 2>&1
+  echo "== $1: torture --seed 42 --stride 1 -n 120 --metrics =="
+  (cd "$2" && dune exec --root . bin/reorg_cli.exe -- torture --seed 42 --stride 1 -n 120 \
+    --metrics) >"$dest/torture.out" 2>&1
+}
+
+outputs base "$base_tree"
+outputs work "$root"
+
+status=0
+echo "== bench JSON: $base_rev (base) vs working tree (work) =="
+python3 - "$out/base/bench.json" "$out/work/bench.json" <<'EOF' || status=1
+import json, sys
+
+IGNORED = {"wall_clock_s", "wall s", "generated_at_unix", "revision"}
+base, work = (json.load(open(p)) for p in sys.argv[1:3])
+diffs = []
+
+def walk(path, a, b):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if k in IGNORED:
+                continue
+            p = "%s.%s" % (path, k) if path else k
+            if k not in a or k not in b:
+                diffs.append("%s: only in %s" % (p, "work" if k in b else "base"))
+            else:
+                walk(p, a[k], b[k])
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            diffs.append("%s: %d vs %d entries" % (path, len(a), len(b)))
+        for i, (x, y) in enumerate(zip(a, b)):
+            walk("%s[%d]" % (path, i), x, y)
+    elif a != b:
+        diffs.append("%s: %r vs %r" % (path, a, b))
+
+walk("", base, work)
+for d in diffs:
+    print("  differs: " + d)
+print("bench JSON: %s" % ("%d path(s) differ" % len(diffs) if diffs else "identical"))
+sys.exit(1 if diffs else 0)
+EOF
+
+echo "== torture output =="
+if cmp -s "$out/base/torture.out" "$out/work/torture.out"; then
+  echo "torture output: identical"
+else
+  echo "  differs: $out/base/torture.out vs $out/work/torture.out"
+  diff "$out/base/torture.out" "$out/work/torture.out" | head -20 || true
+  status=1
+fi
+
+if [ "$status" -eq 0 ]; then
+  echo "bench-same: $base_rev and the working tree agree"
+else
+  echo "bench-same: outputs differ from $base_rev" >&2
+fi
+exit "$status"

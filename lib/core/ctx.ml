@@ -87,7 +87,7 @@ let usable_bytes t = Btree.Layout.usable_bytes ~page_size:(page_size t)
 
 let log_reorg t body =
   let lsn = Wal.Log.append (log t) body in
-  Obs.Counter.incr t.metrics.Metrics.log_bytes ~by:(Wal.Record.encoded_size body);
+  Obs.Counter.incr t.metrics.Metrics.log_bytes ~by:(Wal.Log.record_size (log t) lsn);
   Obs.Counter.incr t.metrics.Metrics.log_records;
   Rtable.note_lsn t.rtable lsn;
   (* All unit-lifecycle WAL records flow through here (execution, §5.2 undo

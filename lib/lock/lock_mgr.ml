@@ -1,3 +1,5 @@
+module Itbl = Util.Itbl
+
 type owner = int
 
 type grant = Granted | Deadlock
@@ -51,9 +53,12 @@ type event =
    the per-owner list is bounded by [Mode.arity], so it stays an assoc list),
    and [mode_totals] counts, per mode, how many distinct owners hold it.
    Compatibility against "all other holders" is then a [Mode.arity]-cell array
-   check instead of a walk over the holder list. *)
+   check instead of a walk over the holder list.  Every table here is keyed
+   monomorphically — owners through [Itbl], resources through
+   [Resource.equal]/[Resource.hash] — so no lock call reaches the
+   polymorphic compare or hash. *)
 type entry = {
-  holders : (owner, (Mode.t * int) list) Hashtbl.t;
+  holders : (Mode.t * int) list Itbl.t;
   mode_totals : int array; (* per Mode.index: distinct owners holding it *)
   mutable queue : waiter list; (* FIFO, head first *)
 }
@@ -68,7 +73,7 @@ end)
 (* Per-mode tallies: how often each lock mode was immediately granted, had
    to queue, or named a deadlock victim — the paper's lock-protocol costs
    are mode-specific (RX is what blocks users; R is what the reorganizer
-   waits on). *)
+   waits on).  One record per [Mode.index]. *)
 type mode_stats = {
   mutable m_acquires : int;
   mutable m_waits : int;
@@ -77,9 +82,9 @@ type mode_stats = {
 
 type t = {
   entries : entry Rtbl.t;
-  owner_index : (owner, unit Rtbl.t) Hashtbl.t; (* owner -> resources held *)
-  max_locked : (owner, int) Hashtbl.t;
-  pending : (owner, Resource.t) Hashtbl.t; (* owner -> resource it waits on *)
+  owner_index : unit Rtbl.t Itbl.t; (* owner -> resources held *)
+  max_locked : int Itbl.t;
+  pending : Resource.t Itbl.t; (* owner -> resource it waits on *)
   mutable reorganizers : owner list;
   mutable acquires : int;
   mutable waits : int;
@@ -91,7 +96,7 @@ type t = {
   mutable cancelled_waits : int; (* waits cancelled from outside (switch time limit) *)
   mutable scan_steps : int; (* holder/index list elements examined on lock paths *)
   mutable instant_checks : int; (* non-enqueuing grantability probes (OLC fallback tests) *)
-  by_mode : (Mode.t, mode_stats) Hashtbl.t;
+  by_mode : mode_stats array;
   mutable tracer : Obs.Trace.t option;
   (* Extra waits-for edges from outside this lock domain.  A cross-shard
      coordinator installs a closure that returns the union of the OTHER
@@ -104,9 +109,9 @@ type t = {
 let create () =
   {
     entries = Rtbl.create 64;
-    owner_index = Hashtbl.create 16;
-    max_locked = Hashtbl.create 8;
-    pending = Hashtbl.create 8;
+    owner_index = Itbl.create 16;
+    max_locked = Itbl.create 8;
+    pending = Itbl.create 8;
     reorganizers = [];
     extra_edges = None;
     acquires = 0;
@@ -119,7 +124,8 @@ let create () =
     cancelled_waits = 0;
     scan_steps = 0;
     instant_checks = 0;
-    by_mode = Hashtbl.create 8;
+    by_mode =
+      Array.init Mode.arity (fun _ -> { m_acquires = 0; m_waits = 0; m_deadlocks = 0 });
     tracer = None;
     event_hook = None;
   }
@@ -129,18 +135,11 @@ let tracer t = t.tracer
 let set_event_hook t hook = t.event_hook <- hook
 let emit t ev = match t.event_hook with None -> () | Some f -> f ev
 
-let mode_stats t mode =
-  match Hashtbl.find_opt t.by_mode mode with
-  | Some s -> s
-  | None ->
-    let s = { m_acquires = 0; m_waits = 0; m_deadlocks = 0 } in
-    Hashtbl.replace t.by_mode mode s;
-    s
+let mode_stats t mode = t.by_mode.(Mode.index mode)
 
 let mode_tally t mode =
-  match Hashtbl.find_opt t.by_mode mode with
-  | Some s -> (s.m_acquires, s.m_waits, s.m_deadlocks)
-  | None -> (0, 0, 0)
+  let s = mode_stats t mode in
+  (s.m_acquires, s.m_waits, s.m_deadlocks)
 
 let register_obs t reg =
   Obs.Registry.gauge reg "lock.acquires" (fun () -> t.acquires);
@@ -168,83 +167,93 @@ let register_obs t reg =
     Mode.all
 
 let register_reorganizer t o =
-  if not (List.mem o t.reorganizers) then t.reorganizers <- o :: t.reorganizers
+  if not (List.exists (Int.equal o) t.reorganizers) then t.reorganizers <- o :: t.reorganizers
 
 let entry t res =
   match Rtbl.find_opt t.entries res with
   | Some e -> e
   | None ->
-    let e = { holders = Hashtbl.create 4; mode_totals = Array.make Mode.arity 0; queue = [] } in
+    let e = { holders = Itbl.create 4; mode_totals = Array.make Mode.arity 0; queue = [] } in
     Rtbl.replace t.entries res e;
     e
 
 let entry_opt t res = Rtbl.find_opt t.entries res
 
 let gc_entry t res e =
-  if Hashtbl.length e.holders = 0 && e.queue = [] then Rtbl.remove t.entries res
+  if Itbl.length e.holders = 0 && e.queue = [] then Rtbl.remove t.entries res
 
 let owner_modes t e o =
   t.scan_steps <- t.scan_steps + 1;
-  match Hashtbl.find_opt e.holders o with Some ms -> ms | None -> []
+  match Itbl.find_opt e.holders o with Some ms -> ms | None -> []
+
+(* How many times [mode] appears in an owner's holdings (0 = not held), and
+   the holdings with that mode's cell removed — [List.assoc_opt] and
+   [List.remove_assoc] without their polymorphic compare. *)
+let rec held_count (mode : Mode.t) = function
+  | [] -> 0
+  | (m, n) :: rest -> if m = mode then n else held_count mode rest
+
+let rec without (mode : Mode.t) = function
+  | [] -> []
+  | ((m, _) as cell) :: rest -> if m = mode then rest else cell :: without mode rest
 
 let index_add t o res =
   let s =
-    match Hashtbl.find_opt t.owner_index o with
+    match Itbl.find_opt t.owner_index o with
     | Some s -> s
     | None ->
       let s = Rtbl.create 8 in
-      Hashtbl.replace t.owner_index o s;
+      Itbl.replace t.owner_index o s;
       s
   in
   t.scan_steps <- t.scan_steps + 1;
   if not (Rtbl.mem s res) then begin
     Rtbl.replace s res ();
     let n = Rtbl.length s in
-    match Hashtbl.find_opt t.max_locked o with
+    match Itbl.find_opt t.max_locked o with
     | Some m when m >= n -> ()
-    | _ -> Hashtbl.replace t.max_locked o n
+    | _ -> Itbl.replace t.max_locked o n
   end
 
 let index_remove t o res =
-  match Hashtbl.find_opt t.owner_index o with
+  match Itbl.find_opt t.owner_index o with
   | None -> ()
   | Some s ->
     Rtbl.remove s res;
-    if Rtbl.length s = 0 then Hashtbl.remove t.owner_index o
+    if Rtbl.length s = 0 then Itbl.remove t.owner_index o
 
 let add_holding t e o res mode =
   let ms = owner_modes t e o in
-  if not (List.mem_assoc mode ms) then begin
-    let i = Mode.index mode in
-    e.mode_totals.(i) <- e.mode_totals.(i) + 1
-  end;
   let ms' =
-    match List.assoc_opt mode ms with
-    | Some n -> (mode, n + 1) :: List.remove_assoc mode ms
-    | None -> (mode, 1) :: ms
+    match held_count mode ms with
+    | 0 ->
+      let i = Mode.index mode in
+      e.mode_totals.(i) <- e.mode_totals.(i) + 1;
+      (mode, 1) :: ms
+    | n -> (mode, n + 1) :: without mode ms
   in
-  Hashtbl.replace e.holders o ms';
+  Itbl.replace e.holders o ms';
   index_add t o res
 
 let remove_holding t e o res mode =
   let ms = owner_modes t e o in
-  match List.assoc_opt mode ms with
-  | None -> invalid_arg "Lock_mgr.release: mode not held"
-  | Some n ->
-    let ms' = if n > 1 then (mode, n - 1) :: List.remove_assoc mode ms else List.remove_assoc mode ms in
+  match held_count mode ms with
+  | 0 -> invalid_arg "Lock_mgr.release: mode not held"
+  | n ->
+    let ms' = if n > 1 then (mode, n - 1) :: without mode ms else without mode ms in
     if n = 1 then begin
       let i = Mode.index mode in
       e.mode_totals.(i) <- e.mode_totals.(i) - 1
     end;
     if ms' = [] then begin
-      Hashtbl.remove e.holders o;
+      Itbl.remove e.holders o;
       index_remove t o res
     end
-    else Hashtbl.replace e.holders o ms'
+    else Itbl.replace e.holders o ms'
 
 (* Drop every mode [o] holds on [e] at once (release_all path). *)
 let drop_owner t e o res =
-  match Hashtbl.find_opt e.holders o with
+  match Itbl.find_opt e.holders o with
   | None -> false
   | Some ms ->
     List.iter
@@ -252,7 +261,7 @@ let drop_owner t e o res =
         let i = Mode.index m in
         e.mode_totals.(i) <- e.mode_totals.(i) - 1)
       ms;
-    Hashtbl.remove e.holders o;
+    Itbl.remove e.holders o;
     index_remove t o res;
     true
 
@@ -271,8 +280,8 @@ let compat_with_holders t e o mode =
         if n > 1 then ok := false
         else begin
           incr examined;
-          match Hashtbl.find_opt e.holders o with
-          | Some ms when List.mem_assoc m ms -> ()
+          match Itbl.find_opt e.holders o with
+          | Some ms when held_count m ms > 0 -> ()
           | _ -> ok := false
         end
     end
@@ -298,7 +307,7 @@ let compat_with_queue t e o mode =
 
 let blockers e o mode =
   let hs =
-    Hashtbl.fold
+    Itbl.fold
       (fun o' ms acc ->
         if o' = o then acc
         else
@@ -306,7 +315,7 @@ let blockers e o mode =
           | Some (m, _) -> (o', m) :: acc
           | None -> acc)
       e.holders []
-    |> List.sort compare
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b) (* one entry per owner *)
   in
   let ws =
     List.filter_map
@@ -364,7 +373,7 @@ let process_queue t e =
 let fire t res e woken =
   List.iter
     (fun w ->
-      Hashtbl.remove t.pending w.w_owner;
+      Itbl.remove t.pending w.w_owner;
       if not w.w_instant then begin
         add_holding t e w.w_owner res w.w_mode;
         emit t (Ev_granted { owner = w.w_owner; res; mode = w.w_mode; after_wait = true })
@@ -423,7 +432,7 @@ let probe t ~owner res mode =
 (* Waits-for edges of a waiting owner: the holders and earlier waiters whose
    modes conflict with its pending request. *)
 let wait_edges t o =
-  match Hashtbl.find_opt t.pending o with
+  match Itbl.find_opt t.pending o with
   | None -> []
   | Some res -> begin
     match entry_opt t res with
@@ -433,13 +442,13 @@ let wait_edges t o =
       | None -> []
       | Some w ->
         let holder_edges =
-          Hashtbl.fold
+          Itbl.fold
             (fun o' ms acc ->
               if o' <> o && List.exists (fun (m, _) -> not (Mode.compat m w.w_mode)) ms then
                 o' :: acc
               else acc)
             e.holders []
-          |> List.sort compare
+          |> List.sort Int.compare
         in
         let rec earlier acc = function
           | [] -> acc
@@ -465,7 +474,7 @@ let all_edges t o =
   let local = wait_edges t o in
   match t.extra_edges with
   | None -> local
-  | Some f -> local @ List.filter (fun o' -> not (List.mem o' local)) (f o)
+  | Some f -> local @ List.filter (fun o' -> not (List.exists (Int.equal o') local)) (f o)
 
 let find_cycle t start =
   (* DFS from [start]; return the cycle through [start] if one exists. *)
@@ -477,14 +486,14 @@ let find_cycle t start =
         | Some _ -> acc
         | None ->
           if o' = start then Some (List.rev (o' :: path))
-          else if List.mem o' path then None (* cycle not through start *)
+          else if List.exists (Int.equal o') path then None (* cycle not through start *)
           else dfs (o' :: path) o')
       None next
   in
   dfs [ start ] start
 
 let remove_waiter t o =
-  match Hashtbl.find_opt t.pending o with
+  match Itbl.find_opt t.pending o with
   | None -> None
   | Some res -> begin
     match entry_opt t res with
@@ -494,7 +503,7 @@ let remove_waiter t o =
       | None -> None
       | Some w ->
         e.queue <- List.filter (fun w' -> not (w' == w)) e.queue;
-        Hashtbl.remove t.pending o;
+        Itbl.remove t.pending o;
         Some (res, e, w)
     end
   end
@@ -507,7 +516,7 @@ let resolve_deadlock t cycle =
      locally-waiting candidate is found.  The requester always waits here,
      so the fallback always succeeds. *)
   let candidates =
-    List.filter (fun o -> List.mem o t.reorganizers) cycle
+    List.filter (fun o -> List.exists (Int.equal o) t.reorganizers) cycle
     @ [ List.hd (List.rev cycle) ]
   in
   let rec pick = function
@@ -539,7 +548,7 @@ let resolve_deadlock t cycle =
     w.w_wake Deadlock
 
 let enqueue t ~owner res mode ~instant ~wake =
-  if Hashtbl.mem t.pending owner then
+  if Itbl.mem t.pending owner then
     invalid_arg "Lock_mgr.enqueue: owner already waiting";
   let e = entry t res in
   let conversion = owner_modes t e owner <> [] in
@@ -550,7 +559,7 @@ let enqueue t ~owner res mode ~instant ~wake =
     e.queue <- convs @ [ w ] @ rest
   end
   else e.queue <- e.queue @ [ w ];
-  Hashtbl.replace t.pending owner res;
+  Itbl.replace t.pending owner res;
   t.waits <- t.waits + 1;
   (mode_stats t mode).m_waits <- (mode_stats t mode).m_waits + 1;
   emit t (Ev_queued { owner; res; mode; instant; conversion });
@@ -609,17 +618,17 @@ let release_all t ~owner =
     let woken = process_queue t e in
     fire t res e woken
   | None -> ());
-  match Hashtbl.find_opt t.owner_index owner with
+  match Itbl.find_opt t.owner_index owner with
   | None -> ()
   | Some s ->
-    let resources = Rtbl.fold (fun r () acc -> r :: acc) s [] |> List.sort compare in
-    Hashtbl.remove t.owner_index owner;
+    let resources = Rtbl.fold (fun r () acc -> r :: acc) s [] |> List.sort Resource.compare in
+    Itbl.remove t.owner_index owner;
     List.iter
       (fun res ->
         match entry_opt t res with
         | None -> ()
         | Some e ->
-          (match (t.event_hook, Hashtbl.find_opt e.holders owner) with
+          (match (t.event_hook, Itbl.find_opt e.holders owner) with
           | Some _, Some ms ->
             List.iter
               (fun (m, n) ->
@@ -638,37 +647,39 @@ let holds t ~owner res =
   match entry_opt t res with None -> [] | Some e -> List.map fst (owner_modes t e owner)
 
 let held_resources t ~owner =
-  match Hashtbl.find_opt t.owner_index owner with
+  match Itbl.find_opt t.owner_index owner with
   | None -> []
   | Some s ->
-    Rtbl.fold (fun res () acc -> (res, holds t ~owner res) :: acc) s [] |> List.sort compare
+    Rtbl.fold (fun res () acc -> (res, holds t ~owner res) :: acc) s []
+    |> List.sort (fun (a, _) (b, _) -> Resource.compare a b)
 
 let holders t res =
   match entry_opt t res with
   | None -> []
   | Some e ->
-    Hashtbl.fold (fun o ms acc -> (o, List.map fst ms) :: acc) e.holders [] |> List.sort compare
+    Itbl.fold (fun o ms acc -> (o, List.map fst ms) :: acc) e.holders []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let waiters t res =
   match entry_opt t res with
   | None -> []
   | Some e -> List.map (fun w -> (w.w_owner, w.w_mode)) e.queue
 
-let is_waiting t ~owner = Hashtbl.mem t.pending owner
+let is_waiting t ~owner = Itbl.mem t.pending owner
 
 let locked_count t ~owner =
-  match Hashtbl.find_opt t.owner_index owner with None -> 0 | Some s -> Rtbl.length s
+  match Itbl.find_opt t.owner_index owner with None -> 0 | Some s -> Rtbl.length s
 
 let max_locked_count t ~owner =
-  match Hashtbl.find_opt t.max_locked owner with Some m -> m | None -> 0
+  match Itbl.find_opt t.max_locked owner with Some m -> m | None -> 0
 
-let reset_max_locked t ~owner = Hashtbl.remove t.max_locked owner
+let reset_max_locked t ~owner = Itbl.remove t.max_locked owner
 
 let clear t =
   Rtbl.reset t.entries;
-  Hashtbl.reset t.owner_index;
-  Hashtbl.reset t.max_locked;
-  Hashtbl.reset t.pending
+  Itbl.reset t.owner_index;
+  Itbl.reset t.max_locked;
+  Itbl.reset t.pending
 
 let stats t =
   {
@@ -695,4 +706,9 @@ let reset_stats t =
   t.cancelled_waits <- 0;
   t.scan_steps <- 0;
   t.instant_checks <- 0;
-  Hashtbl.reset t.by_mode
+  Array.iter
+    (fun s ->
+      s.m_acquires <- 0;
+      s.m_waits <- 0;
+      s.m_deadlocks <- 0)
+    t.by_mode

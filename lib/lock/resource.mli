@@ -15,5 +15,13 @@ type t =
 
 val equal : t -> t -> bool
 val hash : t -> int
+(** Monomorphic: one match arm per constructor, no polymorphic comparison
+    or [Hashtbl.hash]. *)
+
+val compare : t -> t -> int
+(** The same total order as the polymorphic [compare] ([Side_file] first,
+    then [Tree], [Page], [Rec], [Side_key], each by payload), without its C
+    call. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,3 +1,5 @@
+module Itbl = Util.Itbl
+
 exception Cycle of int * int
 exception Torn_page of int
 
@@ -23,7 +25,7 @@ type stats = {
 type t = {
   backend : Backend.t;
   capacity : int;
-  frames : (int, frame) Hashtbl.t;
+  frames : frame Itbl.t;
   (* Clock ring over resident frames, in arrival order.  Entries are pids;
      eviction leaves a [-1] tombstone (O(1) removal) which the next
      growth-time compaction squeezes out. *)
@@ -34,8 +36,14 @@ type t = {
   mutable before_write : int64 -> unit;
   (* blocked pid -> prerequisite pids that must be durable before it may be
      written.  Entries are removed as they are satisfied. *)
-  deps : (int, int list ref) Hashtbl.t;
-  waiters : (int, (unit -> unit) list ref) Hashtbl.t;
+  deps : int list ref Itbl.t;
+  (* Reverse index: prereq pid -> blocked pids that named it, so a flush
+     discharges the [deps] entries naming its page without walking the
+     others.  A superset of the truth: [forget_dependencies] and a blocked
+     page's own flush leave stale pids behind, and discharging a stale pid
+     finds no [deps] entry, or one that no longer names the prereq. *)
+  rdeps : int list ref Itbl.t;
+  waiters : (unit -> unit) list ref Itbl.t;
   mutable flushes : int;
   mutable hits : int;
   mutable misses : int;
@@ -60,14 +68,15 @@ let create ?(capacity = default_capacity) backend =
   {
     backend;
     capacity;
-    frames = Hashtbl.create 64;
+    frames = Itbl.create 64;
     ring = Array.make 16 (-1);
     ring_len = 0;
     ring_live = 0;
     hand = 0;
     before_write = (fun _ -> ());
-    deps = Hashtbl.create 16;
-    waiters = Hashtbl.create 16;
+    deps = Itbl.create 16;
+    rdeps = Itbl.create 16;
+    waiters = Itbl.create 16;
     flushes = 0;
     hits = 0;
     misses = 0;
@@ -103,7 +112,7 @@ let register_obs t reg =
   Obs.Registry.gauge reg "pager.dep_flushes" (fun () -> t.dep_flushes);
   Obs.Registry.gauge reg "pager.evictions" (fun () -> t.evictions);
   Obs.Registry.gauge reg "pager.torn_detected" (fun () -> t.torn_detected);
-  Obs.Registry.gauge reg "pager.frames" (fun () -> Hashtbl.length t.frames)
+  Obs.Registry.gauge reg "pager.frames" (fun () -> Itbl.length t.frames)
 
 let backend t = t.backend
 let page_size t = Backend.page_size t.backend
@@ -113,24 +122,24 @@ let torn_detected t = t.torn_detected
 let set_before_write t f = t.before_write <- f
 
 let is_dirty t pid =
-  match Hashtbl.find_opt t.frames pid with Some f -> f.dirty | None -> false
+  match Itbl.find_opt t.frames pid with Some f -> f.dirty | None -> false
 
-let in_pool t pid = Hashtbl.mem t.frames pid
+let in_pool t pid = Itbl.mem t.frames pid
 
 let is_durable t pid = not (is_dirty t pid)
 
 let prereqs t pid =
-  match Hashtbl.find_opt t.deps pid with Some l -> !l | None -> []
+  match Itbl.find_opt t.deps pid with Some l -> !l | None -> []
 
 (* Would adding blocked -> prereq close a cycle?  I.e. can we already reach
    [blocked] from [prereq] through the dependency graph? *)
 let reaches t ~src ~dst =
-  let seen = Hashtbl.create 8 in
+  let seen = Itbl.create 8 in
   let rec go p =
     p = dst
-    || (not (Hashtbl.mem seen p)
+    || (not (Itbl.mem seen p)
         && begin
-             Hashtbl.replace seen p ();
+             Itbl.replace seen p ();
              List.exists go (prereqs t p)
            end)
   in
@@ -141,49 +150,60 @@ let add_dependency ?(force = false) t ~blocked ~prereq =
   if force || not (is_durable t prereq) then begin
     if reaches t ~src:prereq ~dst:blocked then raise (Cycle (blocked, prereq));
     let l =
-      match Hashtbl.find_opt t.deps blocked with
+      match Itbl.find_opt t.deps blocked with
       | Some l -> l
       | None ->
         let l = ref [] in
-        Hashtbl.replace t.deps blocked l;
+        Itbl.replace t.deps blocked l;
         l
     in
-    if not (List.mem prereq !l) then l := prereq :: !l
+    if not (List.exists (Int.equal prereq) !l) then begin
+      l := prereq :: !l;
+      match Itbl.find_opt t.rdeps prereq with
+      | Some bs -> bs := blocked :: !bs
+      | None -> Itbl.replace t.rdeps prereq (ref [ blocked ])
+    end
   end
 
-let forget_dependencies t pid = Hashtbl.remove t.deps pid
+let forget_dependencies t pid = Itbl.remove t.deps pid
 
 let fire_waiters t pid =
-  match Hashtbl.find_opt t.waiters pid with
+  match Itbl.find_opt t.waiters pid with
   | None -> ()
   | Some fs ->
-    Hashtbl.remove t.waiters pid;
+    Itbl.remove t.waiters pid;
     List.iter (fun f -> f ()) (List.rev !fs)
 
 let on_durable t pid f =
   if is_durable t pid then f ()
   else
-    match Hashtbl.find_opt t.waiters pid with
+    match Itbl.find_opt t.waiters pid with
     | Some fs -> fs := f :: !fs
-    | None -> Hashtbl.replace t.waiters pid (ref [ f ])
+    | None -> Itbl.replace t.waiters pid (ref [ f ])
 
 (* A write-order constraint is discharged the moment its prerequisite
    reaches disk; leaving it around would manufacture false cycles when the
-   (by then durable) pages are recycled by later units. *)
+   (by then durable) pages are recycled by later units.  Only the pages the
+   reverse index names can list [pid]. *)
 let discharge_deps_on t pid =
-  let empty = ref [] in
-  Hashtbl.iter
-    (fun blocked l ->
-      l := List.filter (fun p -> p <> pid) !l;
-      if !l = [] then empty := blocked :: !empty)
-    t.deps;
-  List.iter (Hashtbl.remove t.deps) !empty
+  match Itbl.find_opt t.rdeps pid with
+  | None -> ()
+  | Some blocked ->
+    Itbl.remove t.rdeps pid;
+    List.iter
+      (fun b ->
+        match Itbl.find_opt t.deps b with
+        | None -> ()
+        | Some l ->
+          l := List.filter (fun p -> p <> pid) !l;
+          if !l = [] then Itbl.remove t.deps b)
+      !blocked
 
 let rec flush_frame t fr =
   if fr.dirty then begin
     (* Careful writing: prerequisites first. *)
     let ps = prereqs t fr.pid in
-    Hashtbl.remove t.deps fr.pid;
+    Itbl.remove t.deps fr.pid;
     if ps <> [] then begin
       t.dep_flushes <- t.dep_flushes + List.length ps;
       match t.tracer with
@@ -211,10 +231,10 @@ let rec flush_frame t fr =
   end
 
 and flush_page t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Itbl.find_opt t.frames pid with
   | None ->
     (* Not cached: the disk image is current by definition. *)
-    Hashtbl.remove t.deps pid;
+    Itbl.remove t.deps pid;
     fire_waiters t pid
   | Some fr -> flush_frame t fr
 
@@ -228,7 +248,7 @@ let ring_compact t =
     if i = t.hand then new_hand := !j;
     let pid = t.ring.(i) in
     if pid >= 0 then begin
-      (match Hashtbl.find_opt t.frames pid with Some fr -> fr.slot <- !j | None -> ());
+      (match Itbl.find_opt t.frames pid with Some fr -> fr.slot <- !j | None -> ());
       live.(!j) <- pid;
       incr j
     end
@@ -272,7 +292,7 @@ let evict_one t =
       let pid = t.ring.(t.hand) in
       if pid < 0 then t.hand <- t.hand + 1
       else begin
-        let fr = Hashtbl.find t.frames pid in
+        let fr = Itbl.find t.frames pid in
         if fr.pins > 0 then t.hand <- t.hand + 1
         else if fr.referenced then begin
           fr.referenced <- false;
@@ -289,10 +309,13 @@ let evict_one t =
     t.evictions <- t.evictions + 1;
     ring_remove t fr;
     t.hand <- t.hand + 1;
-    Hashtbl.remove t.frames fr.pid
+    Itbl.remove t.frames fr.pid
 
+(* A load always takes the fresh copy the backend returns; an evicted
+   frame's bytes are never recycled, because callers may still hold the
+   [Page.t] a fix returned earlier and must not see it change under them. *)
 let load t pid =
-  if Hashtbl.length t.frames >= t.capacity then evict_one t;
+  if Itbl.length t.frames >= t.capacity then evict_one t;
   let data = Backend.read t.backend pid in
   (* Checksum verification: a stored checksum of 0 means the image was never
      stamped by a pool flush (virgin page, or written around the pool) and is
@@ -332,12 +355,12 @@ let load t pid =
       slot = -1;
     }
   in
-  Hashtbl.replace t.frames pid fr;
+  Itbl.replace t.frames pid fr;
   ring_push t fr;
   fr
 
 let frame t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Itbl.find_opt t.frames pid with
   | Some fr ->
     t.hits <- t.hits + 1;
     fr.referenced <- true;
@@ -354,7 +377,7 @@ let pin t pid =
   fr.data
 
 let unpin t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Itbl.find_opt t.frames pid with
   | Some fr when fr.pins > 0 -> fr.pins <- fr.pins - 1
   | _ -> invalid_arg "Buffer_pool.unpin: page not pinned"
 
@@ -363,7 +386,7 @@ let with_page t pid f =
   Fun.protect ~finally:(fun () -> unpin t pid) (fun () -> f data)
 
 let mark_dirty t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Itbl.find_opt t.frames pid with
   | Some fr ->
     (* Capture the recovery LSN on the clean->dirty transition: callers stamp
        the page with the mutating record's LSN before marking, so this is the
@@ -377,12 +400,12 @@ let mark_dirty t pid =
   | None -> invalid_arg "Buffer_pool.mark_dirty: page not cached"
 
 let flush_all t =
-  let pids = Hashtbl.fold (fun pid _ acc -> pid :: acc) t.frames [] in
-  List.iter (fun pid -> flush_page t pid) (List.sort compare pids)
+  let pids = Itbl.fold (fun pid _ acc -> pid :: acc) t.frames [] in
+  List.iter (fun pid -> flush_page t pid) (List.sort Int.compare pids)
 
 let dirty_pages t =
-  Hashtbl.fold (fun pid fr acc -> if fr.dirty then pid :: acc else acc) t.frames []
-  |> List.sort compare
+  Itbl.fold (fun pid fr acc -> if fr.dirty then pid :: acc else acc) t.frames []
+  |> List.sort Int.compare
 
 (* Background-flusher entry point: drain up to [limit] dirty frames in
    ascending-pid order starting at the persistent sweep hand, wrapping once —
@@ -403,8 +426,8 @@ let flush_elevator ?(limit = max_int) t =
     let max_lsn =
       List.fold_left
         (fun m pid ->
-          match Hashtbl.find_opt t.frames pid with
-          | Some fr when fr.dirty -> max m (Page.lsn fr.data)
+          match Itbl.find_opt t.frames pid with
+          | Some fr when fr.dirty -> Int64.max m (Page.lsn fr.data)
           | _ -> m)
         Int64.min_int batch
     in
@@ -417,21 +440,22 @@ let flush_elevator ?(limit = max_int) t =
 (* Oldest recovery LSN over the dirty frames — together with the active-txn
    and reorg floors, this bounds how far the WAL may be truncated. *)
 let min_rec_lsn t =
-  Hashtbl.fold
+  Itbl.fold
     (fun _ fr acc ->
       if not fr.dirty then acc
-      else match acc with None -> Some fr.rec_lsn | Some m -> Some (min m fr.rec_lsn))
+      else match acc with None -> Some fr.rec_lsn | Some m -> Some (Int64.min m fr.rec_lsn))
     t.frames None
 
 let crash t =
-  Hashtbl.reset t.frames;
-  Hashtbl.reset t.deps;
-  Hashtbl.reset t.waiters;
+  Itbl.reset t.frames;
+  Itbl.reset t.deps;
+  Itbl.reset t.rdeps;
+  Itbl.reset t.waiters;
   t.ring <- Array.make 16 (-1);
   t.ring_len <- 0;
   t.ring_live <- 0;
   t.hand <- 0;
   t.sweep_pid <- 0
 
-let frame_count t = Hashtbl.length t.frames
+let frame_count t = Itbl.length t.frames
 let flushes t = t.flushes

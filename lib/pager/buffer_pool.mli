@@ -119,6 +119,11 @@ val add_dependency : ?force:bool -> t -> blocked:int -> prereq:int -> unit
     the prerequisite is {e about} to be dirtied with the contents the
     constraint protects. *)
 
+val prereqs : t -> int -> int list
+(** The careful-writing prerequisites still pending for a blocked page, most
+    recently added first; [[]] when it is free to be written.  A flush of a
+    prerequisite removes it from every list that names it. *)
+
 val forget_dependencies : t -> int -> unit
 (** Drop any write-order constraints in which this page is the blocked one —
     called when a free page is recycled: a constraint still attached at that

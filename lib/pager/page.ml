@@ -33,17 +33,35 @@ let set_checksum p v = set_u32 p 1 v
 let lsn p = get_i64 p 5
 let set_lsn p v = set_i64 p 5 v
 
-(* FNV-1a over everything past the checksum field — the page LSN included.
-   Covering the LSN is what makes torn writes recoverable: a tear that lands
-   only the prefix (kind + checksum) leaves the old (LSN, body) pair intact,
-   so the survivor self-describes how far the log had been applied to it and
-   redo can resume from exactly there.  The result is folded to 32 bits and
-   0 is mapped to 1 so that a stored checksum of 0 can keep its meaning of
-   "never stamped" (virgin pages, images written outside the buffer pool). *)
+(* A checksum over everything past the checksum field — the page LSN
+   included.  Covering the LSN is what makes torn writes recoverable: a tear
+   that lands only the prefix (kind + checksum) leaves the old (LSN, body)
+   pair intact, so the survivor self-describes how far the log had been
+   applied to it and redo can resume from exactly there.
+
+   The region is consumed a little-endian 32-bit word at a time (the last
+   [(len - torn_prefix) mod 4] bytes one at a time).  Each step xors the
+   input into a 32-bit state, multiplies by an odd constant and xors in the
+   state shifted right by 15; every one of those is a bijection on 32-bit
+   values, so two images that differ in a single word or byte always end in
+   different states.  0 is
+   mapped to 1 so that a stored checksum of 0 can keep its meaning of "never
+   stamped" (virgin pages, images written outside the buffer pool). *)
+let mix h w =
+  let h = (h lxor w) * 0x01000193 land 0xFFFFFFFF in
+  h lxor (h lsr 15)
+
 let body_checksum p =
+  let len = Bytes.length p in
+  let words_end = torn_prefix + ((len - torn_prefix) land lnot 3) in
   let h = ref 0x811c9dc5 in
-  for i = torn_prefix to Bytes.length p - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get p i)) * 0x01000193 land 0xFFFFFFFF
+  let i = ref torn_prefix in
+  while !i < words_end do
+    h := mix !h (Int32.to_int (Bytes.get_int32_le p !i) land 0xFFFFFFFF);
+    i := !i + 4
+  done;
+  for j = words_end to len - 1 do
+    h := mix !h (Char.code (Bytes.unsafe_get p j))
   done;
   if !h = 0 then 1 else !h
 

@@ -50,11 +50,15 @@ val checksum : t -> int
 val set_checksum : t -> int -> unit
 
 val body_checksum : t -> int
-(** FNV-1a (32-bit) over bytes [[torn_prefix, size)] — the page LSN and the
-    body.  Never returns 0, so a stamped page always verifies against a
-    nonzero stored value.  The prefix itself (kind, checksum) is {e not}
-    covered: a torn write that lands the prefix but not the rest is exactly
-    what the checksum detects. *)
+(** 32-bit checksum over bytes [[torn_prefix, size)] — the page LSN and the
+    body — computed a 32-bit word at a time.  Each input word (or trailing
+    byte) enters through a mixing step that is a bijection on the 32-bit
+    state, so changing any single one of them changes the result (barring
+    the one collision the 0-to-1 mapping below introduces).  Never returns
+    0, so a stamped page always verifies against a nonzero stored value.
+    The prefix itself (kind, checksum) is {e not} covered: a torn write that
+    lands the prefix but not the rest is exactly what the checksum
+    detects. *)
 
 (** {2 Raw accessors}  Bounds-checked by the underlying [Bytes] primitives. *)
 

@@ -102,10 +102,13 @@ let flushed_lsn t = t.flushed
 
 let base_lsn t = t.base
 
-let read t lsn =
+let find t lsn =
   (* LSNs at or below [base] were reclaimed by {!truncate}. *)
   if lsn <= t.base || lsn < 1 || lsn > head_lsn t then raise Not_found;
-  match t.entries.(slot t lsn) with None -> raise Not_found | Some e -> e.body
+  match t.entries.(slot t lsn) with None -> raise Not_found | Some e -> e
+
+let read t lsn = (find t lsn).body
+let record_size t lsn = (find t lsn).size
 
 let iter ?(from = 1) ?upto t f =
   let upto = match upto with None -> t.flushed | Some u -> min u t.flushed in

@@ -41,6 +41,10 @@ val head_lsn : t -> Lsn.t
 val read : t -> Lsn.t -> Record.body
 (** Raises [Not_found] for out-of-range or discarded LSNs. *)
 
+val record_size : t -> Lsn.t -> int
+(** Encoded size of the record at an LSN, as {!append} measured it and
+    {!stats} counted it.  Raises [Not_found] like {!read}. *)
+
 val iter : ?from:Lsn.t -> ?upto:Lsn.t -> t -> (Lsn.t -> Record.body -> unit) -> unit
 (** In-LSN-order iteration over the {e stable} records in
     [[from, upto]] (defaults: the whole stable log). *)

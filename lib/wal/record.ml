@@ -86,180 +86,202 @@ let empty_reorg_table =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let add_int buf n = Buffer.add_int64_be buf (Int64.of_int n)
+(* The encoder writes to a sink that either appends to a buffer or only
+   counts bytes, so [encoded_size] measures a record without materialising
+   it (two 512-byte page images, for a physical update) while the layout
+   stays defined in one place. *)
+type sink = Buf of Buffer.t | Count of int ref
 
-let add_string buf s =
-  add_int buf (String.length s);
-  Buffer.add_string buf s
+let add_char sink c =
+  match sink with Buf b -> Buffer.add_char b c | Count c -> incr c
 
-let add_list buf f xs =
-  add_int buf (List.length xs);
-  List.iter (f buf) xs
+let add_int sink n =
+  match sink with
+  | Buf b -> Buffer.add_int64_be b (Int64.of_int n)
+  | Count c -> c := !c + 8
 
-let add_opt buf f = function
-  | None -> Buffer.add_char buf '\000'
+let add_string sink s =
+  add_int sink (String.length s);
+  match sink with
+  | Buf b -> Buffer.add_string b s
+  | Count c -> c := !c + String.length s
+
+let add_list sink f xs =
+  add_int sink (List.length xs);
+  List.iter (f sink) xs
+
+let add_opt sink f = function
+  | None -> add_char sink '\000'
   | Some x ->
-    Buffer.add_char buf '\001';
-    f buf x
+    add_char sink '\001';
+    f sink x
 
-let add_side_op buf = function
+let add_side_op sink = function
   | Side_insert { key; child } ->
-    Buffer.add_char buf 'i';
-    add_int buf key;
-    add_int buf child
+    add_char sink 'i';
+    add_int sink key;
+    add_int sink child
   | Side_delete { key; child } ->
-    Buffer.add_char buf 'd';
-    add_int buf key;
-    add_int buf child
+    add_char sink 'd';
+    add_int sink key;
+    add_int sink child
 
-let add_edit buf = function
+let add_edit sink = function
   | Insert_entry { key; child } ->
-    Buffer.add_char buf 'i';
-    add_int buf key;
-    add_int buf child
+    add_char sink 'i';
+    add_int sink key;
+    add_int sink child
   | Delete_entry { key; child } ->
-    Buffer.add_char buf 'd';
-    add_int buf key;
-    add_int buf child
+    add_char sink 'd';
+    add_int sink key;
+    add_int sink child
   | Update_entry { org_key; org_child; new_key; new_child } ->
-    Buffer.add_char buf 'u';
-    add_int buf org_key;
-    add_int buf org_child;
-    add_int buf new_key;
-    add_int buf new_child
+    add_char sink 'u';
+    add_int sink org_key;
+    add_int sink org_child;
+    add_int sink new_key;
+    add_int sink new_child
 
 let reorg_type_tag = function Compact -> 'c' | Swap -> 's' | Move -> 'm'
 
-let encode body =
-  let buf = Buffer.create 64 in
-  (match body with
+let write sink body =
+  match body with
   | Txn_begin txn ->
-    Buffer.add_char buf 'B';
-    add_int buf txn
+    add_char sink 'B';
+    add_int sink txn
   | Txn_commit txn ->
-    Buffer.add_char buf 'C';
-    add_int buf txn
+    add_char sink 'C';
+    add_int sink txn
   | Txn_abort txn ->
-    Buffer.add_char buf 'A';
-    add_int buf txn
+    add_char sink 'A';
+    add_int sink txn
   | Update { txn; page; off; before; after; prev } ->
-    Buffer.add_char buf 'U';
-    add_int buf txn;
-    add_int buf page;
-    add_int buf off;
-    add_string buf before;
-    add_string buf after;
-    add_int buf prev
+    add_char sink 'U';
+    add_int sink txn;
+    add_int sink page;
+    add_int sink off;
+    add_string sink before;
+    add_string sink after;
+    add_int sink prev
   | Leaf_insert { txn; page; key; payload; prev } ->
-    Buffer.add_char buf 'I';
-    add_int buf txn;
-    add_int buf page;
-    add_int buf key;
-    add_string buf payload;
-    add_int buf prev
+    add_char sink 'I';
+    add_int sink txn;
+    add_int sink page;
+    add_int sink key;
+    add_string sink payload;
+    add_int sink prev
   | Leaf_delete { txn; page; key; payload; prev } ->
-    Buffer.add_char buf 'T';
-    add_int buf txn;
-    add_int buf page;
-    add_int buf key;
-    add_string buf payload;
-    add_int buf prev
+    add_char sink 'T';
+    add_int sink txn;
+    add_int sink page;
+    add_int sink key;
+    add_string sink payload;
+    add_int sink prev
   | Clr { txn; action; undo_next } ->
-    Buffer.add_char buf 'L';
-    add_int buf txn;
+    add_char sink 'L';
+    add_int sink txn;
     (match action with
     | Undo_insert { key } ->
-      Buffer.add_char buf 'i';
-      add_int buf key
+      add_char sink 'i';
+      add_int sink key
     | Undo_delete { key; payload } ->
-      Buffer.add_char buf 'd';
-      add_int buf key;
-      add_string buf payload
+      add_char sink 'd';
+      add_int sink key;
+      add_string sink payload
     | Undo_side op ->
-      Buffer.add_char buf 's';
-      add_side_op buf op
+      add_char sink 's';
+      add_side_op sink op
     | Undo_phys { page; off; bytes } ->
-      Buffer.add_char buf 'p';
-      add_int buf page;
-      add_int buf off;
-      add_string buf bytes);
-    add_int buf undo_next
+      add_char sink 'p';
+      add_int sink page;
+      add_int sink off;
+      add_string sink bytes);
+    add_int sink undo_next
   | Nta_end { txn; undo_next } ->
-    Buffer.add_char buf 'N';
-    add_int buf txn;
-    add_int buf undo_next
+    add_char sink 'N';
+    add_int sink txn;
+    add_int sink undo_next
   | Reorg_begin { unit_id; rtype; base_pages; leaf_pages } ->
-    Buffer.add_char buf 'R';
-    add_int buf unit_id;
-    Buffer.add_char buf (reorg_type_tag rtype);
-    add_list buf add_int base_pages;
-    add_list buf add_int leaf_pages
+    add_char sink 'R';
+    add_int sink unit_id;
+    add_char sink (reorg_type_tag rtype);
+    add_list sink add_int base_pages;
+    add_list sink add_int leaf_pages
   | Reorg_move { unit_id; org; dest; payload; dest_init; prev } ->
-    Buffer.add_char buf 'M';
-    add_int buf unit_id;
-    add_int buf org;
-    add_int buf dest;
+    add_char sink 'M';
+    add_int sink unit_id;
+    add_int sink org;
+    add_int sink dest;
     (match payload with
     | Full_records recs ->
-      Buffer.add_char buf 'f';
-      add_list buf
-        (fun buf (k, v) ->
-          add_int buf k;
-          add_string buf v)
+      add_char sink 'f';
+      add_list sink
+        (fun sink (k, v) ->
+          add_int sink k;
+          add_string sink v)
         recs
     | Keys_only keys ->
-      Buffer.add_char buf 'k';
-      add_list buf add_int keys);
-    add_opt buf
-      (fun buf di ->
-        add_int buf di.di_low_mark;
-        add_int buf di.di_prev;
-        add_int buf di.di_next)
+      add_char sink 'k';
+      add_list sink add_int keys);
+    add_opt sink
+      (fun sink di ->
+        add_int sink di.di_low_mark;
+        add_int sink di.di_prev;
+        add_int sink di.di_next)
       dest_init;
-    add_int buf prev
+    add_int sink prev
   | Reorg_modify { unit_id; base; edits; prev } ->
-    Buffer.add_char buf 'D';
-    add_int buf unit_id;
-    add_int buf base;
-    add_list buf add_edit edits;
-    add_int buf prev
+    add_char sink 'D';
+    add_int sink unit_id;
+    add_int sink base;
+    add_list sink add_edit edits;
+    add_int sink prev
   | Reorg_end { unit_id; largest_key; prev } ->
-    Buffer.add_char buf 'E';
-    add_int buf unit_id;
-    add_int buf largest_key;
-    add_int buf prev
+    add_char sink 'E';
+    add_int sink unit_id;
+    add_int sink largest_key;
+    add_int sink prev
   | Side_file { txn; op; prev } ->
-    Buffer.add_char buf 'S';
-    add_int buf txn;
-    add_side_op buf op;
-    add_int buf prev
+    add_char sink 'S';
+    add_int sink txn;
+    add_side_op sink op;
+    add_int sink prev
   | Side_applied { op } ->
-    Buffer.add_char buf 'P';
-    add_side_op buf op
+    add_char sink 'P';
+    add_side_op sink op
   | Stable_key { key; new_root } ->
-    Buffer.add_char buf 'K';
-    add_int buf key;
-    add_int buf new_root
+    add_char sink 'K';
+    add_int sink key;
+    add_int sink new_root
   | Switch { old_root; new_root; old_name; new_name } ->
-    Buffer.add_char buf 'W';
-    add_int buf old_root;
-    add_int buf new_root;
-    add_int buf old_name;
-    add_int buf new_name
+    add_char sink 'W';
+    add_int sink old_root;
+    add_int sink new_root;
+    add_int sink old_name;
+    add_int sink new_name
   | Checkpoint { active_txns; reorg; dirty_pages } ->
-    Buffer.add_char buf 'X';
-    add_list buf
-      (fun buf (t, l) ->
-        add_int buf t;
-        add_int buf l)
+    add_char sink 'X';
+    add_list sink
+      (fun sink (t, l) ->
+        add_int sink t;
+        add_int sink l)
       active_txns;
-    add_int buf reorg.rt_lk;
-    add_opt buf add_int reorg.rt_unit;
-    add_int buf reorg.rt_begin_lsn;
-    add_int buf reorg.rt_last_lsn;
-    add_opt buf add_int reorg.rt_ck;
-    add_list buf add_int dirty_pages);
-  Buffer.contents buf
+    add_int sink reorg.rt_lk;
+    add_opt sink add_int reorg.rt_unit;
+    add_int sink reorg.rt_begin_lsn;
+    add_int sink reorg.rt_last_lsn;
+    add_opt sink add_int reorg.rt_ck;
+    add_list sink add_int dirty_pages
+
+let encode body =
+  let b = Buffer.create 64 in
+  write (Buf b) body;
+  Buffer.contents b
+
+let encoded_size body =
+  let c = ref 0 in
+  write (Count c) body;
+  !c
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -457,8 +479,6 @@ let decode s =
   in
   if c.pos <> String.length s then fail ();
   body
-
-let encoded_size body = String.length (encode body)
 
 let txn_of = function
   | Txn_begin t | Txn_commit t | Txn_abort t -> Some t

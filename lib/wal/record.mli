@@ -128,6 +128,8 @@ val decode : string -> body
 (** Inverse of {!encode}.  Raises [Failure] on malformed input. *)
 
 val encoded_size : body -> int
+(** [String.length (encode body)], computed by the same encoder writing to a
+    byte-counting sink: nothing is allocated for the payloads. *)
 
 val txn_of : body -> txn_id option
 (** The transaction a record belongs to, if any. *)

@@ -266,6 +266,11 @@ let test_tree_lock_drain_pattern () =
   Lock_mgr.release m ~owner:2 tree Mode.IX;
   Alcotest.(check bool) "drained" true !drained
 
+let gauge reg name =
+  match Obs.Registry.value reg name with
+  | Some v -> v
+  | None -> Alcotest.failf "gauge %s not registered" name
+
 let test_gauges_map_to_like_named_counters () =
   (* Pin the gauge wiring: each registered gauge must read the stats field of
      the same name.  Historically give_ups and cancelled_waits were swapped. *)
@@ -286,14 +291,9 @@ let test_gauges_map_to_like_named_counters () =
   Alcotest.(check int) "instant_signals" 1 s.Lock_mgr.instant_signals;
   Alcotest.(check int) "give_ups" 1 s.Lock_mgr.give_ups;
   Alcotest.(check int) "cancelled_waits" 1 s.Lock_mgr.cancelled_waits;
-  let gauge name =
-    match Obs.Registry.value reg name with
-    | Some v -> v
-    | None -> Alcotest.failf "gauge %s not registered" name
-  in
   List.iter
     (fun (name, field) ->
-      Alcotest.(check int) (name ^ " reads its stats field") field (gauge name))
+      Alcotest.(check int) (name ^ " reads its stats field") field (gauge reg name))
     [
       ("lock.acquires", s.Lock_mgr.acquires);
       ("lock.releases", s.Lock_mgr.releases);
@@ -305,6 +305,96 @@ let test_gauges_map_to_like_named_counters () =
       ("lock.deadlocks", s.Lock_mgr.deadlocks);
       ("lock.scan_steps", s.Lock_mgr.scan_steps);
     ]
+
+(* The lock table keys resources through [Resource.equal]/[hash]/[compare]
+   with one match arm per constructor; the polymorphic primitives are the
+   oracle they must agree with. *)
+let test_resource_keys () =
+  let rs =
+    Resource.
+      [
+        Tree 0; Tree 3; Page 0; Page 3; Page max_int; Rec 3; Rec (-1); Rec min_int; Side_file;
+        Side_key 0; Side_key 3;
+      ]
+  in
+  (* Rebuilt values: equal by structure, not physically. *)
+  let copy = function
+    | Resource.Tree n -> Resource.Tree (n + 0)
+    | Page n -> Page (n + 0)
+    | Rec n -> Rec (n + 0)
+    | Side_file -> Side_file
+    | Side_key n -> Side_key (n + 0)
+  in
+  List.iter
+    (fun a ->
+      let name = Resource.to_string a in
+      Alcotest.(check bool) (name ^ " equals its copy") true (Resource.equal a (copy a));
+      Alcotest.(check int) (name ^ " hashes like its copy") (Resource.hash a) (Resource.hash (copy a));
+      Alcotest.(check bool) (name ^ " hash non-negative") true (Resource.hash a >= 0);
+      List.iter
+        (fun b ->
+          let pair = name ^ "/" ^ Resource.to_string b in
+          Alcotest.(check bool) (pair ^ " equal") (a = b) (Resource.equal a b);
+          Alcotest.(check int) (pair ^ " compare") (compare a b) (Resource.compare a b);
+          if Resource.equal a b then
+            Alcotest.(check int) (pair ^ " hash agrees") (Resource.hash a) (Resource.hash b))
+        rs)
+    rs;
+  let threes = Resource.[ Page 3; Tree 3; Rec 3; Side_key 3 ] in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i <> j then
+            Alcotest.(check bool)
+              (Resource.to_string a ^ " <> " ^ Resource.to_string b)
+              false (Resource.equal a b))
+        threes)
+    threes
+
+(* A scripted sequence with known per-mode outcomes: immediate grants count
+   as acquires, parked requests as waits, the cycle's victim as a deadlock
+   victim of its requested mode.  [reset_stats] zeroes every tally. *)
+let test_per_mode_tallies () =
+  let m = Lock_mgr.create () in
+  let reg = Obs.Registry.create () in
+  Lock_mgr.register_obs m reg;
+  let grant o r md = assert (granted (Lock_mgr.try_acquire m ~owner:o r md)) in
+  let park ?(instant = false) o r md =
+    assert (not (granted (Lock_mgr.try_acquire m ~owner:o r md)));
+    Lock_mgr.enqueue m ~owner:o r md ~instant ~wake:(fun _ -> ())
+  in
+  grant 1 (page 1) Mode.S;
+  grant 2 (page 1) Mode.S;
+  grant 1 (Resource.Tree 1) Mode.IX;
+  park 3 (page 1) Mode.X;
+  grant 4 (Resource.Rec 3) Mode.X;
+  grant 5 (page 2) Mode.R;
+  park ~instant:true 6 (page 2) Mode.RS;
+  Lock_mgr.release m ~owner:5 (page 2) Mode.R;
+  (* Covered by the S it holds: a re-entrant grant, still an acquire. *)
+  grant 1 (page 1) Mode.IS;
+  (* 7 and 8 each hold one page and ask for the other's: 8 closes the cycle
+     and, with no reorganizer registered, is the victim. *)
+  grant 7 (page 10) Mode.X;
+  grant 8 (page 11) Mode.X;
+  park 7 (page 11) Mode.X;
+  park 8 (page 10) Mode.X;
+  let expect kind counts =
+    List.iter
+      (fun mode ->
+        let name = Printf.sprintf "lock.%s.%s" kind (Mode.to_string mode) in
+        let want = try List.assoc mode counts with Not_found -> 0 in
+        Alcotest.(check int) name want (gauge reg name))
+      Mode.all
+  in
+  expect "acquires" Mode.[ (S, 2); (IX, 1); (X, 3); (R, 1); (IS, 1) ];
+  expect "waits" Mode.[ (X, 3); (RS, 1) ];
+  expect "deadlock_victims" Mode.[ (X, 1) ];
+  Lock_mgr.reset_stats m;
+  expect "acquires" [];
+  expect "waits" [];
+  expect "deadlock_victims" []
 
 let test_locked_counts () =
   let m = Lock_mgr.create () in
@@ -403,6 +493,8 @@ let () =
           Alcotest.test_case "downgrade" `Quick test_downgrade;
           Alcotest.test_case "tree lock drain" `Quick test_tree_lock_drain_pattern;
           Alcotest.test_case "gauge wiring" `Quick test_gauges_map_to_like_named_counters;
+          Alcotest.test_case "resource keys" `Quick test_resource_keys;
+          Alcotest.test_case "per-mode tallies" `Quick test_per_mode_tallies;
           Alcotest.test_case "locked counts" `Quick test_locked_counts;
           Alcotest.test_case "scan steps" `Quick test_scan_steps_counts_work;
         ] );

@@ -122,6 +122,78 @@ let test_on_durable () =
   Buffer_pool.flush_page pool 7;
   Alcotest.(check int) "fires on flush" 2 !fired
 
+(* The checksum covers every byte from the LSN (offset 5) to the end, and
+   nothing before it.  Page sizes 64..67 give every tail length past the
+   32-bit words; 512 is the benchmark page. *)
+let test_checksum_coverage () =
+  let in_range c = c >= 1 && c < 1 lsl 32 in
+  List.iter
+    (fun size ->
+      let rng = Util.Rng.create size in
+      let p = Page.create ~size in
+      for i = 0 to size - 1 do
+        Page.set_u8 p i (Util.Rng.int rng 256)
+      done;
+      let base = Page.body_checksum p in
+      Alcotest.(check bool) (Printf.sprintf "size %d in range" size) true (in_range base);
+      for off = 0 to size - 1 do
+        for bit = 0 to 7 do
+          let v = Page.get_u8 p off in
+          Page.set_u8 p off (v lxor (1 lsl bit));
+          let c = Page.body_checksum p in
+          Page.set_u8 p off v;
+          if not (in_range c) then Alcotest.failf "size %d: checksum %d out of range" size c;
+          if off < Page.torn_prefix && c <> base then
+            Alcotest.failf "size %d: bit %d of byte %d (prefix) changed the checksum" size bit off;
+          if off >= Page.torn_prefix && c = base then
+            Alcotest.failf "size %d: bit %d of byte %d left the checksum unchanged" size bit off
+        done
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "size %d zero page in range" size)
+        true
+        (in_range (Page.body_checksum (Page.create ~size))))
+    [ 64; 65; 66; 67; 512 ]
+
+(* Flushing a prerequisite discharges exactly the entries that name it,
+   including after a blocked page was forgotten and re-added elsewhere. *)
+let test_discharge_by_reverse_index () =
+  let _, pool = mk () in
+  List.iter
+    (fun pid ->
+      let p = Buffer_pool.get pool pid in
+      Page.set_u16 p uoff pid;
+      Buffer_pool.mark_dirty pool pid)
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  (* Page 1 blocks 2, 3 and 4; 3 also waits on 8; 6 -> 7 is unrelated. *)
+  List.iter (fun b -> Buffer_pool.add_dependency pool ~blocked:b ~prereq:1) [ 2; 3; 4 ];
+  Buffer_pool.add_dependency pool ~blocked:3 ~prereq:8;
+  Buffer_pool.add_dependency pool ~blocked:6 ~prereq:7;
+  (* Page 4 is recycled: its constraint on 1 is dropped and it now waits on 5. *)
+  Buffer_pool.forget_dependencies pool 4;
+  Buffer_pool.add_dependency pool ~blocked:4 ~prereq:5;
+  Buffer_pool.flush_page pool 1;
+  for pid = 0 to 15 do
+    if List.mem 1 (Buffer_pool.prereqs pool pid) then
+      Alcotest.failf "page %d still lists the flushed prerequisite" pid
+  done;
+  let prereqs pid = Buffer_pool.prereqs pool pid in
+  Alcotest.(check (list int)) "2 released" [] (prereqs 2);
+  Alcotest.(check (list int)) "3 keeps its other prereq" [ 8 ] (prereqs 3);
+  Alcotest.(check (list int)) "4 keeps its new prereq" [ 5 ] (prereqs 4);
+  Alcotest.(check (list int)) "unrelated entry intact" [ 7 ] (prereqs 6);
+  let cycle ~blocked ~prereq =
+    try
+      Buffer_pool.add_dependency ~force:true pool ~blocked ~prereq;
+      false
+    with Buffer_pool.Cycle _ -> true
+  in
+  Alcotest.(check bool) "live edge still closes a cycle" true (cycle ~blocked:7 ~prereq:6);
+  Alcotest.(check bool) "re-added edge still closes a cycle" true (cycle ~blocked:5 ~prereq:4);
+  Alcotest.(check bool) "discharged edge closes none" false (cycle ~blocked:1 ~prereq:2);
+  Buffer_pool.flush_page pool 5;
+  Alcotest.(check (list int)) "4 released by its new prereq" [] (prereqs 4)
+
 let test_eviction () =
   let disk, _ = mk ~pages:32 () in
   let pool = Buffer_pool.create ~capacity:4 (Backend.of_disk disk) in
@@ -538,6 +610,7 @@ let () =
       ( "page+disk",
         [
           Alcotest.test_case "accessors" `Quick test_page_accessors;
+          Alcotest.test_case "checksum coverage" `Quick test_checksum_coverage;
           Alcotest.test_case "rw + stats" `Quick test_disk_rw_and_stats;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
           Alcotest.test_case "write stats + cost" `Quick test_write_stats_and_cost;
@@ -557,6 +630,7 @@ let () =
           Alcotest.test_case "careful writing cycle" `Quick test_careful_writing_cycle;
           Alcotest.test_case "on_durable" `Quick test_on_durable;
           Alcotest.test_case "dependency chain" `Quick test_dep_chain;
+          Alcotest.test_case "discharge by reverse index" `Quick test_discharge_by_reverse_index;
           Alcotest.test_case "elevator flush" `Quick test_flush_elevator_order;
           Alcotest.test_case "eviction" `Quick test_eviction;
           Alcotest.test_case "pinning" `Quick test_pin_blocks_eviction;

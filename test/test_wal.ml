@@ -16,6 +16,8 @@ let sample_bodies : Record.body list =
     Clr { txn = 2; action = Undo_insert { key = 42 }; undo_next = 3 };
     Clr { txn = 2; action = Undo_delete { key = 1; payload = "p" }; undo_next = 0 };
     Clr { txn = 2; action = Undo_side (Side_insert { key = 5; child = 6 }); undo_next = 1 };
+    Clr { txn = 3; action = Undo_phys { page = 7; off = 40; bytes = "zz" }; undo_next = 2 };
+    Nta_end { txn = 3; undo_next = 1 };
     Reorg_begin { unit_id = 3; rtype = Compact; base_pages = [ 10 ]; leaf_pages = [ 11; 12; 13 ] };
     Reorg_begin { unit_id = 4; rtype = Swap; base_pages = [ 10; 20 ]; leaf_pages = [ 11; 21 ] };
     Reorg_move
@@ -29,6 +31,17 @@ let sample_bodies : Record.body list =
       };
     Reorg_move
       { unit_id = 3; org = 12; dest = 14; payload = Keys_only [ 3; 4; 5 ]; dest_init = None; prev = 9 };
+    Reorg_move
+      {
+        unit_id = 4;
+        org = 21;
+        dest = 22;
+        payload = Keys_only [ 6 ];
+        dest_init = Some { di_low_mark = 6; di_prev = 20; di_next = 23 };
+        prev = 10;
+      };
+    Reorg_move
+      { unit_id = 4; org = 11; dest = 21; payload = Full_records [ (7, "w") ]; dest_init = None; prev = 16 };
     Reorg_modify
       {
         unit_id = 3;
@@ -154,6 +167,24 @@ let test_stats_accounting () =
   Log.crash log;
   let s2 = Log.stats log in
   Alcotest.(check int) "crash removes unforced from accounting" 0 s2.Log.records
+
+(* [record_size] reports what [append] counted: the per-record sizes sum to
+   the [bytes] gauge, each equals the encoding's length. *)
+let test_record_size () =
+  let log = Log.create () in
+  let lsns = List.map (fun body -> (Log.append log body, body)) sample_bodies in
+  let total =
+    List.fold_left
+      (fun acc (lsn, body) ->
+        let n = Log.record_size log lsn in
+        Alcotest.(check int) (Format.asprintf "%a" Record.pp body)
+          (String.length (Record.encode body)) n;
+        acc + n)
+      0 lsns
+  in
+  Alcotest.(check int) "sizes sum to the bytes gauge" (Log.stats log).Log.bytes total;
+  Alcotest.check_raises "past the head" Not_found (fun () ->
+      ignore (Log.record_size log (Log.head_lsn log + 1)))
 
 let test_reset_stats_then_crash () =
   let log = Log.create () in
@@ -306,16 +337,46 @@ let gen_body : Record.body QCheck.Gen.t =
         map2 (fun key child -> Record.Side_delete { key; child }) key pid;
       ]
   in
+  let ints = list_size (int_bound 6) pid in
+  let edit =
+    oneof
+      [
+        map2 (fun key child -> Record.Insert_entry { key; child }) key pid;
+        map2 (fun key child -> Record.Delete_entry { key; child }) key pid;
+        (let* org_key = key and* org_child = pid and* new_key = key and* new_child = pid in
+         return (Record.Update_entry { org_key; org_child; new_key; new_child }));
+      ]
+  in
+  let clr_action =
+    oneof
+      [
+        map (fun key -> Record.Undo_insert { key }) key;
+        map2 (fun key payload -> Record.Undo_delete { key; payload }) key str;
+        map (fun op -> Record.Undo_side op) side_op;
+        (let* page = pid and* off = int_bound 256 and* bytes = str in
+         return (Record.Undo_phys { page; off; bytes }));
+      ]
+  in
   oneof
     [
       map (fun t -> Record.Txn_begin t) (int_bound 100);
       map (fun t -> Record.Txn_commit t) (int_bound 100);
+      map (fun t -> Record.Txn_abort t) (int_bound 100);
       (let* txn = int_bound 100 and* page = pid and* off = int_bound 256 in
        let* before = str and* after = str and* prev = int_bound 50 in
        return (Record.Update { txn; page; off; before; after; prev }));
       (let* txn = int_bound 100 and* page = pid and* key = key and* payload = str in
        let* prev = int_bound 50 in
        return (Record.Leaf_insert { txn; page; key; payload; prev }));
+      (let* txn = int_bound 100 and* page = pid and* key = key and* payload = str in
+       let* prev = int_bound 50 in
+       return (Record.Leaf_delete { txn; page; key; payload; prev }));
+      (let* txn = int_bound 100 and* action = clr_action and* undo_next = int_bound 50 in
+       return (Record.Clr { txn; action; undo_next }));
+      map2 (fun txn undo_next -> Record.Nta_end { txn; undo_next }) (int_bound 100) (int_bound 50);
+      (let* unit_id = int_bound 20 and* base_pages = ints and* leaf_pages = ints in
+       let* rtype = oneofl [ Record.Compact; Swap; Move ] in
+       return (Record.Reorg_begin { unit_id; rtype; base_pages; leaf_pages }));
       (let* unit_id = int_bound 20 and* org = pid and* dest = pid and* prev = int_bound 50 in
        let* payload =
          oneof
@@ -330,13 +391,46 @@ let gen_body : Record.body QCheck.Gen.t =
             return { Record.di_low_mark; di_prev; di_next })
        in
        return (Record.Reorg_move { unit_id; org; dest; payload; dest_init; prev }));
+      (let* unit_id = int_bound 20 and* base = pid and* prev = int_bound 50 in
+       let* edits = list_size (int_bound 5) edit in
+       return (Record.Reorg_modify { unit_id; base; edits; prev }));
+      (let* unit_id = int_bound 20 and* largest_key = key and* prev = int_bound 50 in
+       return (Record.Reorg_end { unit_id; largest_key; prev }));
       (let* txn = int_bound 100 and* op = side_op and* prev = int_bound 50 in
        return (Record.Side_file { txn; op; prev }));
+      map (fun op -> Record.Side_applied { op }) side_op;
+      map2 (fun key new_root -> Record.Stable_key { key; new_root }) key pid;
+      (let* old_root = pid and* new_root = pid and* old_name = int_bound 9 in
+       let* new_name = int_bound 9 in
+       return (Record.Switch { old_root; new_root; old_name; new_name }));
+      (let* active_txns = list_size (int_bound 4) (pair (int_bound 100) (int_bound 50)) in
+       let* rt_lk = key and* rt_unit = opt (int_bound 20) and* rt_begin_lsn = int_bound 50 in
+       let* rt_last_lsn = int_bound 50 and* rt_ck = opt key and* dirty_pages = ints in
+       let reorg = { Record.rt_lk; rt_unit; rt_begin_lsn; rt_last_lsn; rt_ck } in
+       return (Record.Checkpoint { active_txns; reorg; dirty_pages }));
     ]
 
 let roundtrip_prop =
   QCheck.Test.make ~name:"record codec roundtrip" ~count:500 (QCheck.make gen_body) (fun body ->
       Record.decode (Record.encode body) = body)
+
+(* [encoded_size] runs the encoder into a byte-counting sink; it must agree
+   with the real encoding on every constructor — the deterministic samples
+   pin each constructor and payload variant, the generator varies lengths. *)
+let size_agrees body = Record.encoded_size body = String.length (Record.encode body)
+
+let test_encoded_size_samples () =
+  List.iter
+    (fun body ->
+      if not (size_agrees body) then
+        Alcotest.failf "encoded_size %d <> encoding length %d for %s" (Record.encoded_size body)
+          (String.length (Record.encode body))
+          (Format.asprintf "%a" Record.pp body))
+    sample_bodies
+
+let encoded_size_prop =
+  QCheck.Test.make ~name:"encoded_size = length of encode" ~count:500 (QCheck.make gen_body)
+    size_agrees
 
 let () =
   Alcotest.run "wal"
@@ -346,7 +440,9 @@ let () =
           Alcotest.test_case "samples roundtrip" `Quick test_roundtrip_samples;
           Alcotest.test_case "malformed" `Quick test_malformed;
           Alcotest.test_case "size reflects payload" `Quick test_encoded_size_reflects_payload;
+          Alcotest.test_case "size = encoding length (samples)" `Quick test_encoded_size_samples;
           QCheck_alcotest.to_alcotest roundtrip_prop;
+          QCheck_alcotest.to_alcotest encoded_size_prop;
         ] );
       ( "log",
         [
@@ -355,6 +451,7 @@ let () =
           Alcotest.test_case "iter stable only" `Quick test_log_iter_stable_only;
           Alcotest.test_case "checkpoint tracking" `Quick test_checkpoint_tracking;
           Alcotest.test_case "stats" `Quick test_stats_accounting;
+          Alcotest.test_case "record size" `Quick test_record_size;
           Alcotest.test_case "reset stats then crash" `Quick test_reset_stats_then_crash;
         ] );
       ( "truncate",
