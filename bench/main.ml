@@ -151,7 +151,9 @@ let instrumented ~trace ~metrics =
   let registry = if metrics then Some (Obs.Registry.create ()) else None in
   let tracer = if trace <> None then Some (Obs.Trace.create ()) else None in
   let db, _ = Sim.Scenario.aged ~seed:7 ~n:1500 ~f1:0.3 () in
-  let ctx, report, _ = Sim.Scenario.run_reorg ?registry ?tracer ~users:4 db in
+  let { Sim.Scenario.ctx; report; _ } =
+    Sim.Scenario.run_reorg { Sim.Scenario.default with registry; tracer; users = 4 } db
+  in
   Format.printf "report: %a@." Reorg.Driver.pp_report report;
   Format.printf "metrics: %a@." Reorg.Metrics.pp ctx.Reorg.Ctx.metrics;
   (match (trace, tracer) with

@@ -177,7 +177,9 @@ let demo trace metrics health =
   let db, _ = Sim.Scenario.aged ~seed:42 ~n:2000 ~f1:0.25 () in
   print_tree_stats "before" db.Sim.Db.tree;
   let registry, tracer = obs_setup ~trace ~metrics in
-  let ctx, report, _ = Sim.Scenario.run_reorg ?registry ?tracer db in
+  let { Sim.Scenario.ctx; report; _ } =
+    Sim.Scenario.run_reorg { Sim.Scenario.default with registry; tracer } db
+  in
   print_tree_stats "after" db.Sim.Db.tree;
   Format.printf "report: %a@." Reorg.Driver.pp_report report;
   Format.printf "metrics: %a@." Reorg.Metrics.pp ctx.Reorg.Ctx.metrics;
@@ -192,20 +194,11 @@ let reorganize records fill f2 seed page_size no_swap no_shrink heuristic lambda
   print_tree_stats "before" db.Sim.Db.tree;
   let config = mk_config ~f2 ~no_swap ~no_shrink ~heuristic ~lambda in
   let registry, tracer = obs_setup ~trace ~metrics in
-  let ctx = Reorg.Ctx.make ?registry ?tracer ~access:db.Sim.Db.access ~config () in
-  let eng = Sched.Engine.create () in
-  Sched.Engine.set_tracer eng tracer;
-  Sim.Db.set_tracers db tracer;
-  (match registry with
-  | Some reg ->
-    Sched.Engine.register_obs eng reg;
-    Sim.Db.register_obs db reg
-  | None -> ());
-  let report = ref Reorg.Driver.empty_report in
-  Sched.Engine.spawn eng ~name:"reorganizer" (fun () ->
-      report := Reorg.Driver.run ~pass1_workers:workers ctx);
-  Sched.Engine.run eng;
-  let report = !report in
+  let { Sim.Scenario.ctx; report; _ } =
+    Sim.Scenario.run_reorg
+      { Sim.Scenario.default with registry; tracer; config; pass1_workers = workers }
+      db
+  in
   print_tree_stats "after" db.Sim.Db.tree;
   Format.printf "report: %a@." Reorg.Driver.pp_report report;
   Format.printf "metrics: %a@." Reorg.Metrics.pp ctx.Reorg.Ctx.metrics;
@@ -340,7 +333,9 @@ let workload users mix_name records seed shards trace metrics health =
   else begin
   let db, _ = Sim.Scenario.aged ~seed ~n:records ~f1:0.3 () in
   let registry, tracer = obs_setup ~trace ~metrics in
-  let ctx, report, stats = Sim.Scenario.run_reorg ?registry ?tracer ~users ~user_mix:mix db in
+  let { Sim.Scenario.ctx; report; users = stats; _ } =
+    Sim.Scenario.run_reorg { Sim.Scenario.default with registry; tracer; users; user_mix = mix } db
+  in
   Format.printf "reorg: %a@." Reorg.Driver.pp_report report;
   Format.printf "metrics: %a@." Reorg.Metrics.pp ctx.Reorg.Ctx.metrics;
   Printf.printf

@@ -9,12 +9,16 @@
 #
 #   bench/main.exe --json            (every experiment, schema v7)
 #   reorg-cli torture --seed 42 --stride 1 -n 120 --metrics
+#   reorg-cli reorganize --workers 2 --trace F --metrics
+#   reorg-cli workload --trace F --metrics
 #
 # and compares them: the bench JSON field by field, ignoring only the
 # wall-clock and provenance fields (wall_clock_s, "wall s",
-# generated_at_unix, revision), and the torture output byte for byte.
-# Every output is kept under .bench_out/same/{base,work}/.  Prints each path
-# that differs and exits 1 on any difference, 0 when both match.
+# generated_at_unix, revision); the CLI outputs and the two Chrome trace
+# files byte for byte (the traces, and the process names on their rows, are
+# seen by no bench JSON field).  Every output is kept under
+# .bench_out/same/{base,work}/.  Prints each path that differs and exits 1
+# on any difference, 0 when both match.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,7 +41,9 @@ echo "== building $base_rev and the working tree =="
 (cd "$base_tree" && dune build --root . bench/main.exe bin/reorg_cli.exe)
 dune build --root . bench/main.exe bin/reorg_cli.exe
 
-# outputs SIDE DIR: the bench JSON and the torture transcript of one tree.
+# outputs SIDE DIR: the bench JSON, the CLI transcripts and the traces of
+# one tree.  The CLI runs inside the output directory with relative trace
+# paths, so the "trace: ... -> FILE" lines match across the two trees.
 outputs() {
   dest=$out/$1
   rm -rf "$dest"
@@ -48,6 +54,13 @@ outputs() {
   echo "== $1: torture --seed 42 --stride 1 -n 120 --metrics =="
   (cd "$2" && dune exec --root . bin/reorg_cli.exe -- torture --seed 42 --stride 1 -n 120 \
     --metrics) >"$dest/torture.out" 2>&1
+  cli=$2/_build/default/bin/reorg_cli.exe
+  echo "== $1: reorganize --workers 2 --trace --metrics =="
+  (cd "$dest" && "$cli" reorganize --workers 2 --trace reorganize.trace.json --metrics) \
+    >"$dest/reorganize.out" 2>&1
+  echo "== $1: workload --trace --metrics =="
+  (cd "$dest" && "$cli" workload --trace workload.trace.json --metrics) \
+    >"$dest/workload.out" 2>&1
 }
 
 outputs base "$base_tree"
@@ -87,14 +100,16 @@ print("bench JSON: %s" % ("%d path(s) differ" % len(diffs) if diffs else "identi
 sys.exit(1 if diffs else 0)
 EOF
 
-echo "== torture output =="
-if cmp -s "$out/base/torture.out" "$out/work/torture.out"; then
-  echo "torture output: identical"
-else
-  echo "  differs: $out/base/torture.out vs $out/work/torture.out"
-  diff "$out/base/torture.out" "$out/work/torture.out" | head -20 || true
-  status=1
-fi
+for f in torture.out reorganize.out reorganize.trace.json workload.out workload.trace.json; do
+  echo "== $f =="
+  if cmp -s "$out/base/$f" "$out/work/$f"; then
+    echo "$f: identical"
+  else
+    echo "  differs: $out/base/$f vs $out/work/$f"
+    diff "$out/base/$f" "$out/work/$f" | head -20 | cut -c1-200 || true
+    status=1
+  fi
+done
 
 if [ "$status" -eq 0 ]; then
   echo "bench-same: $base_rev and the working tree agree"

@@ -32,7 +32,7 @@ let () =
   let before = measure_scans db "before reorganization:" in
 
   print_endline "\nReorganizing online (compact -> order -> shrink)...";
-  let _, report, _ = Sim.Scenario.run_reorg db in
+  let { Sim.Scenario.report; _ } = Sim.Scenario.run_reorg Sim.Scenario.default db in
   Printf.printf "  %d units, %d swaps, %d moves; height %d -> %d; fill %.0f%% -> %.0f%%\n"
     report.Reorg.Driver.pass1_units report.Reorg.Driver.swaps report.Reorg.Driver.moves
     report.Reorg.Driver.height_before report.Reorg.Driver.height_after

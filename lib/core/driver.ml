@@ -66,10 +66,6 @@ let run ?(pass1_workers = 1) ctx =
     out_of_order_after_pass1 = out_of_order;
   }
 
-let reorganize ?registry ?tracer ~access ~config () =
-  let ctx = Ctx.make ?registry ?tracer ~access ~config () in
-  (ctx, ref empty_report)
-
 let pp_report ppf r =
   Format.fprintf ppf
     "units=%d swaps=%d moves=%d switched=%b height %d->%d leaves %d->%d fill %.2f->%.2f \

@@ -28,15 +28,4 @@ val run : ?pass1_workers:int -> Ctx.t -> report
     compaction pass with parallel range-partitioned workers (the paper's
     stated future work); passes 2 and 3 stay sequential. *)
 
-val reorganize :
-  ?registry:Obs.Registry.t ->
-  ?tracer:Obs.Trace.t ->
-  access:Btree.Access.t ->
-  config:Config.t ->
-  unit ->
-  Ctx.t * report ref
-(** Convenience used by experiments: builds a {!Ctx.t} and returns it with a
-    cell the scheduler process fills; spawn [fun () -> r := Some (run ctx)]
-    yourself when you need custom orchestration. *)
-
 val pp_report : Format.formatter -> report -> unit

@@ -46,11 +46,11 @@ let summarize label c =
 let workload ?(olc = false) ~seed () =
   let c = Model.Checker.create () in
   let db, _ = Scenario.aged ~page_size:512 ~leaf_pages:512 ~seed ~n:400 ~f1:0.3 () in
-  let _ctx, _report, _ustats =
-    Scenario.run_reorg ~checker:c
-      ~config:{ Reorg.Config.default with olc }
-      ~users:4 ~user_mix:Workload.Mix.update_heavy ~user_ops:400 ~seed db
-  in
+  ignore
+    (Scenario.run_reorg
+       { Scenario.default with checker = Some c; config = { Reorg.Config.default with olc };
+         users = 4; user_mix = Workload.Mix.update_heavy; user_ops = 400; seed }
+       db);
   Model.Checker.finalize c;
   summarize (Printf.sprintf "workload-%d%s" seed (if olc then "+olc" else "")) c
 
@@ -127,7 +127,7 @@ let mutate_switch () =
     ~finally:(fun () -> Reorg.Pass3.test_skip_ck_advance := false)
     (fun () ->
       let db, _ = Scenario.aged ~page_size:512 ~leaf_pages:256 ~seed:5 ~n:200 ~f1:0.3 () in
-      ignore (Scenario.run_reorg ~checker:c db));
+      ignore (Scenario.run_reorg { Scenario.default with checker = Some c } db));
   Model.Checker.finalize c;
   summarize "mutate-switch" c
 
@@ -157,10 +157,12 @@ let mutate_olc () =
               Scenario.aged ~page_size:512 ~leaf_pages:512 ~seed ~n:400 ~f1:0.3 ()
             in
             ignore
-              (Scenario.run_reorg ~checker:c
-                 ~config:{ Reorg.Config.default with olc = true }
-                 ~users:6 ~user_mix:Workload.Mix.read_only ~user_ops:4_000 ~user_key_space:400
-                 ~seed db)
+              (Scenario.run_reorg
+                 { Scenario.default with checker = Some c;
+                   config = { Reorg.Config.default with olc = true }; users = 6;
+                   user_mix = Workload.Mix.read_only; user_ops = 4_000;
+                   user_key_space = Some 400; seed }
+                 db)
           end)
         seeds);
   Model.Checker.finalize c;

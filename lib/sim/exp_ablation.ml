@@ -26,7 +26,7 @@ let range_cost db =
 let variant name config =
   let db, expected = Scenario.aged ~seed:91 ~n:1500 ~f1:0.25 () in
   let t0 = Sys.time () in
-  let ctx, r, _ = Scenario.run_reorg ~config db in
+  let { Scenario.ctx; report = r; _ } = Scenario.run_reorg { Scenario.default with config } db in
   let dt = Sys.time () -. t0 in
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   Btree.Invariant.check_consistent_with db.Db.tree ~expected;

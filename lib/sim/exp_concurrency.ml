@@ -27,43 +27,20 @@ let mk_db ?record_locking seed = Scenario.aged ?record_locking ~seed ~n:1500 ~f1
 
 let run_ours ?record_locking seed =
   let db, _ = mk_db ?record_locking seed in
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
-  let eng = Engine.create () in
-  let finished = ref false in
-  Engine.spawn eng (fun () ->
-      ignore (Reorg.Driver.run ctx);
-      finished := true);
-  let st =
-    Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:99 ~users ~ops_per_user:100_000
-      ~stop:(fun () -> !finished)
-      ~mix:user_mix ()
+  let r =
+    Scenario.run_reorg
+      { Scenario.default with users; user_mix; user_ops = 100_000; seed = 99 }
+      db
   in
-  let t0 = Engine.now eng in
-  Engine.run eng;
-  (Engine.now eng - t0, st, db)
+  (r.Scenario.ticks, r.Scenario.users, db)
 
-let run_tandem seed =
+(* A comparator reorganization beside the same users. *)
+let run_baseline seed reorganize =
   let db, _ = mk_db seed in
   let eng = Engine.create () in
   let finished = ref false in
   Engine.spawn eng (fun () ->
-      ignore (Baseline.Tandem.reorganize ~access:db.Db.access ~f2:0.9);
-      finished := true);
-  let st =
-    Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:99 ~users ~ops_per_user:100_000
-      ~stop:(fun () -> !finished)
-      ~mix:user_mix ()
-  in
-  let t0 = Engine.now eng in
-  Engine.run eng;
-  (Engine.now eng - t0, st, db)
-
-let run_offline seed =
-  let db, _ = mk_db seed in
-  let eng = Engine.create () in
-  let finished = ref false in
-  Engine.spawn eng (fun () ->
-      ignore (Baseline.Offline.reorganize ~access:db.Db.access ~f2:0.9 : Baseline.Offline.stats);
+      reorganize db.Db.access;
       finished := true);
   let st =
     Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:99 ~users ~ops_per_user:100_000
@@ -103,8 +80,13 @@ let run () =
   let seed = 41 in
   let ours = run_ours seed in
   let ours_rec = run_ours ~record_locking:true seed in
-  let tandem = run_tandem seed in
-  let offline = run_offline seed in
+  let tandem =
+    run_baseline seed (fun access -> ignore (Baseline.Tandem.reorganize ~access ~f2:0.9))
+  in
+  let offline =
+    run_baseline seed (fun access ->
+        ignore (Baseline.Offline.reorganize ~access ~f2:0.9 : Baseline.Offline.stats))
+  in
   let _, ours_st, _ = ours in
   let control = run_control seed ours_st.Workload.Mix.committed in
   let rows =

@@ -24,7 +24,9 @@ let run () =
       Lockmgr.Lock_mgr.reset_stats db.Db.locks;
       let forces0 = (Wal.Log.stats db.Db.log).Wal.Log.forced in
       let config = { Reorg.Config.default with swap_pass = false; shrink_pass = false } in
-      let ctx, r, _ = Scenario.run_reorg ~config db in
+      let { Scenario.ctx; report = r; _ } =
+        Scenario.run_reorg { Scenario.default with config } db
+      in
       let m = ctx.Reorg.Ctx.metrics in
       let locks = (Lockmgr.Lock_mgr.stats db.Db.locks).Lockmgr.Lock_mgr.acquires in
       let forces = (Wal.Log.stats db.Db.log).Wal.Log.forced - forces0 in

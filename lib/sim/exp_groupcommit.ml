@@ -23,44 +23,36 @@ let run_arm ~table ~pipelined ~seed ~n ~users () =
      phase, not the identical initial load. *)
   let d0 = Pager.Disk.stats db.Db.disk in
   let w0 = Wal.Log.stats db.Db.log in
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
-  let eng = Engine.create () in
-  Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
-  Db.set_tracers db ctx.Reorg.Ctx.tracer;
-  let report = ref None in
-  Engine.spawn eng ~name:"reorganizer" (fun () -> report := Some (Reorg.Driver.run ctx));
-  let ustats =
-    Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:(seed + 1) ~users
-      ~ops_per_user:10_000
-      ~stop:(fun () -> !report <> None)
-      ~mix:Workload.Mix.update_heavy ()
+  let ckpts = ref 0 and pipe = ref None in
+  let attach_pipeline eng ctx ~stop =
+    (* A 4-tick commit window batches the four users' commits; a 24-tick
+       elevator period lets re-dirtied pages merge into one write per
+       sweep instead of being rewritten every few ticks. *)
+    pipe := Some (Pipeline.attach ~gc_every:4 ~flush_every:24 ~flush_limit:8 eng db ~stop);
+    (* The checkpointer is spawned here rather than through the pipeline so
+       the arm can count how many checkpoints bounded replay. *)
+    Engine.spawn eng ~name:"checkpointer" (fun () ->
+        while not (stop ()) do
+          Engine.sleep 150;
+          if not (stop ()) then begin
+            Reorg.Ctx.checkpoint ctx;
+            incr ckpts
+          end
+        done)
   in
-  let ckpts = ref 0 in
+  let run =
+    { Scenario.default with users; user_mix = Workload.Mix.update_heavy; seed = seed + 1;
+      hook = (if pipelined then attach_pipeline else Scenario.default.hook) }
+  in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Pipeline.detach !pipe)
+      (fun () -> Scenario.run_reorg run db)
+  in
   let gc =
-    if pipelined then begin
-      (* A 4-tick commit window batches the four users' commits; a 24-tick
-         elevator period lets re-dirtied pages merge into one write per
-         sweep instead of being rewritten every few ticks. *)
-      let t =
-        Pipeline.attach ~gc_every:4 ~flush_every:24 ~flush_limit:8 eng db ~stop:(fun () -> !report <> None)
-      in
-      (* The checkpointer is spawned here rather than through the pipeline so
-         the arm can count how many checkpoints bounded replay. *)
-      Engine.spawn eng ~name:"checkpointer" (fun () ->
-          while !report = None do
-            Engine.sleep 150;
-            if !report = None then begin
-              Reorg.Ctx.checkpoint ctx;
-              incr ckpts
-            end
-          done);
-      Fun.protect ~finally:(fun () -> Pipeline.detach t) (fun () -> Engine.run eng);
-      Pipeline.stats t
-    end
-    else begin
-      Engine.run eng;
-      { Wal.Group_commit.batches = 0; coalesced = 0; max_batch = 0 }
-    end
+    match !pipe with
+    | Some t -> Pipeline.stats t
+    | None -> { Wal.Group_commit.batches = 0; coalesced = 0; max_batch = 0 }
   in
   Db.flush_all db;
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
@@ -84,7 +76,7 @@ let run_arm ~table ~pipelined ~seed ~n ~users () =
       Util.Table.num (Wal.Log.truncated_records db.Db.log);
       Util.Table.num dd.Pager.Disk.seq_writes; Util.Table.num dd.Pager.Disk.rand_writes;
       Util.Table.float ~digits:1 (Pager.Disk.io_cost dd);
-      Util.Table.num ustats.Workload.Mix.committed ];
+      Util.Table.num r.Scenario.users.Workload.Mix.committed ];
   (forced, dd)
 
 let run () =

@@ -28,9 +28,11 @@ let run () =
   Health.watch health ~name:"frag>0.30" ~signal:Health.Fragmentation ~op:`Gt
     ~threshold:0.30 ignore;
   let before = Health.stats health in
-  let _ctx, _report, _ustats =
-    Scenario.run_reorg ~registry ~tracer ~sampler ~sample_every:25 db
-  in
+  ignore
+    (Scenario.run_reorg
+       { Scenario.default with registry = Some registry; tracer = Some tracer;
+         sampler = Some sampler; sample_every = 25 }
+       db);
   let after = Health.stats health in
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   Btree.Invariant.check_consistent_with db.Db.tree ~expected;

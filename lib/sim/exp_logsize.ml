@@ -16,7 +16,7 @@ let measure ~careful ~swap_pass =
       shrink_pass = false;
     }
   in
-  let ctx, r, _ = Scenario.run_reorg ~config db in
+  let { Scenario.ctx; report = r; _ } = Scenario.run_reorg { Scenario.default with config } db in
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   Btree.Invariant.check_consistent_with db.Db.tree ~expected;
   (ctx.Reorg.Ctx.metrics, r)

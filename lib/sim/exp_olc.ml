@@ -29,8 +29,6 @@ let mix_into d v = d := ((!d * 31) + Hashtbl.hash v) land 0x3FFFFFFF
 
 let run_arm ~table ~use_olc ~seed ~n ~readers ~reads_per_reader () =
   let db, _ = Scenario.aged ~seed ~n ~f1:0.3 () in
-  Access.set_olc db.Db.access
-    ~max_retries:Reorg.Config.default.Reorg.Config.olc_max_retries use_olc;
   let olc = Btree.Tree.olc db.Db.tree in
   (* Snapshot after the build: the arms compare only the concurrent phase,
      not the identical initial load. *)
@@ -40,61 +38,59 @@ let run_arm ~table ~use_olc ~seed ~n ~readers ~reads_per_reader () =
   let rt0 = Btree.Olc.retries olc in
   let fb0 = Btree.Olc.fallbacks olc in
   let vb0 = Btree.Olc.version_bumps olc in
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
-  let eng = Engine.create () in
-  Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
-  Db.set_tracers db ctx.Reorg.Ctx.tracer;
-  let report = ref None in
-  Engine.spawn eng ~name:"reorganizer" (fun () -> report := Some (Reorg.Driver.run ctx));
   let reads = ref 0 and scans = ref 0 and digest = ref 0 in
-  for u = 0 to readers - 1 do
-    Engine.spawn eng
-      ~name:(Printf.sprintf "reader-%d" u)
-      (fun () ->
-        let rng = Util.Rng.create (seed + 1 + (u * 7919)) in
-        let d = ref 0 in
-        (* The workload is read-only, so every key's answer is fixed for
-           the whole run: a deadlock-victim restart re-reads the same
-           value, and the digests stay arm-identical. *)
-        let rec with_read_txn f =
-          let txn = Txn_mgr.fresh_owner db.Db.mgr in
-          match f txn with
-          | v ->
-            Txn_mgr.finish_read_only db.Db.mgr txn;
-            v
-          | exception Transact.Lock_client.Deadlock_victim ->
-            Txn_mgr.finish_read_only db.Db.mgr txn;
-            Engine.sleep 1;
-            with_read_txn f
-        in
-        for i = 1 to reads_per_reader do
-          (* Every 16th operation is a range scan over the side-pointer
-             chain; the rng draw happens before the branch so the key
-             stream is one fixed lattice. *)
-          if i mod 16 = 0 then begin
-            let lo = 2 * Util.Rng.int rng n in
-            let recs =
-              with_read_txn (fun txn ->
-                  Access.range_read db.Db.access ~txn ~lo ~hi:(lo + 64))
-            in
-            incr scans;
-            mix_into d
-              (lo, List.map (fun r -> (r.Btree.Leaf.key, r.Btree.Leaf.payload)) recs)
-          end
-          else begin
-            let k = 2 * Util.Rng.int rng n in
-            let res = with_read_txn (fun txn -> Access.read db.Db.access ~txn k) in
-            incr reads;
-            mix_into d (k, res)
-          end;
-          Engine.sleep 1
-        done;
-        digest := !digest lxor !d)
-  done;
-  Engine.run eng;
-  (match !report with
-  | Some _ -> ()
-  | None -> failwith "Exp_olc.run_arm: reorganizer did not finish");
+  let spawn_readers eng _ctx ~stop:_ =
+    for u = 0 to readers - 1 do
+      Engine.spawn eng
+        ~name:(Printf.sprintf "reader-%d" u)
+        (fun () ->
+          let rng = Util.Rng.create (seed + 1 + (u * 7919)) in
+          let d = ref 0 in
+          (* The workload is read-only, so every key's answer is fixed for
+             the whole run: a deadlock-victim restart re-reads the same
+             value, and the digests stay arm-identical. *)
+          let rec with_read_txn f =
+            let txn = Txn_mgr.fresh_owner db.Db.mgr in
+            match f txn with
+            | v ->
+              Txn_mgr.finish_read_only db.Db.mgr txn;
+              v
+            | exception Transact.Lock_client.Deadlock_victim ->
+              Txn_mgr.finish_read_only db.Db.mgr txn;
+              Engine.sleep 1;
+              with_read_txn f
+          in
+          for i = 1 to reads_per_reader do
+            (* Every 16th operation is a range scan over the side-pointer
+               chain; the rng draw happens before the branch so the key
+               stream is one fixed lattice. *)
+            if i mod 16 = 0 then begin
+              let lo = 2 * Util.Rng.int rng n in
+              let recs =
+                with_read_txn (fun txn ->
+                    Access.range_read db.Db.access ~txn ~lo ~hi:(lo + 64))
+              in
+              incr scans;
+              mix_into d
+                (lo, List.map (fun r -> (r.Btree.Leaf.key, r.Btree.Leaf.payload)) recs)
+            end
+            else begin
+              let k = 2 * Util.Rng.int rng n in
+              let res = with_read_txn (fun txn -> Access.read db.Db.access ~txn k) in
+              incr reads;
+              mix_into d (k, res)
+            end;
+            Engine.sleep 1
+          done;
+          digest := !digest lxor !d)
+    done
+  in
+  let r =
+    Scenario.run_reorg
+      { Scenario.default with config = { Reorg.Config.default with olc = use_olc };
+        hook = spawn_readers }
+      db
+  in
   Db.flush_all db;
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   let s1, _, _ = Lock_mgr.mode_tally db.Db.locks Mode.S in
@@ -107,7 +103,7 @@ let run_arm ~table ~use_olc ~seed ~n ~readers ~reads_per_reader () =
       num s_acquires; num acquires;
       num (Btree.Olc.reads olc - or0); num (Btree.Olc.retries olc - rt0);
       num (Btree.Olc.fallbacks olc - fb0); num (Btree.Olc.version_bumps olc - vb0);
-      num (l1.Lock_mgr.instant_checks - l0.Lock_mgr.instant_checks); num (Engine.now eng) ];
+      num (l1.Lock_mgr.instant_checks - l0.Lock_mgr.instant_checks); num r.Scenario.ticks ];
   (!digest, s_acquires, acquires)
 
 let run () =

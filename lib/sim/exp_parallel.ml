@@ -7,32 +7,21 @@
    time shrinks; total work (units) stays the same, and concurrent readers
    keep reading throughout. *)
 
-module Engine = Sched.Engine
-
 let run_one ~workers =
   let db, expected = Scenario.aged ~seed:71 ~n:2500 ~f1:0.25 () in
-  let config =
-    { Reorg.Config.default with io_pacing = 4; swap_pass = false; shrink_pass = false }
+  let { Scenario.ctx; users; reorg_ticks; _ } =
+    Scenario.run_reorg
+      { Scenario.default with
+        config =
+          { Reorg.Config.default with io_pacing = 4; swap_pass = false; shrink_pass = false };
+        pass1_workers = workers; users = 4; user_mix = Workload.Mix.read_only;
+        user_ops = 100_000; user_key_space = Some 2500; seed = 5 }
+      db
   in
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config () in
-  let eng = Engine.create () in
-  let finished = ref false in
-  let elapsed = ref 0 in
-  Engine.spawn eng (fun () ->
-      let t0 = Engine.current_time () in
-      ignore (Reorg.Driver.run ~pass1_workers:workers ctx);
-      elapsed := Engine.current_time () - t0;
-      finished := true);
-  let stats =
-    Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:5 ~users:4 ~ops_per_user:100_000
-      ~key_space:2500
-      ~stop:(fun () -> !finished)
-      ~mix:Workload.Mix.read_only ()
-  in
-  Engine.run eng;
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   Btree.Invariant.check_consistent_with db.Db.tree ~expected;
-  (!elapsed, (Reorg.Metrics.units ctx.Reorg.Ctx.metrics), stats)
+  (* The reorganizer is the run's first process: it starts at tick 1. *)
+  (reorg_ticks - 1, Reorg.Metrics.units ctx.Reorg.Ctx.metrics, users)
 
 let run () =
   let table =

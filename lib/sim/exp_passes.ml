@@ -72,7 +72,7 @@ let run_figure2 () =
   List.iter
     (fun f1 ->
       let db, _ = Scenario.aged ~seed:23 ~n:2000 ~f1 () in
-      let ctx, r, _ = Scenario.run_reorg db in
+      let { Scenario.ctx; report = r; _ } = Scenario.run_reorg Scenario.default db in
       let m = ctx.Reorg.Ctx.metrics in
       let d =
         if (Reorg.Metrics.units m) = 0 then 0.0

@@ -27,7 +27,9 @@ let run ?(n = 2500) () =
             let config =
               { Reorg.Config.default with heuristic; careful_writing = false; shrink_pass = false }
             in
-            let ctx, r, _ = Scenario.run_reorg ~config db in
+            let { Scenario.ctx; report = r; _ } =
+              Scenario.run_reorg { Scenario.default with config } db
+            in
             Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
             Btree.Invariant.check_consistent_with db.Db.tree ~expected;
             (name, r, (Reorg.Metrics.log_bytes ctx.Reorg.Ctx.metrics)))

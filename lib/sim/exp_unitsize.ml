@@ -7,28 +7,18 @@
    concurrent updaters and measure exactly that: user blocked time and
    give-ups versus reorganization efficiency. *)
 
-module Engine = Sched.Engine
-
 let run_one ~unit_pages =
   let db, expected = Scenario.aged ~seed:59 ~n:1500 ~f1:0.25 () in
-  let config = { Reorg.Config.default with unit_pages; shrink_pass = false } in
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config () in
-  let eng = Engine.create () in
-  let finished = ref false in
-  Engine.spawn eng (fun () ->
-      ignore (Reorg.Driver.run ctx);
-      finished := true);
   (* Split-heavy, clustered updates: the envelope's extended base-lock hold
      is felt by updaters needing the base page (splits / free-at-empty). *)
-  let mix = { Workload.Mix.update_heavy with insert_pct = 0.6; delete_pct = 0.2 } in
-  let stats =
-    Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:13 ~users:8 ~ops_per_user:100_000
-      ~key_space:400
-      ~stop:(fun () -> !finished)
-      ~mix ()
+  let r =
+    Scenario.run_reorg
+      { Scenario.default with
+        config = { Reorg.Config.default with unit_pages; shrink_pass = false }; users = 8;
+        user_mix = { Workload.Mix.update_heavy with insert_pct = 0.6; delete_pct = 0.2 };
+        user_ops = 100_000; user_key_space = Some 400; seed = 13 }
+      db
   in
-  let t0 = Engine.now eng in
-  Engine.run eng;
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   (* Original records must be readable unless a user deleted them. *)
   List.iter
@@ -37,7 +27,7 @@ let run_one ~unit_pages =
       | Some v' -> assert (v = v')
       | None -> ())
     expected;
-  (Engine.now eng - t0, ctx.Reorg.Ctx.metrics, stats)
+  (r.Scenario.ticks, r.Scenario.ctx.Reorg.Ctx.metrics, r.Scenario.users)
 
 let run () =
   let table =

@@ -52,12 +52,4 @@ let detach t =
     Journal.reset_commit_force t.db.Db.journal
   end
 
-let with_pipeline ?gc_every ?flush_every ?flush_limit ?ckpt_every ?ctx ~enabled eng db ~stop f
-    =
-  if not enabled then f ()
-  else begin
-    let t = attach ?gc_every ?flush_every ?flush_limit ?ckpt_every ?ctx eng db ~stop in
-    Fun.protect ~finally:(fun () -> detach t) f
-  end
-
 let stats t = Group_commit.stats t.gc

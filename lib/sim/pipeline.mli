@@ -38,20 +38,4 @@ val detach : t -> unit
     parked (a crash inside the window killed the engine) are abandoned,
     which is correct: their commits were never acknowledged. *)
 
-val with_pipeline :
-  ?gc_every:int ->
-  ?flush_every:int ->
-  ?flush_limit:int ->
-  ?ckpt_every:int ->
-  ?ctx:Reorg.Ctx.t ->
-  enabled:bool ->
-  Sched.Engine.t ->
-  Db.t ->
-  stop:(unit -> bool) ->
-  (unit -> 'a) ->
-  'a
-(** [with_pipeline ~enabled eng db ~stop f]: run [f] with the pipeline
-    attached when [enabled] (detached again on any exit, including a
-    simulated crash propagating out of the engine); just [f ()] otherwise. *)
-
 val stats : t -> Wal.Group_commit.stats

@@ -61,54 +61,91 @@ let arm_olc ?prot ~config db =
     | true, Some p -> Some (fun ~leaf ~key ~valid -> p (Reorg.Prot.Olc_read { leaf; key; valid }))
     | _ -> None)
 
-let run_reorg ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?(users = 0)
-    ?(user_mix = Workload.Mix.read_mostly) ?(user_ops = 10_000) ?user_key_space ?(seed = 1) ?sampler
-    ?(sample_every = 25) db =
+let trace_run eng tracer stores =
+  Engine.set_tracer eng tracer;
+  Array.iter (fun st -> Db.set_tracers st tracer) stores
+
+type run = {
+  registry : Obs.Registry.t option;
+  tracer : Obs.Trace.t option;
+  checker : Model.Checker.t option;
+  config : Reorg.Config.t;
+  pass1_workers : int;
+  users : int;
+  user_mix : Workload.Mix.mix;
+  user_ops : int;
+  user_key_space : int option;
+  seed : int;
+  sampler : Obs.Health.Sampler.t option;
+  sample_every : int;
+  hook : Engine.t -> Reorg.Ctx.t -> stop:(unit -> bool) -> unit;
+}
+
+let default =
+  { registry = None; tracer = None; checker = None; config = Reorg.Config.default;
+    pass1_workers = 1; users = 0; user_mix = Workload.Mix.read_mostly; user_ops = 10_000;
+    user_key_space = None; seed = 1; sampler = None; sample_every = 25;
+    hook = (fun _ _ ~stop:_ -> ()) }
+
+type result = {
+  ctx : Reorg.Ctx.t;
+  report : Reorg.Driver.report;
+  users : Workload.Mix.stats;
+  reorg_ticks : int;
+  ticks : int;
+}
+
+let run_reorg (r : run) db =
   let prot =
-    match checker with
+    match r.checker with
     | Some c ->
       Model.Checker.attach_locks c ~shard:0 db.Db.locks;
       Some (Model.Checker.prot_hook c ~shard:0)
     | None -> None
   in
-  arm_olc ?prot ~config db;
-  let ctx = Reorg.Ctx.make ?registry ?tracer ?prot ~access:db.Db.access ~config () in
+  arm_olc ?prot ~config:r.config db;
+  let ctx =
+    Reorg.Ctx.make ?registry:r.registry ?tracer:r.tracer ?prot ~access:db.Db.access
+      ~config:r.config ()
+  in
   let eng = Engine.create () in
-  Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
-  Db.set_tracers db ctx.Reorg.Ctx.tracer;
-  (match registry with
+  trace_run eng ctx.Reorg.Ctx.tracer [| db |];
+  (match r.registry with
   | Some reg ->
     Engine.register_obs eng reg;
     Db.register_obs db reg
   | None -> ());
-  let report = ref None in
+  let report = ref None and reorg_ticks = ref 0 in
+  let stop () = !report <> None in
   (* The sampler is its own scheduler process on the engine's logical
      clock: it snapshots immediately, then every [sample_every] ticks, and
      takes one final sample after the reorganizer reports — so the series
      always shows the recovered end state. *)
-  (match sampler with
+  (match r.sampler with
   | Some s ->
     Obs.Health.Sampler.set_clock s (fun () -> Engine.now eng);
     Engine.spawn eng ~name:"sampler" (fun () ->
         let rec loop () =
           ignore (Obs.Health.Sampler.sample s : Obs.Health.Sampler.snapshot);
-          if !report = None then begin
-            Engine.sleep (max 1 sample_every);
+          if not (stop ()) then begin
+            Engine.sleep (max 1 r.sample_every);
             loop ()
           end
         in
         loop ())
   | None -> ());
-  Engine.spawn eng ~name:"reorganizer" (fun () -> report := Some (Reorg.Driver.run ctx));
-  let ustats =
-    if users > 0 then
-      Workload.Mix.spawn_users eng ~access:db.Db.access ~seed ~users ~ops_per_user:user_ops
-        ?key_space:user_key_space
-        ~stop:(fun () -> !report <> None)
-        ~mix:user_mix ()
+  Engine.spawn eng ~name:"reorganizer" (fun () ->
+      let rep = Reorg.Driver.run ~pass1_workers:r.pass1_workers ctx in
+      reorg_ticks := Engine.current_time ();
+      report := Some rep);
+  let users =
+    if r.users > 0 then
+      Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:r.seed ~users:r.users
+        ~ops_per_user:r.user_ops ?key_space:r.user_key_space ~stop ~mix:r.user_mix ()
     else Workload.Mix.create_stats ()
   in
+  r.hook eng ctx ~stop;
   Engine.run eng;
   match !report with
-  | Some r -> (ctx, r, ustats)
+  | Some report -> { ctx; report; users; reorg_ticks = !reorg_ticks; ticks = Engine.now eng }
   | None -> failwith "Scenario.run_reorg: reorganizer did not finish"

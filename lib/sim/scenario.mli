@@ -43,33 +43,44 @@ val arm_olc : ?prot:(Reorg.Prot.event -> unit) -> config:Reorg.Config.t -> Db.t 
     [prot] with its oracle verdict ({!Reorg.Prot.Olc_read}), which is how the
     olc conformance machine sees it. *)
 
-val run_reorg :
-  ?registry:Obs.Registry.t ->
-  ?tracer:Obs.Trace.t ->
-  ?checker:Model.Checker.t ->
-  ?config:Reorg.Config.t ->
-  ?users:int ->
-  ?user_mix:Workload.Mix.mix ->
-  ?user_ops:int ->
-  ?user_key_space:int ->
-  ?seed:int ->
-  ?sampler:Obs.Health.Sampler.t ->
-  ?sample_every:int ->
-  Db.t ->
-  Reorg.Ctx.t * Reorg.Driver.report * Workload.Mix.stats
-(** Run the full reorganization inside a fresh scheduler, optionally with
-    concurrent users (they stop when the reorganizer finishes or after
-    [user_ops], default 10_000 each).  [checker] attaches the protocol-model
-    conformance checker to the lock manager and the reorganization context
-    (the caller finalizes and inspects it afterwards).  [config.olc] turns
-    the optimistic read path on for the user processes ({!arm_olc}).
+val trace_run : Sched.Engine.t -> Obs.Trace.t option -> Db.t array -> unit
+(** Point one run's tracing at one trace: the engine's logical clock and
+    per-process rows, and every store's lock, pager and WAL spans. *)
 
-    [registry] collects every subsystem's
-    counters (scheduler, locks, pager, WAL, reorganizer); [tracer] records
-    the run as spans/instants on per-process timeline rows, with its clock
-    driven by the scheduler's logical time.
+type run = {
+  registry : Obs.Registry.t option;  (** every subsystem's counters *)
+  tracer : Obs.Trace.t option;  (** spans on per-process rows, in logical time *)
+  checker : Model.Checker.t option;
+      (** attached to the lock manager and the context; the caller finalizes it *)
+  config : Reorg.Config.t;  (** [config.olc] arms the users' optimistic path ({!arm_olc}) *)
+  pass1_workers : int;
+  users : int;  (** {!Workload.Mix} users, stopped when the reorganizer reports *)
+  user_mix : Workload.Mix.mix;
+  user_ops : int;  (** per user, at most *)
+  user_key_space : int option;
+  seed : int;  (** the users' seed *)
+  sampler : Obs.Health.Sampler.t option;
+      (** snapshots at tick 0, every [sample_every] ticks, and once after the report *)
+  sample_every : int;
+  hook : Sched.Engine.t -> Reorg.Ctx.t -> stop:(unit -> bool) -> unit;
+      (** spawns extra processes; [stop ()] turns true when the reorganizer reports *)
+}
 
-    [sampler] spawns a sampling process on the same engine: its clock is
-    pointed at the engine, it snapshots at tick 0 and then every
-    [sample_every] ticks (default 25), plus one final snapshot after the
-    reorganizer reports — deterministic health time series for free. *)
+val default : run
+(** Nothing observed or checked, {!Reorg.Config.default}, one pass-1 worker,
+    no users (else [read_mostly], 10_000 ops, seed 1), sampling every 25
+    ticks, a hook that spawns nothing. *)
+
+type result = {
+  ctx : Reorg.Ctx.t;
+  report : Reorg.Driver.report;
+  users : Workload.Mix.stats;
+  reorg_ticks : int;  (** the tick at which {!Reorg.Driver.run} returned *)
+  ticks : int;  (** the engine's clock after the run *)
+}
+
+val run_reorg : run -> Db.t -> result
+(** The reorganization harness: the full reorganization of [db] on a fresh
+    engine, wired through {!trace_run}, beside the run's users and hook.
+    Spawn order: the sampler, the ["reorganizer"], the users, then the
+    hook's processes.  Fails if the reorganizer did not finish. *)

@@ -126,8 +126,7 @@ let reorg_parallel ?registry ?tracer ?(config = Reorg.Config.default) t =
   for i = 0 to n - 1 do
     let ctx = shard_ctx ?registry ?tracer ~config t i in
     let eng = Engine.create () in
-    Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
-    Store.set_tracers t.stores.(i) ctx.Reorg.Ctx.tracer;
+    Scenario.trace_run eng ctx.Reorg.Ctx.tracer [| t.stores.(i) |];
     (match shard_registry registry i with
     | Some reg -> Engine.register_obs eng reg
     | None -> ());
@@ -152,7 +151,7 @@ let reorg_with_users ?registry ?tracer ?(config = Reorg.Config.default)
   let done_ = ref 0 in
   let eng = Engine.create () in
   (match registry with Some reg -> Engine.register_obs eng reg | None -> ());
-  (match tracer with Some _ as tr -> Engine.set_tracer eng tr | None -> ());
+  Scenario.trace_run eng tracer t.stores;
   for i = 0 to n - 1 do
     let ctx = shard_ctx ?registry ?tracer ~config t i in
     Engine.spawn eng ~name:(Printf.sprintf "reorganizer-%d" i) (fun () ->

@@ -101,10 +101,10 @@ let verify (stores : Store.t array) exp =
 type instance = {
   stores : Store.t array;
   base : (int * string) list;
-  coord : Coordinator.t option;  (* its commit protocol joins the checker *)
-  drive : (int -> Reorg.Prot.event -> unit) option -> expectation -> unit;
-      (* the seeded workload to completion, then background writeback *)
-  restart : (int -> Reorg.Prot.event -> unit) option -> Reorg.Recovery.outcome list;
+  drive : Model.Checker.t option -> expectation -> unit;
+      (* attach the checker, run the seeded workload to completion, then
+         background writeback *)
+  restart : Model.Checker.t option -> Reorg.Recovery.outcome list;
       (* crash the machine, recover every store, finish the reorganizations *)
 }
 
@@ -127,21 +127,11 @@ let sweep ?registry ?checker ~seed ~stride ~(build : Pager.Fault.t -> instance) 
       (* The conformance checker judges every cycle, the crashed ones too:
          [crash] drops the volatile model state exactly when the engine
          loses its own, and recovery's events rebuild the surviving tracks. *)
-      let prot =
-        Option.map
-          (fun c ->
-            Model.Checker.cycle c label;
-            Array.iteri
-              (fun i (st : Store.t) -> Model.Checker.attach_locks c ~shard:i st.Store.locks)
-              inst.stores;
-            Option.iter (Model.Checker.attach_coordinator c) inst.coord;
-            fun i -> Model.Checker.prot_hook c ~shard:i)
-          checker
-      in
+      Option.iter (fun c -> Model.Checker.cycle c label) checker;
       Pager.Fault.arm faults plan;
       let crashed =
         try
-          inst.drive prot exp;
+          inst.drive checker exp;
           Pager.Fault.disarm faults;
           false
         with Pager.Fault.Crash -> true
@@ -152,7 +142,7 @@ let sweep ?registry ?checker ~seed ~stride ~(build : Pager.Fault.t -> instance) 
           (fun (o : Reorg.Recovery.outcome) ->
             units_finished := !units_finished + o.Reorg.Recovery.units_finished;
             torn_repaired := !torn_repaired + o.Reorg.Recovery.torn_pages)
-          (inst.restart prot)
+          (inst.restart checker)
       end
       else incr survivors;
       acked_txns := !acked_txns + List.length exp.acked;
@@ -236,61 +226,62 @@ let run ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?(leaf_pages
        exact.  [attempted] is recorded before the insert is attempted,
        [acked] only once commit returned — a crash in between leaves the key
        in the "may or may not survive" set. *)
-    let drive prot exp =
-      let prot = Option.map (fun f -> f 0) prot in
+    let drive checker exp =
+      let pipe = ref None in
+      let hook eng ctx ~stop =
+        for u = 0 to users - 1 do
+          Engine.spawn eng ~name:(Printf.sprintf "user-%d" u) (fun () ->
+              let rng = Util.Rng.create (seed + (101 * u) + 17) in
+              while not (stop ()) do
+                let key = (2 * ((users * Util.Rng.int rng 100_000) + u)) + 1 in
+                if not (Hashtbl.mem exp.attempted key) then begin
+                  let payload = Db.payload_for key in
+                  Hashtbl.replace exp.attempted key payload;
+                  let tx = Txn_mgr.begin_txn db.Db.mgr in
+                  (try
+                     Btree.Access.insert db.Db.access ~txn:tx ~key ~payload;
+                     Txn_mgr.commit db.Db.mgr tx;
+                     exp.acked <- [ (key, payload) ] :: exp.acked
+                   with Transact.Lock_client.Deadlock_victim -> Txn_mgr.abort db.Db.mgr tx);
+                  (* Under olc, read the key straight back without locks: the
+                     optimistic descent races the reorganizer's units and the
+                     crash plan alike. *)
+                  if olc then begin
+                    let rt = Txn_mgr.fresh_owner db.Db.mgr in
+                    (try ignore (Btree.Access.read db.Db.access ~txn:rt key : string option)
+                     with Transact.Lock_client.Deadlock_victim -> ());
+                    Txn_mgr.finish_read_only db.Db.mgr rt
+                  end
+                end;
+                Engine.sleep 3
+              done)
+        done;
+        (* With the pipeline on, crash boundaries move INSIDE group-commit
+           windows and elevator sweeps, and fuzzy checkpoints truncate the
+           log mid-workload — the sweep then proves recovery across all of
+           it. *)
+        if pipeline then pipe := Some (Pipeline.attach ~ckpt_every:40 ~ctx eng db ~stop);
+        (* The sweep's registry accumulates across cycles: only the
+           reorganizer's counters join it, not the gauges of this cycle's
+           fresh engine and store. *)
+        Option.iter (Reorg.Metrics.register_obs ctx.Reorg.Ctx.metrics) registry
+      in
       (* Each cycle builds a fresh store, so the optimistic path (and, with
-         a checker, its oracle probe) is re-armed here; crashes then land
-         inside optimistic descents and the epoch invalidation must hold. *)
-      Scenario.arm_olc ?prot ~config db;
-      let ctx = Reorg.Ctx.make ?registry ?tracer ?prot ~access:db.Db.access ~config () in
-      let eng = Engine.create () in
-      Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
-      Db.set_tracers db ctx.Reorg.Ctx.tracer;
-      let finished = ref false in
-      Engine.spawn eng ~name:"reorganizer" (fun () ->
-          ignore (Reorg.Driver.run ctx);
-          finished := true);
-      for u = 0 to users - 1 do
-        Engine.spawn eng ~name:(Printf.sprintf "user-%d" u) (fun () ->
-            let rng = Util.Rng.create (seed + (101 * u) + 17) in
-            while not !finished do
-              let key = (2 * ((users * Util.Rng.int rng 100_000) + u)) + 1 in
-              if not (Hashtbl.mem exp.attempted key) then begin
-                let payload = Db.payload_for key in
-                Hashtbl.replace exp.attempted key payload;
-                let tx = Txn_mgr.begin_txn db.Db.mgr in
-                (try
-                   Btree.Access.insert db.Db.access ~txn:tx ~key ~payload;
-                   Txn_mgr.commit db.Db.mgr tx;
-                   exp.acked <- [ (key, payload) ] :: exp.acked
-                 with Transact.Lock_client.Deadlock_victim -> Txn_mgr.abort db.Db.mgr tx);
-                (* Under olc, read the key straight back without locks: the
-                   optimistic descent races the reorganizer's units and the
-                   crash plan alike. *)
-                if olc then begin
-                  let rt = Txn_mgr.fresh_owner db.Db.mgr in
-                  (try ignore (Btree.Access.read db.Db.access ~txn:rt key : string option)
-                   with Transact.Lock_client.Deadlock_victim -> ());
-                  Txn_mgr.finish_read_only db.Db.mgr rt
-                end
-              end;
-              Engine.sleep 3
-            done)
-      done;
-      (* With the pipeline on, crash boundaries move INSIDE group-commit
-         windows and elevator sweeps, and fuzzy checkpoints truncate the log
-         mid-workload — the sweep then proves recovery across all of it. *)
-      Pipeline.with_pipeline ~enabled:pipeline ~ckpt_every:40 ~ctx eng db
-        ~stop:(fun () -> !finished)
-        (fun () -> Engine.run eng);
+         a checker, its oracle probe) is re-armed by the harness; crashes
+         then land inside optimistic descents and the epoch invalidation
+         must hold. *)
+      Fun.protect
+        ~finally:(fun () -> Option.iter Pipeline.detach !pipe)
+        (fun () ->
+          ignore (Scenario.run_reorg { Scenario.default with tracer; checker; config; hook } db));
       (* Background writeback: these page writes are crash boundaries too. *)
       Db.flush_all db
     in
-    let restart prot =
+    let restart checker =
       Db.crash_now db;
       let ctx, outcome =
         Reorg.Recovery.restart ?registry ?tracer
-          ?prot:(Option.map (fun f -> f 0) prot)
+          ?prot:(Option.map (fun c -> Model.Checker.prot_hook c ~shard:0) checker)
           ~access:db.Db.access ~config ()
       in
       let eng = Engine.create () in
@@ -301,7 +292,7 @@ let run ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?(leaf_pages
       Db.flush_all db;
       [ outcome ]
     in
-    { stores = [| db |]; base; coord = None; drive; restart }
+    { stores = [| db |]; base; drive; restart }
   in
   sweep ?registry ?checker ~seed ~stride ~build ()
 
@@ -326,14 +317,21 @@ let run_sharded ?checker ?(n = 300) ?(shards = 3) ?(users = 3) ?(xspan = 2) ~see
        operation is one transaction inserting [xspan] odd keys in [xspan]
        distinct shards (when available), committed through the shard-ordered
        protocol. *)
-    let drive prot exp =
+    let drive checker exp =
+      Option.iter
+        (fun c ->
+          Array.iteri
+            (fun i (st : Store.t) -> Model.Checker.attach_locks c ~shard:i st.Store.locks)
+            t.Sharded.stores;
+          Model.Checker.attach_coordinator c t.Sharded.coord)
+        checker;
       let eng = Engine.create () in
       let done_ = ref 0 in
       Array.iteri
         (fun i (st : Store.t) ->
           let ctx =
             Reorg.Ctx.make
-              ?prot:(Option.map (fun f -> f i) prot)
+              ?prot:(Option.map (fun c -> Model.Checker.prot_hook c ~shard:i) checker)
               ~shard:(i, shards) ~access:st.Store.access ~config:Reorg.Config.default ()
           in
           Engine.spawn eng ~name:(Printf.sprintf "reorganizer-%d" i) (fun () ->
@@ -379,12 +377,15 @@ let run_sharded ?checker ?(n = 300) ?(shards = 3) ?(users = 3) ?(xspan = 2) ~see
       Engine.run eng;
       Sharded.flush_all t
     in
-    let restart prot =
+    let restart checker =
       Sharded.crash_now t;
-      let recovered = Sharded.recover ?prot t in
+      let recovered = Sharded.recover
+          ?prot:(Option.map (fun c i -> Model.Checker.prot_hook c ~shard:i) checker)
+          t
+      in
       Sharded.resume_after_recovery t recovered;
       Array.to_list (Array.map snd recovered)
     in
-    { stores = t.Sharded.stores; base; coord = Some t.Sharded.coord; drive; restart }
+    { stores = t.Sharded.stores; base; drive; restart }
   in
   sweep ?checker ~seed ~stride ~build ()

@@ -76,8 +76,8 @@ val run :
     [leaf_pages] leaf zone (default 512) with 512-byte pages, its full
     reorganization, and [users] writers (default 0) doing single-insert
     transactions.  Fully deterministic from the arguments.  [registry]
-    accumulates [fault.*], [recovery.*] and per-subsystem counters across
-    all cycles.  [pipeline:true] runs every cycle with the asynchronous
+    accumulates [fault.*] and [recovery.*] counters across all cycles, and
+    holds the last run's reorganizer counters ([core.*]).  [pipeline:true] runs every cycle with the asynchronous
     durability pipeline attached ({!Pipeline}) — crash boundaries then land
     inside group-commit windows and elevator sweeps, and fuzzy checkpoints
     truncate the WAL mid-workload.  With [config.olc] every user reads its

@@ -160,7 +160,7 @@ let prop_incremental_matches_brute_force seed () =
   check_agrees ~ctx:"after aged load" db;
   random_ops db rng ~ops:400 ~key_range:n;
   check_agrees ~ctx:"after random ops" db;
-  ignore (Sim.Scenario.run_reorg db);
+  ignore (Sim.Scenario.run_reorg Sim.Scenario.default db);
   check_agrees ~ctx:"after reorg" db;
   random_ops db rng ~ops:200 ~key_range:n;
   check_agrees ~ctx:"after post-reorg ops" db;
@@ -237,7 +237,10 @@ let sampled_run () =
   Health.watch db.Sim.Db.health ~name:"util<0.55" ~signal:Health.Utilization ~op:`Lt
     ~threshold:0.55 (fun f -> fires := f :: !fires);
   let before = Health.utilization db.Sim.Db.health in
-  ignore (Sim.Scenario.run_reorg ~tracer ~sampler ~sample_every:20 db);
+  ignore
+    (Sim.Scenario.run_reorg
+       { Sim.Scenario.default with tracer = Some tracer; sampler = Some sampler; sample_every = 20 }
+       db);
   (db, sampler, tracer, List.rev !fires, before)
 
 let test_watch_fires_into_trace () =

@@ -239,9 +239,11 @@ let victim_trace ~seed =
        | Lock_mgr.Ev_victim { owner; res; forced; _ } ->
          victims := (owner, Resource.to_string res, forced) :: !victims
        | _ -> ()));
-  let _ctx, _report, _ustats =
-    Sim.Scenario.run_reorg ~users:4 ~user_mix:Workload.Mix.update_heavy ~user_ops:300 ~seed db
-  in
+  ignore
+    (Sim.Scenario.run_reorg
+       { Sim.Scenario.default with users = 4; user_mix = Workload.Mix.update_heavy;
+         user_ops = 300; seed }
+       db);
   let stats = Lock_mgr.stats db.Sim.Db.locks in
   (List.rev !victims, stats.Lock_mgr.give_ups, stats.Lock_mgr.deadlocks)
 

@@ -125,10 +125,13 @@ let traced_run () =
   let db, _ = Sim.Scenario.aged ~seed:11 ~n:600 ~f1:0.3 () in
   let registry = Obs.Registry.create () in
   let tracer = Obs.Trace.create () in
-  let ctx, _report, _ustats =
-    Sim.Scenario.run_reorg ~registry ~tracer ~users:4 ~user_mix:Workload.Mix.update_heavy db
+  let r =
+    Sim.Scenario.run_reorg
+      { Sim.Scenario.default with registry = Some registry; tracer = Some tracer; users = 4;
+        user_mix = Workload.Mix.update_heavy }
+      db
   in
-  (ctx, registry, tracer)
+  (r.Sim.Scenario.ctx, registry, tracer)
 
 let test_golden_trace_determinism () =
   let _, reg1, tr1 = traced_run () in
@@ -255,7 +258,10 @@ let sampled_health_run () =
       (Pager.Buffer_pool.stats db.Sim.Db.pool).Pager.Buffer_pool.s_flushes);
   Obs.Health.watch db.Sim.Db.health ~name:"util<0.55" ~signal:Obs.Health.Utilization
     ~op:`Lt ~threshold:0.55 (fun _ -> ());
-  ignore (Sim.Scenario.run_reorg ~tracer ~sampler ~sample_every:20 db);
+  ignore
+    (Sim.Scenario.run_reorg
+       { Sim.Scenario.default with tracer = Some tracer; sampler = Some sampler; sample_every = 20 }
+       db);
   (Obs.Health.Sampler.snapshots sampler, tracer)
 
 let test_sampler_golden_determinism () =

@@ -7,6 +7,7 @@ module Invariant = Btree.Invariant
 module Access = Btree.Access
 module Txn_mgr = Transact.Txn_mgr
 module Db = Sim.Db
+module Scenario = Sim.Scenario
 
 let payload = Db.payload_for
 
@@ -27,16 +28,6 @@ let sparse_db ?(page_size = 512) ?(n = 800) ?(survive = 0.34) ?(seed = 11) () =
   in
   (db, expected)
 
-let run_reorg ?(config = Reorg.Config.default) db =
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config () in
-  let eng = Engine.create () in
-  let report = ref None in
-  Engine.spawn eng (fun () -> report := Some (Reorg.Driver.run ctx));
-  Engine.run eng;
-  match !report with
-  | Some r -> (ctx, r)
-  | None -> Alcotest.fail "reorganizer did not finish"
-
 let check db = Invariant.check ~alloc:db.Db.alloc db.Db.tree
 
 (* ------------------------------------------------------------------ *)
@@ -45,7 +36,7 @@ let test_pass1_compacts () =
   let db, expected = sparse_db () in
   let before = Tree.stats db.Db.tree in
   let config = { Reorg.Config.default with swap_pass = false; shrink_pass = false } in
-  let _, r = run_reorg ~config db in
+  let { Scenario.report = r; _ } = Scenario.run_reorg { Scenario.default with config } db in
   check db;
   Invariant.check_consistent_with db.Db.tree ~expected;
   let after = Tree.stats db.Db.tree in
@@ -59,7 +50,7 @@ let test_pass1_compacts () =
 let test_full_driver () =
   let db, expected = sparse_db () in
   let before = Tree.stats db.Db.tree in
-  let ctx, r = run_reorg db in
+  let { Scenario.ctx; report = r; _ } = Scenario.run_reorg Scenario.default db in
   check db;
   Invariant.check_consistent_with db.Db.tree ~expected;
   let after = Tree.stats db.Db.tree in
@@ -77,7 +68,7 @@ let test_shrink_reduces_height () =
   (* A very sparse, very tall tree (tiny pages) must lose a level. *)
   let db, expected = sparse_db ~page_size:256 ~n:4000 ~survive:0.10 ~seed:3 () in
   let before = Tree.stats db.Db.tree in
-  let _, r = run_reorg db in
+  let { Scenario.report = r; _ } = Scenario.run_reorg Scenario.default db in
   check db;
   Invariant.check_consistent_with db.Db.tree ~expected;
   let after = Tree.stats db.Db.tree in
@@ -100,7 +91,7 @@ let test_heuristic_reduces_swaps () =
     let config =
       { Reorg.Config.default with heuristic; careful_writing = false; shrink_pass = false }
     in
-    let _, r = run_reorg ~config db in
+    let { Scenario.report = r; _ } = Scenario.run_reorg { Scenario.default with config } db in
     check db;
     Invariant.check_consistent_with db.Db.tree ~expected:records;
     r.Reorg.Driver.swaps
@@ -116,7 +107,7 @@ let test_careful_writing_smaller_log () =
   let log_bytes careful =
     let db, _ = sparse_db ~seed:5 () in
     let config = { Reorg.Config.default with careful_writing = careful; shrink_pass = false } in
-    let ctx, _ = run_reorg ~config db in
+    let { Scenario.ctx; _ } = Scenario.run_reorg { Scenario.default with config } db in
     check db;
     (Reorg.Metrics.log_bytes ctx.Reorg.Ctx.metrics)
   in
@@ -296,12 +287,9 @@ let test_parallel_pass1 () =
     (fun workers ->
       let db, expected = sparse_db ~n:800 ~seed:(workers * 3) () in
       let before = Tree.stats db.Db.tree in
-      let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
-      let eng = Engine.create () in
-      let report = ref None in
-      Engine.spawn eng (fun () -> report := Some (Reorg.Driver.run ~pass1_workers:workers ctx));
-      Engine.run eng;
-      let r = Option.get !report in
+      let { Scenario.report = r; _ } =
+        Scenario.run_reorg { Scenario.default with pass1_workers = workers } db
+      in
       check db;
       Invariant.check_consistent_with db.Db.tree ~expected;
       let after = Tree.stats db.Db.tree in
@@ -318,19 +306,12 @@ let test_parallel_pass1 () =
 let test_parallel_with_users_and_pacing () =
   let db, _ = sparse_db ~n:800 () in
   let config = { Reorg.Config.default with io_pacing = 3 } in
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config () in
-  let eng = Engine.create () in
-  let finished = ref false in
-  Engine.spawn eng (fun () ->
-      ignore (Reorg.Driver.run ~pass1_workers:4 ctx);
-      finished := true);
-  let stats =
-    Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:9 ~users:6 ~ops_per_user:10_000
-      ~key_space:800
-      ~stop:(fun () -> !finished)
-      ~mix:Workload.Mix.read_mostly ()
+  let { Scenario.users = stats; _ } =
+    Scenario.run_reorg
+      { Scenario.default with config; pass1_workers = 4; users = 6; user_key_space = Some 800;
+        seed = 9 }
+      db
   in
-  Engine.run eng;
   Alcotest.(check bool) "users progressed" true (stats.Workload.Mix.committed > 0);
   check db
 
@@ -413,8 +394,10 @@ let test_leaf_order_is_chain_order () =
 (* Writers split and empty leaves while pass 2 plans from its cursor. *)
 let test_leaf_order_with_writers () =
   let db, _ = Sim.Scenario.aged ~seed:4 ~n:2000 ~f1:0.3 () in
-  let ctx, _, users =
-    Sim.Scenario.run_reorg ~users:4 ~user_mix:Workload.Mix.update_heavy ~seed:4 db
+  let { Scenario.ctx; users; _ } =
+    Scenario.run_reorg
+      { Scenario.default with users = 4; user_mix = Workload.Mix.update_heavy; seed = 4 }
+      db
   in
   Alcotest.(check bool) "users inserted and deleted" true
     (users.Workload.Mix.inserts > 0 && users.Workload.Mix.deletes > 0);

@@ -239,6 +239,30 @@ let test_prefixed_registry () =
   Alcotest.(check (option int)) "prefixes accumulate" (Some 1)
     (Obs.Registry.value root "shard1.pool.hits")
 
+(* A traced sharded run with users records every store's lock, pager and
+   WAL events, not only the engine's and the reorganizers'. *)
+let test_sharded_trace_covers_stores () =
+  let t, _ = Sim.Sharded.thinned ~seed:3 ~n:1200 ~survive:0.35 ~shards:3 () in
+  let tracer = Obs.Trace.create () in
+  ignore
+    (Sim.Sharded.reorg_with_users ~tracer ~users:4 ~seed:4 ~key_space:2400 t
+      : Sim.Sharded.reorg_outcome * Workload.Mix.stats);
+  let json = Obs.Trace.to_chrome_json tracer in
+  let count cat =
+    let pat = Printf.sprintf "\"cat\":\"%s\"" cat in
+    let len = String.length pat in
+    let n = ref 0 in
+    for i = 0 to String.length json - len do
+      if String.sub json i len = pat then incr n
+    done;
+    !n
+  in
+  List.iter
+    (fun cat ->
+      Alcotest.(check bool) (Printf.sprintf "%s events recorded (%d)" cat (count cat)) true
+        (count cat > 0))
+    [ "lock"; "pager"; "wal" ]
+
 (* ------------------------------------------------------------------ *)
 (* Crash/recovery: acked cross-shard txns are all-or-nothing           *)
 (* ------------------------------------------------------------------ *)
@@ -315,6 +339,8 @@ let () =
             test_cross_shard_deadlock_detected;
           Alcotest.test_case "prefixed registries namespace metrics" `Quick
             test_prefixed_registry;
+          Alcotest.test_case "sharded trace covers every store" `Quick
+            test_sharded_trace_covers_stores;
         ] );
       ( "atomicity",
         [

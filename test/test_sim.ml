@@ -42,9 +42,38 @@ let test_scenarios_valid () =
 
 let test_run_reorg_with_users_helper () =
   let db, expected = Scenario.aged ~seed:5 ~n:500 ~f1:0.3 () in
-  let _ctx, report, stats = Scenario.run_reorg ~users:4 db in
+  (* A hook process records what [stop] says at every tick it runs. *)
+  let seen = ref [] in
+  let watch eng _ctx ~stop =
+    Engine.spawn eng ~name:"watcher" (fun () ->
+        let rec loop () =
+          let now = Engine.current_time () and stopped = stop () in
+          seen := (now, stopped) :: !seen;
+          if not stopped then begin
+            Engine.yield ();
+            loop ()
+          end
+        in
+        loop ())
+  in
+  let { Scenario.report; users = stats; reorg_ticks; ticks; _ } =
+    Scenario.run_reorg { Scenario.default with users = 4; hook = watch } db
+  in
   Alcotest.(check bool) "switched" true report.Reorg.Driver.switched;
   Alcotest.(check bool) "users ran" true (stats.Workload.Mix.committed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "reorg_ticks %d <= ticks %d" reorg_ticks ticks)
+    true
+    (0 < reorg_ticks && reorg_ticks <= ticks);
+  (* The reorganizer reports in its dispatch at [reorg_ticks]: every earlier
+     tick sees [stop ()] false, every later one true. *)
+  Alcotest.(check bool) "hook ran before the report" true
+    (List.exists (fun (t, _) -> t < reorg_ticks) !seen);
+  Alcotest.(check bool) "hook saw the report" true (List.exists snd !seen);
+  List.iter
+    (fun (t, stopped) ->
+      Alcotest.(check bool) (Printf.sprintf "stop () at tick %d" t) (t > reorg_ticks) stopped)
+    !seen;
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   (* Users only read in read_mostly... they also insert/delete; just check
      the original records that users could not have touched (odd inserts,
@@ -55,7 +84,18 @@ let test_run_reorg_with_users_helper () =
       match Tree.search db.Db.tree k with
       | Some v' -> Alcotest.(check string) "payload intact" v v'
       | None -> () (* deleted by a user *))
-    expected
+    expected;
+  (* Parallel pass 1 beside read-only users keeps every record. *)
+  let db, expected = Scenario.aged ~seed:6 ~n:800 ~f1:0.3 () in
+  let { Scenario.users = stats; _ } =
+    Scenario.run_reorg
+      { Scenario.default with pass1_workers = 4; users = 3; user_mix = Workload.Mix.read_only;
+        user_key_space = Some 1600 }
+      db
+  in
+  Alcotest.(check bool) "readers ran" true (stats.Workload.Mix.committed > 0);
+  Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
+  Btree.Invariant.check_consistent_with db.Db.tree ~expected
 
 let test_lock_table_experiment () =
   let _table, ok = Sim.Exp_lock_table.run () in
@@ -93,7 +133,9 @@ let test_soak_large_tree () =
   (* A larger end-to-end run: 10k records, full three passes with users. *)
   let db, _ = Scenario.aged ~seed:101 ~n:10_000 ~f1:0.3 ~leaf_pages:8192 () in
   let before = Tree.stats db.Db.tree in
-  let _ctx, report, stats = Scenario.run_reorg ~users:6 db in
+  let { Scenario.report; users = stats; _ } =
+    Scenario.run_reorg { Scenario.default with users = 6 } db
+  in
   let after = Tree.stats db.Db.tree in
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   Alcotest.(check bool) "switched" true report.Reorg.Driver.switched;
@@ -109,7 +151,7 @@ let test_probe_collects_totals () =
   let (), s =
     Sim.Probe.with_collector (fun () ->
         let db, _ = Scenario.aged ~seed:11 ~n:300 ~f1:0.3 () in
-        let _ctx, report, _ = Scenario.run_reorg ~users:2 db in
+        let { Scenario.report; _ } = Scenario.run_reorg { Scenario.default with users = 2 } db in
         Alcotest.(check bool) "switched" true report.Reorg.Driver.switched)
   in
   Alcotest.(check bool) "engines tracked" true (s.Sim.Probe.engines >= 1);
@@ -131,7 +173,9 @@ let test_catchup_batches_metric () =
      be recorded, and entries-per-batch never exceeds the configured size. *)
   let db, _ = Scenario.aged ~seed:21 ~n:800 ~f1:0.3 () in
   let config = { Reorg.Config.default with Reorg.Config.catchup_batch = 4 } in
-  let ctx, report, _ = Scenario.run_reorg ~config ~users:4 db in
+  let { Scenario.ctx; report; _ } =
+    Scenario.run_reorg { Scenario.default with config; users = 4 } db
+  in
   Alcotest.(check bool) "switched" true report.Reorg.Driver.switched;
   let m = ctx.Reorg.Ctx.metrics in
   let entries = Reorg.Metrics.side_entries m in
