@@ -98,8 +98,9 @@ assert piped["ckpts"] > 0, "no fuzzy checkpoint taken"
 assert piped["wal trunc"] > 0, "checkpoints reclaimed no WAL records"
 assert piped["commits"] > 0 and sync["commits"] > 0
 
-# OLC: the optimistic arm must do the same reads (identical digests), shed
-# at least 70% of the locked arm's S acquires, and show the fallback path.
+# OLC: the optimistic arm must do the same reads (identical digests), take
+# no more ticks than the locked arm, shed at least 70% of the locked arm's
+# S acquires, and show the fallback path.
 oarms = by("olc", "arm")
 locked, olc = oarms["locked"], oarms["olc"]
 assert locked["reads"] == olc["reads"] > 0, "arms read different operation counts"
@@ -107,6 +108,9 @@ assert locked["scans"] == olc["scans"] > 0
 assert locked["digest"] == olc["digest"], (
     "optimistic results diverge from locked results: %08x vs %08x"
     % (locked["digest"], olc["digest"]))
+assert olc["ticks"] <= locked["ticks"], (
+    "OLC arm took longer than the locked arm: %d vs %d ticks"
+    % (olc["ticks"], locked["ticks"]))
 assert locked["olc reads"] == 0, "locked arm took the optimistic path"
 assert olc["olc reads"] > 0, "olc arm committed no optimistic reads"
 s_ratio = olc["S acq"] / max(1, locked["S acq"])

@@ -18,6 +18,9 @@ type t = {
   mutable read_probe : (leaf:int -> key:int -> valid:bool -> unit) option;
 }
 
+let olc_default = true
+let olc_max_retries_default = 3
+
 let create ~tree ~mgr ?(record_locking = false) () =
   {
     tree;
@@ -26,12 +29,12 @@ let create ~tree ~mgr ?(record_locking = false) () =
     on_base_update = None;
     side_undo = None;
     health = None;
-    olc_enabled = false;
-    olc_max_retries = 3;
+    olc_enabled = olc_default;
+    olc_max_retries = olc_max_retries_default;
     read_probe = None;
   }
 
-let set_olc t ?(max_retries = 3) enabled =
+let set_olc t ?(max_retries = olc_max_retries_default) enabled =
   t.olc_enabled <- enabled;
   t.olc_max_retries <- max_retries
 
@@ -165,65 +168,105 @@ and walk_chain t ~txn ~lo ~hi cur acc =
    active-unit gauge (records may be mid-move between org and dest — the
    one window where reading current page contents is not enough), and the
    captured version (the node was not split/cleared/freed/swapped since, so
-   its child and side pointers are still the tree's).  Page contents are
-   always read fresh inside the post-validation atomic step, which is why
-   record-level inserts/deletes need no versioning at all.
+   its child and side pointers are still the tree's).  If the node did
+   change but the page holding the pointer into it did not, that pointer is
+   still the tree's (every split, merge and free of an internal node also
+   writes its parent in the same atomic step), and the descent reads the
+   node as it is now, once its level and low mark agree with the pointer: a
+   locked reader held up there by the writer would resume at the same node,
+   not at the root.  Page contents are always read fresh inside the
+   post-validation atomic step, which is why record-level inserts/deletes
+   need no versioning at all.
 
-   At the leaf it chases side pointers B-link-style (splits move records
-   right, never left), then makes one non-enqueuing S-grantability probe:
-   an RX/X holder means a reorganization unit or a structural writer owns
-   the leaf right now, so the optimistic result could be mid-move — give
-   up.  A clean probe plus valid versions means a locked reader arriving at
-   this instant would have been granted S and read the same bytes. *)
+   The descent yields where [couple_down] does: once per internal node.
+   From a base page (level 1) it steps onto the leaf in the same atomic
+   step that read the child pointer, as [couple_down] takes the leaf lock
+   there, so that pointer needs no validation.  At the leaf it chases side
+   pointers B-link-style (splits move records right, never left).
+
+   The caller then probes, without enqueuing, whether a locked reader
+   arriving at this instant would be granted IS on the tree and S on the
+   leaf.  A clean probe plus valid versions means the locked reader would
+   read the same bytes.  A refused probe is not a version conflict: a
+   holder (a reorganization unit's RX, an updater's X, an offline
+   rebuild's tree X) is still there, so the reader takes the locked path
+   at once and waits it out by the paper's rules. *)
 
 exception Olc_conflict
 
-let olc_descend t ~txn olc ~key =
+(* [p] is leaf [pid]'s page; the key can only have moved right of it, and
+   only when every record left in [p] is below the key. *)
+let rec chase t ~key pid p =
+  match (Leaf.max_key p, Leaf.next p) with
+  | Some k, _ when k >= key -> pid
+  | _, None -> pid
+  | _, Some nxt -> begin
+    match Tree.page t.tree nxt with
+    | np when Leaf.is_leaf np && Leaf.low_mark np <= key -> chase t ~key nxt np
+    | _ -> pid
+    | exception _ -> pid
+  end
+
+let olc_descend t olc ~key =
   let epoch0 = Olc.epoch olc in
   if Olc.active olc then raise Olc_conflict;
-  let rec go cur vcur =
+  (* [parent] is the page that held the pointer into [cur], its version
+     when it was read, and the level that pointer promises ([None] at the
+     root). *)
+  let rec go parent cur vcur =
     Engine.yield ();
-    if
-      Olc.epoch olc <> epoch0
-      || Olc.active olc
-      || Olc.version olc cur <> vcur
-    then raise Olc_conflict;
-    match Tree.page t.tree cur with
-    | exception _ -> raise Olc_conflict
-    | p ->
-      if Leaf.is_leaf p then begin
-        let rec chase pid p =
-          match Leaf.next p with
-          | Some nxt -> begin
-            match Tree.page t.tree nxt with
-            | np when Leaf.is_leaf np && Leaf.low_mark np <= key -> chase nxt np
-            | _ -> pid
-            | exception _ -> pid
-          end
-          | None -> pid
-        in
-        let leaf = chase cur p in
-        if not (Lock_mgr.probe (locks t) ~owner:txn.Txn.id (page_res leaf) Mode.S) then
-          raise Olc_conflict;
-        leaf
-      end
-      else if Inode.is_internal p then begin
-        let child = (Inode.child_for p key).Inode.child in
-        go child (Olc.version olc child)
-      end
+    if Olc.epoch olc <> epoch0 || Olc.active olc then raise Olc_conflict;
+    let v = Olc.version olc cur in
+    (* [cur] changed: accept it only through an unchanged parent, and only
+       if it is still what the parent's pointer promises — an internal node
+       of the next level down whose range does not start past the key (a
+       node too far left is harmless: the leaf chase goes right). *)
+    let promised =
+      if v = vcur then None
       else
-        (* Freed (or being reformatted) since the parent was read. *)
-        raise Olc_conflict
+        match parent with
+        | Some (pp, vp, level) when Olc.version olc pp = vp -> Some level
+        | _ -> raise Olc_conflict
+    in
+    let p = match Tree.page t.tree cur with p -> p | exception _ -> raise Olc_conflict in
+    (match promised with
+    | Some level
+      when not (Inode.is_internal p && Inode.level p = level && Inode.low_mark p <= key) ->
+      raise Olc_conflict
+    | _ -> ());
+    if Leaf.is_leaf p then chase t ~key cur p
+    else if Inode.is_internal p then begin
+      let child = (Inode.child_for p key).Inode.child in
+      let level = Inode.level p in
+      if level > 1 then go (Some (cur, v, level - 1)) child (Olc.version olc child)
+      else
+        match Tree.page t.tree child with
+        | cp when Leaf.is_leaf cp -> chase t ~key child cp
+        | _ -> raise Olc_conflict
+        | exception _ -> raise Olc_conflict
+    end
+    else
+      (* Freed (or being reformatted) since the parent was read. *)
+      raise Olc_conflict
   in
   let root = Tree.root t.tree in
-  go root (Olc.version olc root)
+  go None root (Olc.version olc root)
+
+let locks_free t ~txn leaf =
+  let owner = txn.Txn.id in
+  Lock_mgr.probe (locks t) ~owner (Resource.Tree (Tree.tree_name t.tree)) Mode.IS
+  && Lock_mgr.probe (locks t) ~owner (page_res leaf) Mode.S
 
 let olc_read t ~txn key =
   let olc = Tree.olc t.tree in
+  let fallback () =
+    Olc.note_fallback olc;
+    read_locked t ~txn key
+  in
   let rec attempt tries =
-    match olc_descend t ~txn olc ~key with
-    | leaf ->
-      (* Same atomic step as the descent's final validation. *)
+    match olc_descend t olc ~key with
+    | leaf when locks_free t ~txn leaf ->
+      (* Same atomic step as the descent's last page read. *)
       let res = Leaf.find (Tree.page t.tree leaf) key in
       Olc.note_read olc;
       (match t.read_probe with
@@ -235,15 +278,13 @@ let olc_read t ~txn key =
         probe ~leaf ~key ~valid
       | None -> ());
       res
+    | _ -> fallback ()
     | exception Olc_conflict ->
       if tries < t.olc_max_retries then begin
         Olc.note_retry olc;
         attempt (tries + 1)
       end
-      else begin
-        Olc.note_fallback olc;
-        read_locked t ~txn key
-      end
+      else fallback ()
   in
   attempt 0
 
@@ -254,21 +295,34 @@ let olc_range_read t ~txn ~lo ~hi =
      atomic step, so a fallback only needs the locked protocol for the
      remainder of the key range. *)
   let rec attempt ~from acc tries =
-    match olc_descend t ~txn olc ~key:from with
-    | leaf -> collect ~from acc tries leaf
+    match olc_descend t olc ~key:from with
+    | leaf -> visit ~from acc tries leaf
     | exception Olc_conflict -> conflict ~from acc tries
   and conflict ~from acc tries =
     if tries < t.olc_max_retries then begin
       Olc.note_retry olc;
       attempt ~from acc (tries + 1)
     end
-    else begin
-      Olc.note_fallback olc;
-      List.rev_append acc (range_read_locked t ~txn ~lo:from ~hi)
-    end
-  and collect ~from acc tries cur =
-    (* Inside a validated atomic step for [cur]. *)
-    let p = Tree.page t.tree cur in
+    else fallback ~from acc
+  and fallback ~from acc =
+    Olc.note_fallback olc;
+    List.rev_append acc (range_read_locked t ~txn ~lo:from ~hi)
+  and visit ~from acc tries leaf =
+    (* Step onto [leaf] as [walk_chain] does, with one yield; the pointer
+       to it was read in the step that captures its version. *)
+    let v = Olc.version olc leaf in
+    Engine.yield ();
+    if Olc.epoch olc <> epoch0 || Olc.active olc || Olc.version olc leaf <> v then
+      (* The chain moved under us: re-descend for the continuation key
+         (the records gathered so far stay good). *)
+      conflict ~from acc tries
+    else if not (locks_free t ~txn leaf) then fallback ~from acc
+    else
+      match Tree.page t.tree leaf with
+      | p when Leaf.is_leaf p -> collect ~from acc tries p
+      | _ -> conflict ~from acc tries
+      | exception _ -> conflict ~from acc tries
+  and collect ~from acc tries p =
     let here =
       (* Filter against [from], not [lo]: after a conflict re-descent the
          leaf covering the continuation key may have absorbed records in
@@ -282,27 +336,9 @@ let olc_range_read t ~txn ~lo ~hi =
     | true, _ | _, None ->
       Olc.note_read olc;
       List.rev acc
-    | false, Some nxt -> begin
+    | false, Some nxt ->
       let resume_from = match Leaf.max_key p with Some k -> k + 1 | None -> from in
-      let vnxt = Olc.version olc nxt in
-      Engine.yield ();
-      if
-        Olc.epoch olc <> epoch0
-        || Olc.active olc
-        || Olc.version olc nxt <> vnxt
-        || not (Lock_mgr.probe (locks t) ~owner:txn.Txn.id (page_res nxt) Mode.S)
-      then
-        (* The chain moved under us: re-descend for the continuation key
-           (the records gathered so far stay good). *)
-        conflict ~from:resume_from acc tries
-      else
-        match Tree.page t.tree nxt with
-        | np when Leaf.is_leaf np ->
-          ignore np;
-          collect ~from:resume_from acc tries nxt
-        | _ -> conflict ~from:resume_from acc tries
-        | exception _ -> conflict ~from:resume_from acc tries
-    end
+      visit ~from:resume_from acc tries nxt
   in
   attempt ~from:lo [] 0
 

@@ -3,7 +3,9 @@
     These are the reader and updater protocols that coexist with the
     reorganizer:
 
-    {b Reader}: IS on the tree lock, S lock-coupling down the tree.  If the S
+    {b Reader}: by default optimistic — see {!set_olc}; the locked protocol
+    below is its fallback and the paper's reader.  IS on the tree lock, S
+    lock-coupling down the tree.  If the S
     request on a {e leaf} conflicts with the reorganizer's RX, the reader
     releases its base-page S lock and its request, issues an unconditional
     instant-duration RS on the base page (which is incompatible with R, so it
@@ -27,8 +29,17 @@
 
 type t
 
+val olc_default : bool
+(** Whether a new handle reads optimistically ([true]); the one source of
+    [Reorg.Config.default.olc]. *)
+
+val olc_max_retries_default : int
+(** A new handle's optimistic retries before the locked fallback (3); the
+    one source of [Reorg.Config.default.olc_max_retries]. *)
+
 val create : tree:Tree.t -> mgr:Transact.Txn_mgr.t -> ?record_locking:bool -> unit -> t
-(** With [record_locking] (off by default), readers take IS on the leaf page
+(** Reads start as {!olc_default} says ({!set_olc}).  With [record_locking]
+    (off by default), readers take IS on the leaf page
     plus S on the record key, and updaters take IX plus X on the key —
     §4.1.2's "readers and updaters may request or hold intention locks (IX or
     IS) (on leaf pages only) if they are doing record-level locking".  Two
@@ -61,15 +72,18 @@ val set_health : t -> Obs.Health.t option -> unit
 val health : t -> Obs.Health.t option
 
 val set_olc : t -> ?max_retries:int -> bool -> unit
-(** Enable/disable the optimistic read path (DESIGN.md §11): point lookups
-    and range scans descend lock-free, validating {!Olc} per-node versions
-    across scheduler yields and probing for an RX/X presence at the leaf
-    ({!Lockmgr.Lock_mgr.probe} — never enqueues).  On a validation conflict,
-    an active reorganization unit, or a crash-advanced epoch, the reader
-    retries up to [max_retries] (default 3) times, then falls back to the
-    locked Table-1 protocol.  Writers and the reorganizer are unaffected.
-    Ignored (locked path used) when the access layer does record-level
-    locking — record S locks are the point there. *)
+(** Enable/disable the optimistic read path (DESIGN.md §11; on from
+    {!create}, as in [Reorg.Config.default]): point lookups and range scans
+    descend lock-free, validating {!Olc} per-node versions across scheduler
+    yields, and yield exactly where the locked protocol does.  At each leaf
+    they probe whether IS on the tree and S on the leaf would be granted
+    ({!Lockmgr.Lock_mgr.probe} — never enqueues); a refused probe (a held
+    RX or X) sends the read to the locked Table-1 protocol at once.  On a
+    validation conflict, an active reorganization unit, or a crash-advanced
+    epoch, the reader retries up to [max_retries] (default 3) times, then
+    falls back to the locked protocol.  Writers and the reorganizer are
+    unaffected.  Ignored (locked path used) when the access layer does
+    record-level locking — record S locks are the point there. *)
 
 val olc_enabled : t -> bool
 
@@ -83,8 +97,8 @@ val set_read_probe : t -> (leaf:int -> key:int -> valid:bool -> unit) option -> 
 val read : t -> txn:Transact.Txn.t -> int -> string option
 
 val range_read : t -> txn:Transact.Txn.t -> lo:int -> hi:int -> Leaf.record list
-(** S-locks each leaf in turn along the side-pointer chain (or walks it
-    optimistically when {!set_olc} is enabled). *)
+(** Walks the side-pointer chain optimistically (or S-locks each leaf in
+    turn when {!set_olc} is off). *)
 
 val insert : t -> txn:Transact.Txn.t -> key:int -> payload:string -> unit
 

@@ -29,8 +29,10 @@
    empty (epoch advanced), which is safe because no optimistic descent
    survives a crash either. *)
 
+module Itbl = Util.Itbl
+
 type t = {
-  versions : (int, int) Hashtbl.t;
+  versions : int Itbl.t;
   mutable epoch : int;
   mutable active_units : int;
   mutable reads : int;  (* optimistic reads completed without locks *)
@@ -48,7 +50,7 @@ let test_skip_bumps = ref false
 
 let create () =
   {
-    versions = Hashtbl.create 512;
+    versions = Itbl.create 512;
     epoch = 0;
     active_units = 0;
     reads = 0;
@@ -57,11 +59,11 @@ let create () =
     version_bumps = 0;
   }
 
-let version t pid = match Hashtbl.find_opt t.versions pid with Some v -> v | None -> 0
+let version t pid = match Itbl.find_opt t.versions pid with Some v -> v | None -> 0
 
 let bump t pid =
   if not !test_skip_bumps then begin
-    Hashtbl.replace t.versions pid (version t pid + 1);
+    Itbl.replace t.versions pid (version t pid + 1);
     t.version_bumps <- t.version_bumps + 1
   end
 
@@ -69,7 +71,7 @@ let epoch t = t.epoch
 
 let invalidate_all t =
   t.epoch <- t.epoch + 1;
-  Hashtbl.reset t.versions;
+  Itbl.reset t.versions;
   (* Units die with the machine; recovery finishes them forward without any
      concurrent readers, then re-balances through its own [unit_end]s being
      clamped at zero. *)

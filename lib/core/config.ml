@@ -35,9 +35,11 @@ let default =
     lambda_switch = false;
     unit_pages = 1;
     catchup_batch = 16;
-    olc = false;
-    olc_max_retries = 3;
+    olc = Btree.Access.olc_default;
+    olc_max_retries = Btree.Access.olc_max_retries_default;
   }
+
+let paper = { default with olc = false }
 
 let heuristic_name = function
   | Paper_heuristic -> "paper"

@@ -52,14 +52,20 @@ type t = {
       (** optimistic lock coupling for the read path: point lookups and
           range scans descend lock-free, validating per-node version
           counters ({!Btree.Olc}), and fall back to the paper's R/RX/RS
-          locked protocol on conflict or while a reorganization unit is
-          active.  Writers and the reorganizer keep Table-1 semantics
-          either way.  Default [false]. *)
+          locked protocol on conflict, on a held lock or while a
+          reorganization unit is active.  Writers and the reorganizer keep
+          Table-1 semantics either way.  Default
+          {!Btree.Access.olc_default} ([true]). *)
   olc_max_retries : int;
       (** bounded optimistic retries per operation before falling back to
-          the locked descent (default 3). *)
+          the locked descent (default
+          {!Btree.Access.olc_max_retries_default}, 3). *)
 }
 
 val default : t
+
+val paper : t
+(** [default] with the paper's locked reader protocol ([olc = false]): the
+    configuration the paper-reproduction experiments measure. *)
 
 val pp : Format.formatter -> t -> unit

@@ -47,7 +47,7 @@ let run () =
         ("reorg log", Util.Table.Right); ("range I/O cost", Util.Table.Right);
         ("wall s", Util.Table.Right) ]
   in
-  let d = Reorg.Config.default in
+  let d = Reorg.Config.paper in
   List.iter
     (fun (name, config) ->
       let name, r, s, log_bytes, cost, dt = variant name config in

@@ -23,13 +23,17 @@ type run = {
 let users = 8
 let user_mix = Workload.Mix.read_mostly
 
+(* Every arm's users read by the paper's locked protocol: [run_reorg] arms
+   its store from [config]; the arms that bypass it arm theirs here. *)
+let config = Reorg.Config.paper
+
 let mk_db ?record_locking seed = Scenario.aged ?record_locking ~seed ~n:1500 ~f1:0.3 ()
 
 let run_ours ?record_locking seed =
   let db, _ = mk_db ?record_locking seed in
   let r =
     Scenario.run_reorg
-      { Scenario.default with users; user_mix; user_ops = 100_000; seed = 99 }
+      { Scenario.default with config; users; user_mix; user_ops = 100_000; seed = 99 }
       db
   in
   (r.Scenario.ticks, r.Scenario.users, db)
@@ -37,6 +41,7 @@ let run_ours ?record_locking seed =
 (* A comparator reorganization beside the same users. *)
 let run_baseline seed reorganize =
   let db, _ = mk_db seed in
+  Scenario.arm_olc ~config db;
   let eng = Engine.create () in
   let finished = ref false in
   Engine.spawn eng (fun () ->
@@ -53,6 +58,7 @@ let run_baseline seed reorganize =
 
 let run_control seed ops =
   let db, _ = mk_db seed in
+  Scenario.arm_olc ~config db;
   let eng = Engine.create () in
   let st =
     Workload.Mix.spawn_users eng ~access:db.Db.access ~seed:99 ~users

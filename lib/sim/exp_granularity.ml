@@ -23,7 +23,7 @@ let run () =
       let db, _ = Scenario.aged ~seed:67 ~n:1500 ~f1 () in
       Lockmgr.Lock_mgr.reset_stats db.Db.locks;
       let forces0 = (Wal.Log.stats db.Db.log).Wal.Log.forced in
-      let config = { Reorg.Config.default with swap_pass = false; shrink_pass = false } in
+      let config = { Reorg.Config.paper with swap_pass = false; shrink_pass = false } in
       let { Scenario.ctx; report = r; _ } =
         Scenario.run_reorg { Scenario.default with config } db
       in

@@ -41,7 +41,8 @@ let run_arm ~table ~pipelined ~seed ~n ~users () =
         done)
   in
   let run =
-    { Scenario.default with users; user_mix = Workload.Mix.update_heavy; seed = seed + 1;
+    { Scenario.default with
+      config = Reorg.Config.paper; users; user_mix = Workload.Mix.update_heavy; seed = seed + 1;
       hook = (if pipelined then attach_pipeline else Scenario.default.hook) }
   in
   let r =

@@ -30,7 +30,8 @@ let run () =
   let before = Health.stats health in
   ignore
     (Scenario.run_reorg
-       { Scenario.default with registry = Some registry; tracer = Some tracer;
+       { Scenario.default with
+         config = Reorg.Config.paper; registry = Some registry; tracer = Some tracer;
          sampler = Some sampler; sample_every = 25 }
        db);
   let after = Health.stats health in

@@ -10,7 +10,7 @@ let measure ~careful ~swap_pass =
   let db, expected = Scenario.aged ~seed:53 ~n:1500 ~f1:0.3 () in
   let config =
     {
-      Reorg.Config.default with
+      Reorg.Config.paper with
       careful_writing = careful;
       swap_pass;
       shrink_pass = false;

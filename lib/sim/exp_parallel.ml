@@ -13,7 +13,7 @@ let run_one ~workers =
     Scenario.run_reorg
       { Scenario.default with
         config =
-          { Reorg.Config.default with io_pacing = 4; swap_pass = false; shrink_pass = false };
+          { Reorg.Config.paper with io_pacing = 4; swap_pass = false; shrink_pass = false };
         pass1_workers = workers; users = 4; user_mix = Workload.Mix.read_only;
         user_ops = 100_000; user_key_space = Some 2500; seed = 5 }
       db

@@ -45,7 +45,7 @@ let run_figure1 () =
         Util.Table.text (layout_string db) ]
   in
   snap "initial (sparse, scattered)";
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
+  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.paper () in
   let eng = Engine.create () in
   Engine.spawn eng (fun () ->
       ignore (Reorg.Pass1.run ctx);
@@ -72,7 +72,9 @@ let run_figure2 () =
   List.iter
     (fun f1 ->
       let db, _ = Scenario.aged ~seed:23 ~n:2000 ~f1 () in
-      let { Scenario.ctx; report = r; _ } = Scenario.run_reorg Scenario.default db in
+      let { Scenario.ctx; report = r; _ } =
+        Scenario.run_reorg { Scenario.default with config = Reorg.Config.paper } db
+      in
       let m = ctx.Reorg.Ctx.metrics in
       let d =
         if (Reorg.Metrics.units m) = 0 then 0.0

@@ -52,7 +52,7 @@ let run () =
         cost
       in
       let before = row "before (sparse, scattered)" None in
-      ignore (Scenario.run_reorg Scenario.default db);
+      ignore (Scenario.run_reorg { Scenario.default with config = Reorg.Config.paper } db);
       Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
       Btree.Invariant.check_consistent_with db.Db.tree ~expected;
       ignore (row "after  (compacted, ordered)" (Some before));

@@ -11,7 +11,7 @@ module Tree = Btree.Tree
 
 let crash_ours ~crash_at =
   let db, expected = Scenario.aged ~seed:47 ~n:1200 ~f1:0.3 () in
-  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
+  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.paper () in
   let eng = Engine.create () in
   Engine.spawn eng (fun () -> ignore (Reorg.Driver.run ctx));
   Engine.spawn eng (fun () ->
@@ -20,7 +20,7 @@ let crash_ours ~crash_at =
   Engine.run eng;
   let units_before = (Reorg.Metrics.units ctx.Reorg.Ctx.metrics) in
   Db.crash_now ~flush_seed:(crash_at * 3) db;
-  let ctx2, outcome = Reorg.Recovery.restart ~access:db.Db.access ~config:Reorg.Config.default () in
+  let ctx2, outcome = Reorg.Recovery.restart ~access:db.Db.access ~config:Reorg.Config.paper () in
   let lk = Reorg.Rtable.lk ctx2.Reorg.Ctx.rtable in
   let eng2 = Engine.create () in
   Engine.spawn eng2 (fun () -> ignore (Reorg.Recovery.resume_reorganization ctx2 outcome));
@@ -50,7 +50,7 @@ let crash_tandem ~crash_at =
      and the whole pass restarts from the front (its scan has no durable
      cursor).  The completed merges whose pages were committed survive as
      tree state, but the reorganizer re-scans everything. *)
-  let _ctx, _outcome = Reorg.Recovery.restart ~access:db.Db.access ~config:Reorg.Config.default () in
+  let _ctx, _outcome = Reorg.Recovery.restart ~access:db.Db.access ~config:Reorg.Config.paper () in
   let stats2 = Baseline.Tandem.create_stats () in
   let eng2 = Engine.create () in
   Engine.spawn eng2 (fun () ->

@@ -39,7 +39,8 @@ let run ?(n = default_n) ?(counts = default_counts) () =
     (fun shards ->
       (* Phase A: parallel reorganization, engine per shard. *)
       let t, expected = Sharded.thinned ~seed ~n ~survive ~shards () in
-      let outcome = Sharded.reorg_parallel t in
+      let config = Reorg.Config.paper in
+      let outcome = Sharded.reorg_parallel ~config t in
       Sharded.check_invariants t;
       if Sharded.contents t <> expected then
         failwith (Printf.sprintf "exp_shard: %d-shard parallel phase lost records" shards);
@@ -52,7 +53,8 @@ let run ?(n = default_n) ?(counts = default_counts) () =
          on one engine.  Same total client load at every shard count. *)
       let t2, _ = Sharded.thinned ~seed ~n ~survive ~shards () in
       let mixed, ustats =
-        Sharded.reorg_with_users ~users:6 ~user_ops:40 ~seed:(seed + 1) ~key_space:(2 * n) t2
+        Sharded.reorg_with_users ~config ~users:6 ~user_ops:40 ~seed:(seed + 1)
+          ~key_space:(2 * n) t2
       in
       Sharded.check_invariants t2;
       let makespan = outcome.Sharded.makespan in

@@ -24,7 +24,7 @@ let run () =
     (fun (n, f1, page_size) ->
       let db, expected = Scenario.aged ~page_size ~leaf_pages:16384 ~seed:71 ~n ~f1 () in
       let before = Tree.stats db.Db.tree in
-      let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
+      let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.paper () in
       let eng = Engine.create () in
       let max_locks = ref 0 in
       let owner = ctx.Reorg.Ctx.actor.Transact.Txn.id in

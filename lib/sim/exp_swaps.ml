@@ -25,7 +25,7 @@ let run ?(n = 2500) () =
           (fun (name, heuristic) ->
             let db, expected = Scenario.aged ~seed:31 ~n ~f1 () in
             let config =
-              { Reorg.Config.default with heuristic; careful_writing = false; shrink_pass = false }
+              { Reorg.Config.paper with heuristic; careful_writing = false; shrink_pass = false }
             in
             let { Scenario.ctx; report = r; _ } =
               Scenario.run_reorg { Scenario.default with config } db

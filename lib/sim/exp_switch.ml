@@ -13,8 +13,9 @@ let run_one ?(lambda = false) ~updaters ~think ~switch_wait () =
   (* scan_pacing models the I/O of reading each base page: a slower scan
      means more update traffic lands behind the cursor. *)
   let config =
-    { Reorg.Config.default with switch_wait; scan_pacing = 12; lambda_switch = lambda }
+    { Reorg.Config.paper with switch_wait; scan_pacing = 12; lambda_switch = lambda }
   in
+  Scenario.arm_olc ~config db;
   let ctx = Reorg.Ctx.make ~access:db.Db.access ~config () in
   let eng = Engine.create () in
   let finished = ref false in

@@ -14,7 +14,7 @@ let run_one ~unit_pages =
   let r =
     Scenario.run_reorg
       { Scenario.default with
-        config = { Reorg.Config.default with unit_pages; shrink_pass = false }; users = 8;
+        config = { Reorg.Config.paper with unit_pages; shrink_pass = false }; users = 8;
         user_mix = { Workload.Mix.update_heavy with insert_pct = 0.6; delete_pct = 0.2 };
         user_ops = 100_000; user_key_space = Some 400; seed = 13 }
       db

@@ -152,6 +152,7 @@ let reorg_with_users ?registry ?tracer ?(config = Reorg.Config.default)
   let eng = Engine.create () in
   (match registry with Some reg -> Engine.register_obs eng reg | None -> ());
   Scenario.trace_run eng tracer t.stores;
+  Array.iter (Scenario.arm_olc ~config) t.stores;
   for i = 0 to n - 1 do
     let ctx = shard_ctx ?registry ?tracer ~config t i in
     Engine.spawn eng ~name:(Printf.sprintf "reorganizer-%d" i) (fun () ->

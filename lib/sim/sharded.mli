@@ -92,5 +92,6 @@ val reorg_with_users :
   reorg_outcome * Workload.Mix.stats
 (** The contended phase: one engine running every shard's reorganizer
     concurrently with [users] cross-shard clients issuing router
-    transactions ({!Workload.Mix.spawn_cross_users}).  [ticks] holds the
+    transactions ({!Workload.Mix.spawn_cross_users}), every store's read
+    path set by [config.olc] ({!Scenario.arm_olc}).  [ticks] holds the
     single engine's final clock in every slot; [makespan] equals it. *)

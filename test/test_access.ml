@@ -32,6 +32,9 @@ let run1 f =
 
 let test_reader_lock_footprint () =
   let db = mk () in
+  (* The locked protocol's own footprint; the optimistic default takes no
+     lock at all. *)
+  Access.set_olc db.Db.access false;
   run1 (fun () ->
       let tx = Txn_mgr.fresh_owner db.Db.mgr in
       let v = Access.read db.Db.access ~txn:tx 100 in

@@ -123,6 +123,120 @@ let test_olc_read_zero_locks () =
       Alcotest.(check bool) "optimistic reads committed" true (Olc.reads olc > r0));
   Engine.run eng
 
+(* An optimistic read yields where the locked one does: one dispatch per
+   internal node for a point read (the base page steps onto its leaf in the
+   same atomic step), plus one per leaf for a scan, as [walk_chain].  And a
+   cold point read misses on exactly the pages the locked read does — the
+   B-link chase does not fetch the right sibling when the leaf already
+   holds a key at or above the one sought. *)
+let test_olc_costs_like_locked () =
+  let db = mk () in
+  let tree = db.Db.tree in
+  Alcotest.(check bool) "an inner level above the base pages" true (Tree.height tree >= 3);
+  let key = 100 and lo = 100 and hi = 400 in
+  let leaf = Tree.find_leaf tree key in
+  Alcotest.(check bool) "key below its leaf's max" true
+    (Option.get (Btree.Leaf.max_key (Tree.page tree leaf)) > key);
+  Alcotest.(check bool) "the leaf has a right sibling" true
+    (Btree.Leaf.next (Tree.page tree leaf) <> None);
+  Alcotest.(check bool) "the scan spans several leaves" true
+    (Tree.find_leaf tree lo <> Tree.find_leaf tree hi);
+  let cost ~olc f =
+    Access.set_olc db.Db.access olc;
+    Db.flush_all db;
+    Pager.Buffer_pool.crash db.Db.pool;
+    let m0 = (Pager.Buffer_pool.stats db.Db.pool).Pager.Buffer_pool.s_misses in
+    let eng = Engine.create () in
+    Engine.spawn eng (fun () ->
+        let tx = Txn_mgr.fresh_owner db.Db.mgr in
+        f tx;
+        Txn_mgr.finish_read_only db.Db.mgr tx);
+    Engine.run eng;
+    (Engine.dispatches eng, (Pager.Buffer_pool.stats db.Db.pool).Pager.Buffer_pool.s_misses - m0)
+  in
+  let olc = Tree.olc tree in
+  let point tx = ignore (Access.read db.Db.access ~txn:tx key : string option) in
+  let scan tx = ignore (Access.range_read db.Db.access ~txn:tx ~lo ~hi : Btree.Leaf.record list) in
+  let locked_point = cost ~olc:false point and locked_scan = cost ~olc:false scan in
+  let r0 = Olc.reads olc in
+  let olc_point = cost ~olc:true point and olc_scan = cost ~olc:true scan in
+  Alcotest.(check int) "both optimistic reads committed" (r0 + 2) (Olc.reads olc);
+  Alcotest.(check int) "point read dispatches" (fst locked_point) (fst olc_point);
+  Alcotest.(check int) "cold point read misses" (snd locked_point) (snd olc_point);
+  Alcotest.(check int) "scan dispatches" (fst locked_scan) (fst olc_scan)
+
+(* A writer changes the base page while the reader is parked on the yield
+   before it.  The root, which holds the pointer to that base page, is
+   unchanged, so the pointer is still the tree's: the reader reads the base
+   page as it is now, as a locked reader waiting there would, instead of
+   re-descending.  With the root changed too, the pointer is suspect and
+   the reader retries from the root.  So does a reader whose base page was
+   freed or reused under an unchanged root (here: reformatted in place, and
+   put back on the writer's next slice): the page is no longer what the
+   root's pointer promises. *)
+let test_conflict_below_unchanged_parent () =
+  let db = mk () in
+  let tree = db.Db.tree in
+  let olc = Tree.olc tree in
+  let key = 100 in
+  let root, base =
+    match Tree.descend_path tree key with
+    | root :: base :: [ _leaf ] -> (root, base)
+    | _ -> Alcotest.fail "expected a three-level tree"
+  in
+  let read_during ?(restore = ignore) bump =
+    let r0 = Olc.retries olc and n0 = Olc.reads olc in
+    let got = ref None in
+    let eng = Engine.create () in
+    Engine.spawn eng ~name:"reader" (fun () ->
+        let tx = Txn_mgr.fresh_owner db.Db.mgr in
+        got := Access.read db.Db.access ~txn:tx key;
+        Txn_mgr.finish_read_only db.Db.mgr tx);
+    Engine.spawn eng ~name:"writer" (fun () ->
+        (* The reader has read the root and is parked before the base. *)
+        Engine.yield ();
+        bump ();
+        Engine.yield ();
+        restore ());
+    Engine.run eng;
+    Alcotest.(check (option string)) "value" (Some (payload key)) !got;
+    Alcotest.(check int) "committed optimistically" (n0 + 1) (Olc.reads olc);
+    Olc.retries olc - r0
+  in
+  Alcotest.(check int) "base changed, root not: no retry" 0
+    (read_during (fun () -> Olc.bump olc base));
+  Alcotest.(check int) "base and root changed: one retry" 1
+    (read_during (fun () ->
+         Olc.bump olc base;
+         Olc.bump olc root));
+  let bp = Tree.page tree base in
+  let saved = Pager.Page.create ~size:(Pager.Buffer_pool.page_size db.Db.pool) in
+  let reformat f =
+    read_during
+      (fun () ->
+        Pager.Page.copy_into ~src:bp ~dst:saved;
+        f bp;
+        Olc.bump olc base)
+      ~restore:(fun () ->
+        Pager.Page.copy_into ~src:saved ~dst:bp;
+        Olc.bump olc base)
+  in
+  let low = Btree.Inode.low_mark bp in
+  Alcotest.(check int) "base reused as a leaf: one retry" 1
+    (reformat (fun p -> Btree.Leaf.init p ~low_mark:low));
+  Alcotest.(check int) "base reused one level up: one retry" 1
+    (reformat (fun p -> Btree.Inode.init p ~level:2 ~low_mark:low));
+  Alcotest.(check int) "base reused right of the key: one retry" 1
+    (reformat (fun p -> Btree.Inode.set_low_mark p (key + 1)))
+
+(* Stores read optimistically unless told otherwise, as the reorganizer's
+   default configuration says. *)
+let test_default_matches_config () =
+  let want = Reorg.Config.default.Reorg.Config.olc in
+  Alcotest.(check bool) "Db.create" want (Access.olc_enabled (Db.create ()).Db.access);
+  Alcotest.(check bool) "Db.load" want
+    (Access.olc_enabled (Db.load ~fill:0.5 [ (0, payload 0) ]).Db.access)
+
 (* After a crash-style invalidation the epoch differs, but a fresh read
    re-captures current versions and still succeeds optimistically. *)
 let test_olc_read_after_invalidate () =
@@ -147,9 +261,12 @@ let test_olc_read_after_invalidate () =
    unconditional instant-duration RS parks and is signalled when the
    reorganizer finishes, and the retry re-takes and finally releases S.
    This is the exact loop [Access.give_up_and_wait] drives and the locked
-   protocol the optimistic path falls back to. *)
+   protocol the optimistic path falls back to — at once, since the RX the
+   leaf probe meets is a held lock, not a version conflict worth retrying. *)
 let test_give_up_lock_trace () =
   let db = mk () in
+  let olc = Tree.olc db.Db.tree in
+  let r0 = Olc.retries olc and f0 = Olc.fallbacks olc in
   let reorg = Txn_mgr.fresh_owner db.Db.mgr in
   Lock_mgr.register_reorganizer db.Db.locks reorg.Transact.Txn.id;
   let leaf = Tree.find_leaf db.Db.tree 100 in
@@ -190,7 +307,10 @@ let test_give_up_lock_trace () =
   Alcotest.(check (list string)) "base-page lock trace of the retry loop"
     [ "granted S"; "released S"; "queued-instant RS"; "signalled RS"; "granted S";
       "released S" ]
-    (List.rev !trace)
+    (List.rev !trace);
+  Alcotest.(check bool) "optimistic by default" true (Access.olc_enabled db.Db.access);
+  Alcotest.(check int) "no optimistic retry" r0 (Olc.retries olc);
+  Alcotest.(check int) "one fallback to the locked path" (f0 + 1) (Olc.fallbacks olc)
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent-scan equivalence (3 seeds)                               *)
@@ -260,8 +380,10 @@ let test_scan_equivalence () =
    also holds every record the scan already collected — so the continuation
    filter must narrow to the continuation key, not the original [lo], or
    A's records are returned twice.  The engine is FIFO-deterministic, so
-   parking the compactor for exactly the scanner's descent yields puts its
-   one atomic slice precisely inside the scanner's chain-step window. *)
+   parking the compactor for exactly the scanner's yields up to collecting
+   A — one per internal node on the descent, one for the step onto A —
+   puts its one atomic slice precisely inside the scanner's chain-step
+   window. *)
 let test_redescend_no_duplicates () =
   let db = mk () in
   Access.set_olc db.Db.access true;
@@ -281,7 +403,7 @@ let test_redescend_no_duplicates () =
   thin pb;
   let hi = Option.get (Btree.Leaf.max_key pb) in
   let expected = Btree.Leaf.keys pa @ Btree.Leaf.keys pb in
-  let descent_yields = List.length (Tree.descend_path tree 0) in
+  let yields_to_a = (Tree.height tree - 1) + 1 in
   let r0 = Olc.retries olc in
   let got = ref [] in
   let eng = Engine.create () in
@@ -293,7 +415,7 @@ let test_redescend_no_duplicates () =
           (Access.range_read db.Db.access ~txn:tx ~lo:0 ~hi);
       Txn_mgr.finish_read_only db.Db.mgr tx);
   Engine.spawn eng ~name:"compactor" (fun () ->
-      for _ = 1 to descent_yields do
+      for _ = 1 to yields_to_a do
         Engine.yield ()
       done;
       (* One atomic (yield-free) slice: absorb B into A and unlink it. *)
@@ -344,6 +466,12 @@ let () =
           Alcotest.test_case "zero-lock reads" `Quick test_olc_read_zero_locks;
           Alcotest.test_case "read after epoch invalidation" `Quick
             test_olc_read_after_invalidate;
+          Alcotest.test_case "yields and misses like the locked read" `Quick
+            test_olc_costs_like_locked;
+          Alcotest.test_case "conflict below an unchanged parent" `Quick
+            test_conflict_below_unchanged_parent;
+          Alcotest.test_case "store default matches Config.default" `Quick
+            test_default_matches_config;
           Alcotest.test_case "give-up retry-loop lock trace" `Quick
             test_give_up_lock_trace;
         ] );

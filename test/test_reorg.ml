@@ -190,6 +190,7 @@ let test_updater_blocked_by_rx_gives_up () =
   (* Direct protocol check: a reader that hits RX waits via instant RS and
      then succeeds; counted in Txn.gave_up. *)
   let db, expected = sparse_db ~n:400 () in
+  Access.set_olc db.Db.access false;
   let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
   let eng = Engine.create () in
   let gave_up = ref 0 in
