@@ -280,7 +280,9 @@ let olc_read t ~txn key =
       res
     | _ -> fallback ()
     | exception Olc_conflict ->
-      if tries < t.olc_max_retries then begin
+      (* A re-descent starts by checking [Olc.active] without yielding: while
+         a unit is in flight every retry would fail the same check. *)
+      if tries < t.olc_max_retries && not (Olc.active olc) then begin
         Olc.note_retry olc;
         attempt (tries + 1)
       end
@@ -299,7 +301,7 @@ let olc_range_read t ~txn ~lo ~hi =
     | leaf -> visit ~from acc tries leaf
     | exception Olc_conflict -> conflict ~from acc tries
   and conflict ~from acc tries =
-    if tries < t.olc_max_retries then begin
+    if tries < t.olc_max_retries && not (Olc.active olc) then begin
       Olc.note_retry olc;
       attempt ~from acc (tries + 1)
     end

@@ -123,6 +123,26 @@ let test_olc_read_zero_locks () =
       Alcotest.(check bool) "optimistic reads committed" true (Olc.reads olc > r0));
   Engine.run eng
 
+(* A read issued while a reorganization unit is in flight falls back to
+   the locked path at once: re-descending without a yield in between would
+   fail the same in-flight check every time. *)
+let test_read_inside_unit () =
+  let db = mk () in
+  Access.set_olc db.Db.access true;
+  let olc = Tree.olc db.Db.tree in
+  let eng = Engine.create () in
+  Engine.spawn eng (fun () ->
+      let r0 = Olc.retries olc and f0 = Olc.fallbacks olc in
+      Olc.unit_begin olc;
+      let tx = Txn_mgr.fresh_owner db.Db.mgr in
+      Alcotest.(check (option string)) "point value" (Some (payload 100))
+        (Access.read db.Db.access ~txn:tx 100);
+      Txn_mgr.finish_read_only db.Db.mgr tx;
+      Olc.unit_end olc;
+      Alcotest.(check int) "no retries" 0 (Olc.retries olc - r0);
+      Alcotest.(check int) "one fallback" 1 (Olc.fallbacks olc - f0));
+  Engine.run eng
+
 (* An optimistic read yields where the locked one does: one dispatch per
    internal node for a point read (the base page steps onto its leaf in the
    same atomic step), plus one per leaf for a scan, as [walk_chain].  And a
@@ -466,6 +486,8 @@ let () =
           Alcotest.test_case "zero-lock reads" `Quick test_olc_read_zero_locks;
           Alcotest.test_case "read after epoch invalidation" `Quick
             test_olc_read_after_invalidate;
+          Alcotest.test_case "read inside an open unit falls back at once" `Quick
+            test_read_inside_unit;
           Alcotest.test_case "yields and misses like the locked read" `Quick
             test_olc_costs_like_locked;
           Alcotest.test_case "conflict below an unchanged parent" `Quick
