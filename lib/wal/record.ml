@@ -8,12 +8,6 @@ type move_payload =
   | Full_records of (key * string) list
   | Keys_only of key list
 
-type dest_init = {
-  di_low_mark : key;
-  di_prev : page_id;
-  di_next : page_id;
-}
-
 type base_edit =
   | Insert_entry of { key : key; child : page_id }
   | Delete_entry of { key : key; child : page_id }
@@ -64,7 +58,6 @@ type body =
       org : page_id;
       dest : page_id;
       payload : move_payload;
-      dest_init : dest_init option;
       prev : Lsn.t;
     }
   | Reorg_modify of { unit_id : int; base : page_id; edits : base_edit list; prev : Lsn.t }
@@ -207,7 +200,7 @@ let write sink body =
     add_char sink (reorg_type_tag rtype);
     add_list sink add_int base_pages;
     add_list sink add_int leaf_pages
-  | Reorg_move { unit_id; org; dest; payload; dest_init; prev } ->
+  | Reorg_move { unit_id; org; dest; payload; prev } ->
     add_char sink 'M';
     add_int sink unit_id;
     add_int sink org;
@@ -223,12 +216,6 @@ let write sink body =
     | Keys_only keys ->
       add_char sink 'k';
       add_list sink add_int keys);
-    add_opt sink
-      (fun sink di ->
-        add_int sink di.di_low_mark;
-        add_int sink di.di_prev;
-        add_int sink di.di_next)
-      dest_init;
     add_int sink prev
   | Reorg_modify { unit_id; base; edits; prev } ->
     add_char sink 'D';
@@ -424,15 +411,8 @@ let decode s =
         | 'k' -> Keys_only (read_list c read_int)
         | _ -> fail ()
       in
-      let dest_init =
-        read_opt c (fun c ->
-            let di_low_mark = read_int c in
-            let di_prev = read_int c in
-            let di_next = read_int c in
-            { di_low_mark; di_prev; di_next })
-      in
       let prev = read_int c in
-      Reorg_move { unit_id; org; dest; payload; dest_init; prev }
+      Reorg_move { unit_id; org; dest; payload; prev }
     | 'D' ->
       let unit_id = read_int c in
       let base = read_int c in

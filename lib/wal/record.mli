@@ -30,14 +30,6 @@ type move_payload =
   | Keys_only of key list
       (** Careful writing lets the log carry only the keys (§5). *)
 
-type dest_init = {
-  di_low_mark : key;
-  di_prev : page_id;  (** {!Btree.Layout.nil_pid}-style sentinel handled by caller *)
-  di_next : page_id;
-}
-(** Carried by the first MOVE of a new-place (copying-switching) unit: how to
-    format the destination page if redo must recreate it from scratch. *)
-
 type base_edit =
   | Insert_entry of { key : key; child : page_id }
   | Delete_entry of { key : key; child : page_id }
@@ -104,7 +96,6 @@ type body =
       org : page_id;
       dest : page_id;
       payload : move_payload;
-      dest_init : dest_init option;
       prev : Lsn.t;
     }
   | Reorg_modify of { unit_id : int; base : page_id; edits : base_edit list; prev : Lsn.t }

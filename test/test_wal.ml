@@ -26,22 +26,20 @@ let sample_bodies : Record.body list =
         org = 11;
         dest = 14;
         payload = Full_records [ (1, "x"); (2, "yy") ];
-        dest_init = Some { di_low_mark = 1; di_prev = 9; di_next = 15 };
         prev = 2;
       };
     Reorg_move
-      { unit_id = 3; org = 12; dest = 14; payload = Keys_only [ 3; 4; 5 ]; dest_init = None; prev = 9 };
+      { unit_id = 3; org = 12; dest = 14; payload = Keys_only [ 3; 4; 5 ]; prev = 9 };
     Reorg_move
       {
         unit_id = 4;
         org = 21;
         dest = 22;
         payload = Keys_only [ 6 ];
-        dest_init = Some { di_low_mark = 6; di_prev = 20; di_next = 23 };
         prev = 10;
       };
     Reorg_move
-      { unit_id = 4; org = 11; dest = 21; payload = Full_records [ (7, "w") ]; dest_init = None; prev = 16 };
+      { unit_id = 4; org = 11; dest = 21; payload = Full_records [ (7, "w") ]; prev = 16 };
     Reorg_modify
       {
         unit_id = 3;
@@ -95,7 +93,7 @@ let test_encoded_size_reflects_payload () =
   let small =
     Record.encoded_size
       (Reorg_move
-         { unit_id = 1; org = 1; dest = 2; payload = Keys_only [ 1; 2; 3 ]; dest_init = None; prev = 0 })
+         { unit_id = 1; org = 1; dest = 2; payload = Keys_only [ 1; 2; 3 ]; prev = 0 })
   in
   let big =
     Record.encoded_size
@@ -105,7 +103,6 @@ let test_encoded_size_reflects_payload () =
            org = 1;
            dest = 2;
            payload = Full_records [ (1, String.make 50 'a'); (2, String.make 50 'b'); (3, "c") ];
-           dest_init = None;
            prev = 0;
          })
   in
@@ -241,7 +238,7 @@ let test_truncate_pins_unit_begin () =
   let m =
     Log.append log
       (Record.Reorg_move
-         { unit_id = 9; org = 2; dest = 3; payload = Record.Keys_only [ 1 ]; dest_init = None; prev = b })
+         { unit_id = 9; org = 2; dest = 3; payload = Record.Keys_only [ 1 ]; prev = b })
   in
   Log.force_all log;
   (* Truncating between the unit's BEGIN and a retained move would leave
@@ -385,12 +382,7 @@ let gen_body : Record.body QCheck.Gen.t =
              map (fun rs -> Record.Full_records rs) (list_size (int_bound 10) (pair key str));
            ]
        in
-       let* dest_init =
-         opt
-           (let* di_low_mark = key and* di_prev = pid and* di_next = pid in
-            return { Record.di_low_mark; di_prev; di_next })
-       in
-       return (Record.Reorg_move { unit_id; org; dest; payload; dest_init; prev }));
+       return (Record.Reorg_move { unit_id; org; dest; payload; prev }));
       (let* unit_id = int_bound 20 and* base = pid and* prev = int_bound 50 in
        let* edits = list_size (int_bound 5) edit in
        return (Record.Reorg_modify { unit_id; base; edits; prev }));
