@@ -6,10 +6,12 @@
     {e never} rolled back:
 
     - an incomplete reorganization {e unit} is {b finished}: the unit's BEGIN
-      record says which pages and which kind of unit; the MOVE/MODIFY chain
-      (plus careful writing, which guarantees an unflushed source page still
-      holds its records) determines what remains, and the remaining steps are
-      re-executed and logged through to END;
+      record says which pages and which kind of unit; the stable MOVEs (plus
+      careful writing, which guarantees an unflushed source page still holds
+      its records) and the recovered pages give back the rest of its step
+      list, which {!Unit_exec.finish} runs from the first step whose record
+      is not stable through to END — backwards, as a no-op, when the stable
+      log ends inside the unit's own §5.2 give-up;
     - an interrupted pass 3 resumes from the most recent stable key: the
       durable new-generation level-1 pages below the stable key are adopted,
       later ones deallocated, surviving side-file entries behind the stable
