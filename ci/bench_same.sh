@@ -11,12 +11,17 @@
 #   reorg-cli torture --seed 42 --stride 1 -n 120 --metrics
 #   reorg-cli reorganize --workers 2 --trace F --metrics
 #   reorg-cli workload --trace F --metrics
+#   perfbench/perf.exe --workload W --seed 1 --seconds 1 --trace 1   (each W)
 #
 # and compares them: the bench JSON field by field, ignoring only the
 # wall-clock and provenance fields (wall_clock_s, "wall s",
 # generated_at_unix, revision); the CLI outputs and the two Chrome trace
 # files byte for byte (the traces, and the process names on their rows, are
-# seen by no bench JSON field).  Every output is kept under
+# seen by no bench JSON field); perfbench's round count, correctness,
+# operation counts and every result metric except host times (unit s or
+# us), db_mem_mb and trace_overhead_frac.  Bench experiments run on
+# Config.paper (locked reads), so the perfbench runs are what pin the
+# default, optimistic read path.  Every output is kept under
 # .bench_out/same/{base,work}/.  Prints each path that differs and exits 1
 # on any difference, 0 when both match.
 set -eu
@@ -38,8 +43,9 @@ git worktree add --detach "$base_tree" "$base_rev" >/dev/null
 trap 'git -C "$root" worktree remove --force "$base_tree"' EXIT
 
 echo "== building $base_rev and the working tree =="
-(cd "$base_tree" && dune build --root . bench/main.exe bin/reorg_cli.exe)
-dune build --root . bench/main.exe bin/reorg_cli.exe
+(cd "$base_tree" && dune build --root . bench/main.exe bin/reorg_cli.exe perfbench/perf.exe)
+dune build --root . bench/main.exe bin/reorg_cli.exe perfbench/perf.exe
+workloads=$(python3 -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
 
 # outputs SIDE DIR: the bench JSON, the CLI transcripts and the traces of
 # one tree.  The CLI runs inside the output directory with relative trace
@@ -61,6 +67,11 @@ outputs() {
   echo "== $1: workload --trace --metrics =="
   (cd "$dest" && "$cli" workload --trace workload.trace.json --metrics) \
     >"$dest/workload.out" 2>&1
+  for w in $workloads; do
+    echo "== $1: perf.exe --workload $w --seed 1 --seconds 1 --trace 1 =="
+    (cd "$2" && dune exec --root . perfbench/perf.exe -- --workload "$w" --seed 1 --seconds 1 \
+      --trace 1 --trace-file "$dest/perf-$w.trace.json") >"$dest/perf-$w.out" 2>"$dest/perf-$w.err"
+  done
 }
 
 outputs base "$base_tree"
@@ -99,6 +110,34 @@ for d in diffs:
 print("bench JSON: %s" % ("%d path(s) differ" % len(diffs) if diffs else "identical"))
 sys.exit(1 if diffs else 0)
 EOF
+
+for w in $workloads; do
+  echo "== perf.exe --workload $w =="
+  python3 - "$w" "$out/base/perf-$w.out" "$out/work/perf-$w.out" <<'EOF' || status=1
+import json, sys
+
+# Host-time figures differ run to run; everything else is a function of the seed.
+IGNORED = {"db_mem_mb", "trace_overhead_frac"}
+HOST_UNITS = {"s", "us"}
+
+def pinned(path):
+    desc, result = (json.loads(l) for l in open(path).read().splitlines()[:2])
+    fields = {"rounds": desc["rounds"]}
+    fields.update((k, result[k]) for k in ("correct", "attempted", "failed"))
+    for name, m in result["metrics"].items():
+        if name not in IGNORED and m["unit"] not in HOST_UNITS:
+            fields[name] = m["value"]
+    return fields
+
+base, work = (pinned(p) for p in sys.argv[2:4])
+diffs = ["%s: %r vs %r" % (k, base.get(k), work.get(k))
+         for k in sorted(set(base) | set(work)) if base.get(k) != work.get(k)]
+for d in diffs:
+    print("  differs: " + d)
+print("perf %s: %s" % (sys.argv[1], "%d metric(s) differ" % len(diffs) if diffs else "identical"))
+sys.exit(1 if diffs else 0)
+EOF
+done
 
 for f in torture.out reorganize.out reorganize.trace.json workload.out workload.trace.json; do
   echo "== $f =="

@@ -91,7 +91,7 @@ and couple_down t ~txn ~key ~leaf_mode cur =
     cur
   end
   else begin
-    let child = (Inode.child_for p key).Inode.child in
+    let child = Inode.child_for p key in
     let child_is_leaf = Inode.level p = 1 in
     let mode = if child_is_leaf then leaf_mode else Mode.S in
     match Lock_client.try_acquire (locks t) ~txn (page_res child) mode with
@@ -129,8 +129,7 @@ and walk_chain t ~txn ~lo ~hi cur acc =
   (* Holds S on [cur]. *)
   Engine.yield ();
   let p = Tree.page t.tree cur in
-  let here = List.filter (fun r -> r.Leaf.key >= lo && r.Leaf.key <= hi) (Leaf.records p) in
-  let acc = List.rev_append here acc in
+  let acc = Leaf.rev_range p ~lo ~hi acc in
   let stop = match Leaf.max_key p with Some k when k > hi -> true | _ -> false in
   match (stop, Leaf.next p) with
   | true, _ | _, None -> List.rev acc
@@ -236,7 +235,7 @@ let olc_descend t olc ~key =
     | _ -> ());
     if Leaf.is_leaf p then chase t ~key cur p
     else if Inode.is_internal p then begin
-      let child = (Inode.child_for p key).Inode.child in
+      let child = Inode.child_for p key in
       let level = Inode.level p in
       if level > 1 then go (Some (cur, v, level - 1)) child (Olc.version olc child)
       else
@@ -325,14 +324,11 @@ let olc_range_read t ~txn ~lo ~hi =
       | _ -> conflict ~from acc tries
       | exception _ -> conflict ~from acc tries
   and collect ~from acc tries p =
-    let here =
-      (* Filter against [from], not [lo]: after a conflict re-descent the
-         leaf covering the continuation key may have absorbed records in
-         [lo, from) already in [acc] (leaf merge / reorg compact), and the
-         first attempt starts with from = lo anyway. *)
-      List.filter (fun r -> r.Leaf.key >= from && r.Leaf.key <= hi) (Leaf.records p)
-    in
-    let acc = List.rev_append here acc in
+    (* Collect from [from], not [lo]: after a conflict re-descent the leaf
+       covering the continuation key may have absorbed records in [lo, from)
+       already in [acc] (leaf merge / reorg compact), and the first attempt
+       starts with from = lo anyway. *)
+    let acc = Leaf.rev_range p ~lo:from ~hi acc in
     let stop = match Leaf.max_key p with Some k when k > hi -> true | _ -> false in
     match (stop, Leaf.next p) with
     | true, _ | _, None ->
@@ -392,7 +388,7 @@ let descend_x t ~txn ~op ~key ~payload =
     let p = Tree.page t.tree cur in
     if Leaf.is_leaf p then (held, cur)
     else begin
-      let child = (Inode.child_for p key).Inode.child in
+      let child = Inode.child_for p key in
       let child_is_leaf = Inode.level p = 1 in
       (match Lock_client.try_acquire (locks t) ~txn (page_res child) Mode.X with
       | `Granted -> ()

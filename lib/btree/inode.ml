@@ -41,40 +41,42 @@ let entries p = List.init (nentries p) (entry_at p)
 
 let fill_factor p = float_of_int (nentries p) /. float_of_int (capacity p)
 
-(* First index with key >= k. *)
+let key_at p i = Page.get_key p (entry_off i)
+let child_at p i = Page.get_u32 p (entry_off i + 8)
+
+(* First index with key >= k.  Keys are compared in place: a probe builds
+   no [entry]. *)
 let lower_bound p k =
-  let n = nentries p in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if (entry_at p mid).key < k then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
+  let lo = ref 0 and hi = ref (nentries p) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if key_at p mid < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let child_index_for p k =
   let n = nentries p in
   if n = 0 then raise Not_found;
   let i = lower_bound p k in
-  if i < n && (entry_at p i).key = k then i else max 0 (i - 1)
+  if i < n && key_at p i = k then i else max 0 (i - 1)
 
-let child_for p k = entry_at p (child_index_for p k)
+let child_for p k = child_at p (child_index_for p k)
 
 let find_child p child =
   let n = nentries p in
-  let rec go i = if i >= n then None else if (entry_at p i).child = child then Some i else go (i + 1) in
+  let rec go i = if i >= n then None else if child_at p i = child then Some i else go (i + 1) in
   go 0
 
 let find_key p k =
   let i = lower_bound p k in
-  if i < nentries p && (entry_at p i).key = k then Some i else None
+  if i < nentries p && key_at p i = k then Some i else None
 
 let insert p e =
   let n = nentries p in
   if n >= capacity p then false
   else begin
     let i = lower_bound p e.key in
-    if i < n && (entry_at p i).key = e.key then
+    if i < n && key_at p i = e.key then
       invalid_arg (Printf.sprintf "Inode.insert: duplicate key %d" e.key);
     for j = n downto i + 1 do
       set_entry p j (entry_at p (j - 1))
@@ -118,4 +120,4 @@ let take_from p i =
 let next_entry_key p k =
   let n = nentries p in
   let i = lower_bound p (k + 1) in
-  if i < n then Some (entry_at p i).key else None
+  if i < n then Some (key_at p i) else None

@@ -23,15 +23,23 @@ val generation : Pager.Page.t -> int
 val set_generation : Pager.Page.t -> int -> unit
 
 val entry_at : Pager.Page.t -> int -> entry
+
+val key_at : Pager.Page.t -> int -> int
+(** Key of entry [i], read in place. *)
+
+val child_at : Pager.Page.t -> int -> int
+(** Child page of entry [i], read in place. *)
+
 val entries : Pager.Page.t -> entry list
 val fill_factor : Pager.Page.t -> float
 
-val child_for : Pager.Page.t -> int -> entry
-(** Entry whose subtree covers the key (greatest entry key <= key; the first
-    entry if the key precedes all of them).  Raises [Not_found] on an empty
-    node. *)
+val child_for : Pager.Page.t -> int -> int
+(** Child page whose subtree covers the key: the entry with the greatest key
+    <= key, or the first entry if the key precedes all of them.  Read in
+    place, no [entry] is built.  Raises [Not_found] on an empty node. *)
 
 val child_index_for : Pager.Page.t -> int -> int
+(** Index of the entry {!child_for} follows. *)
 
 val find_child : Pager.Page.t -> int -> int option
 (** Index of the entry pointing at a given child page. *)

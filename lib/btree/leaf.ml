@@ -48,29 +48,44 @@ let record_size_at p i =
   let off = slot p i in
   Layout.record_header + Page.get_u16 p (off + 8)
 
-(* Binary search: index of the first slot with key >= k, in [0, n]. *)
+(* Binary search: index of the first slot with key >= k, in [0, n].  A
+   loop, not a local recursive function: that would allocate a closure per
+   call. *)
 let lower_bound p k =
-  let n = nrecords p in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if key_at p mid < k then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
+  let lo = ref 0 and hi = ref (nrecords p) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if key_at p mid < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let mem_at p i k = i < nrecords p && key_at p i = k
 
 let index_of p k =
   let i = lower_bound p k in
-  if i < nrecords p && key_at p i = k then Some i else None
+  if mem_at p i k then Some i else None
 
-let find p k = Option.map (payload_at p) (index_of p k)
-let mem p k = index_of p k <> None
+let find p k =
+  let i = lower_bound p k in
+  if mem_at p i k then Some (payload_at p i) else None
+
+let mem p k = mem_at p (lower_bound p k) k
 
 let min_key p = if nrecords p = 0 then None else Some (key_at p 0)
 let max_key p = if nrecords p = 0 then None else Some (key_at p (nrecords p - 1))
 
 let records p = List.init (nrecords p) (record_at p)
 let keys p = List.init (nrecords p) (key_at p)
+
+let rev_range p ~lo ~hi acc =
+  let n = nrecords p in
+  let rec go i acc =
+    if i >= n then acc
+    else
+      let key = key_at p i in
+      if key > hi then acc else go (i + 1) ({ key; payload = payload_at p i } :: acc)
+  in
+  go (lower_bound p lo) acc
 
 let record_bytes r = Layout.record_header + String.length r.payload + 2
 

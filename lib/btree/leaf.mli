@@ -35,6 +35,12 @@ val max_key : Pager.Page.t -> int option
 val records : Pager.Page.t -> record list
 (** All records in key order. *)
 
+val rev_range : Pager.Page.t -> lo:int -> hi:int -> record list -> record list
+(** [rev_range p ~lo ~hi acc] conses the records with [lo <= key <= hi] onto
+    [acc] in reverse key order, starting from a binary search for [lo]: one
+    range scan's step over one leaf.  Equal to
+    [List.rev_append (List.filter in_range (records p)) acc]. *)
+
 val keys : Pager.Page.t -> int list
 
 val record_bytes : record -> int

@@ -1,6 +1,6 @@
 (* Optimistic-lock-coupling support state (FB+-tree style).
 
-   One [t] per tree file: a pid-keyed table of version counters, a global
+   One [t] per tree file: a page-id-indexed array of version counters, a global
    epoch, and a gauge of reorganization units currently executing.  The
    rules are deliberately coarse so the write paths stay cheap:
 
@@ -29,10 +29,10 @@
    empty (epoch advanced), which is safe because no optimistic descent
    survives a crash either. *)
 
-module Itbl = Util.Itbl
-
 type t = {
-  versions : int Itbl.t;
+  (* Indexed by page id; a page past the end has version 0.  Page ids are
+     dense, so the array grows to the highest page id ever bumped. *)
+  mutable versions : int array;
   mutable epoch : int;
   mutable active_units : int;
   mutable reads : int;  (* optimistic reads completed without locks *)
@@ -50,7 +50,7 @@ let test_skip_bumps = ref false
 
 let create () =
   {
-    versions = Itbl.create 512;
+    versions = Array.make 512 0;
     epoch = 0;
     active_units = 0;
     reads = 0;
@@ -59,11 +59,18 @@ let create () =
     version_bumps = 0;
   }
 
-let version t pid = match Itbl.find_opt t.versions pid with Some v -> v | None -> 0
+let version t pid =
+  if pid >= 0 && pid < Array.length t.versions then Array.unsafe_get t.versions pid else 0
 
 let bump t pid =
   if not !test_skip_bumps then begin
-    Itbl.replace t.versions pid (version t pid + 1);
+    let len = Array.length t.versions in
+    if pid >= len then begin
+      let bigger = Array.make (max (pid + 1) (2 * len)) 0 in
+      Array.blit t.versions 0 bigger 0 len;
+      t.versions <- bigger
+    end;
+    t.versions.(pid) <- t.versions.(pid) + 1;
     t.version_bumps <- t.version_bumps + 1
   end
 
@@ -71,7 +78,7 @@ let epoch t = t.epoch
 
 let invalidate_all t =
   t.epoch <- t.epoch + 1;
-  Itbl.reset t.versions;
+  Array.fill t.versions 0 (Array.length t.versions) 0;
   (* Units die with the machine; recovery finishes them forward without any
      concurrent readers, then re-balances through its own [unit_end]s being
      clamped at zero. *)

@@ -8,6 +8,7 @@ type t = { journal : Journal.t; alloc : Alloc.t; meta_pid : int; olc : Olc.t }
 
 exception Duplicate_key of int
 exception Record_too_large of int
+exception Not_a_node of int
 
 let journal t = t.journal
 let pool t = Journal.pool t.journal
@@ -75,11 +76,17 @@ let rec chase_right t key pid =
   | Some nxt when Leaf.low_mark (page t nxt) <= key -> chase_right t key nxt
   | _ -> pid
 
+(* The child of internal page [pid] covering [key].  A page that is
+   neither a leaf nor an internal node (a freed page still holding its old
+   entries) ends the descent: read as a node it can lead back up the tree,
+   and the descent would never stop. *)
+let child_pid pid p key =
+  if Inode.is_internal p then Inode.child_for p key else raise (Not_a_node pid)
+
 let descend_path t key =
   let rec go pid acc =
     let p = page t pid in
-    if Leaf.is_leaf p then List.rev (pid :: acc)
-    else go (Inode.child_for p key).Inode.child (pid :: acc)
+    if Leaf.is_leaf p then List.rev (pid :: acc) else go (child_pid pid p key) (pid :: acc)
   in
   go (root t) []
 
@@ -149,10 +156,7 @@ let search t key = Leaf.find (page t (find_leaf t key)) key
 let range t ~lo ~hi =
   let rec walk pid acc =
     let p = page t pid in
-    let here =
-      List.filter (fun r -> r.Leaf.key >= lo && r.Leaf.key <= hi) (Leaf.records p)
-    in
-    let acc = List.rev_append here acc in
+    let acc = Leaf.rev_range p ~lo ~hi acc in
     match Leaf.max_key p with
     | Some k when k > hi -> acc
     | _ -> begin
@@ -378,7 +382,7 @@ let base_path t key =
     let p = page t pid in
     if Leaf.is_leaf p then List.rev acc
     else if Inode.level p = 1 then List.rev (pid :: acc)
-    else go (Inode.child_for p key).Inode.child (pid :: acc)
+    else go (child_pid pid p key) (pid :: acc)
   in
   go (root t) []
 

@@ -18,6 +18,11 @@ type t
 exception Duplicate_key of int
 exception Record_too_large of int
 
+exception Not_a_node of int
+(** A descent reached this page id and found neither a leaf nor an internal
+    node (a freed page, say).  The tree is damaged there; a descent that
+    read the page as a node could loop for ever. *)
+
 val create :
   ?olc:Olc.t ->
   journal:Transact.Journal.t ->
@@ -72,7 +77,8 @@ val height : t -> int
 (** {2 Descent} *)
 
 val descend_path : t -> int -> int list
-(** Page ids from the root down to the leaf covering the key. *)
+(** Page ids from the root down to the leaf covering the key.  Raises
+    {!Not_a_node} at a page that is neither a leaf nor internal. *)
 
 val find_leaf : t -> int -> int
 val parent_of_leaf : t -> int -> int option

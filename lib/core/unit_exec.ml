@@ -47,8 +47,8 @@ let pp_plan ppf = function
 type header = { pid : int; low_mark : int; prev : int option; next : int option }
 type move = { org : int; dest : int; records : Leaf.record list }
 
-(* The two leaves of a swap exchange their contents through page handles
-   fixed while the unit took its locks. *)
+(* The two leaves of a swap, with page handles fixed while the unit took
+   its locks (see [exchange]). *)
 type pair = {
   a : int;
   b : int;
@@ -116,6 +116,19 @@ let set_contents p records =
   Leaf.clear p;
   List.iter (fun r -> assert (Leaf.insert p r)) records
 
+(* A swap's two content writes.  The handles were fixed before the unit's
+   lock waits, which may have evicted their frames: each page is written in
+   its resident frame and stamped before the other is fixed, so loading one
+   cannot evict the other's unmarked write. *)
+let exchange ctx ~a ~b ~pa ~pb ~new_a ~new_b lsn =
+  let pool = Ctx.pool ctx in
+  set_contents (Buffer_pool.refix pool a pa) new_a;
+  Ctx.stamp ctx ~page:a lsn;
+  set_contents (Buffer_pool.refix pool b pb) new_b;
+  Ctx.stamp ctx ~page:b lsn;
+  bump ctx a;
+  bump ctx b
+
 (* Leaf headers and side pointers change through narrow physical records,
    so redo is absolute and independent of record layout, and re-running
    one after a crash is a no-op once it is durable. *)
@@ -166,7 +179,8 @@ let apply_base_edits bp edits =
 let resolve_base ctx ~hint key =
   match Btree.Tree.parent_of_leaf (Ctx.tree ctx) key with
   | Some b -> b
-  | None | (exception Not_found) -> hint
+  (* The key's entry may still point at an org page this unit just freed. *)
+  | None | (exception (Not_found | Btree.Tree.Not_a_node _)) -> hint
 
 let modify ctx r ~base ~edits =
   let resolved =
@@ -245,12 +259,7 @@ and exec ctx r steps = function
     ignore (log_move ctx r ~org:a ~dest:b ~careful:false recs_a);
     let careful = plan_careful ctx ~blocked:b ~prereq:a in
     let lsn = log_move ctx r ~org:b ~dest:a ~careful recs_b in
-    set_contents pa recs_b;
-    set_contents pb recs_a;
-    Ctx.stamp ctx ~page:a lsn;
-    Ctx.stamp ctx ~page:b lsn;
-    bump ctx a;
-    bump ctx b;
+    exchange ctx ~a ~b ~pa ~pb ~new_a:recs_b ~new_b:recs_a lsn;
     Obs.Counter.incr ctx.Ctx.metrics.Metrics.records_moved
       ~by:(List.length recs_a + List.length recs_b)
   | Upgrade bases -> begin
@@ -311,12 +320,7 @@ and exec ctx r steps = function
        not reach disk before b.  A cycle means b still waits for a, so b has
        not reached disk since the exchange and its image holds b's records. *)
     ignore (plan_careful ctx ~blocked:a ~prereq:b : bool);
-    set_contents pa recs_a;
-    set_contents pb recs_b;
-    Ctx.stamp ctx ~page:a lsn;
-    Ctx.stamp ctx ~page:b lsn;
-    bump ctx a;
-    bump ctx b
+    exchange ctx ~a ~b ~pa ~pb ~new_a:recs_a ~new_b:recs_b lsn
   | Free dest ->
     mark_free ctx dest;
     if not (Alloc.is_free (Ctx.alloc ctx) dest) then Alloc.release (Ctx.alloc ctx) dest

@@ -22,10 +22,27 @@ type stats = {
   s_torn_detected : int;
 }
 
+(* The "not resident" entry of the frame table.  It is never handed out and
+   never mutated: every path checks for it with [==] first. *)
+let absent =
+  {
+    pid = -1;
+    data = Bytes.empty;
+    dirty = false;
+    rec_lsn = 0L;
+    pins = 0;
+    referenced = false;
+    slot = -1;
+  }
+
 type t = {
   backend : Backend.t;
   capacity : int;
-  frames : frame Itbl.t;
+  (* Resident frames indexed by page id, [absent] where none is cached.
+     Page ids are dense (the disk is an array of pages), so the table grows
+     to the highest page id loaded and a hit is a bounds check plus a load. *)
+  mutable frames : frame array;
+  mutable resident : int; (* non-[absent] entries of [frames] *)
   (* Clock ring over resident frames, in arrival order.  Entries are pids;
      eviction leaves a [-1] tombstone (O(1) removal) which the next
      growth-time compaction squeezes out. *)
@@ -68,7 +85,8 @@ let create ?(capacity = default_capacity) backend =
   {
     backend;
     capacity;
-    frames = Itbl.create 64;
+    frames = Array.make 64 absent;
+    resident = 0;
     ring = Array.make 16 (-1);
     ring_len = 0;
     ring_live = 0;
@@ -112,7 +130,7 @@ let register_obs t reg =
   Obs.Registry.gauge reg "pager.dep_flushes" (fun () -> t.dep_flushes);
   Obs.Registry.gauge reg "pager.evictions" (fun () -> t.evictions);
   Obs.Registry.gauge reg "pager.torn_detected" (fun () -> t.torn_detected);
-  Obs.Registry.gauge reg "pager.frames" (fun () -> Itbl.length t.frames)
+  Obs.Registry.gauge reg "pager.frames" (fun () -> t.resident)
 
 let backend t = t.backend
 let page_size t = Backend.page_size t.backend
@@ -121,10 +139,13 @@ let torn_detected t = t.torn_detected
 
 let set_before_write t f = t.before_write <- f
 
-let is_dirty t pid =
-  match Itbl.find_opt t.frames pid with Some f -> f.dirty | None -> false
+(* The resident frame of [pid], or [absent]. *)
+let lookup t pid =
+  if pid >= 0 && pid < Array.length t.frames then Array.unsafe_get t.frames pid else absent
 
-let in_pool t pid = Itbl.mem t.frames pid
+let is_dirty t pid = (lookup t pid).dirty
+
+let in_pool t pid = lookup t pid != absent
 
 let is_durable t pid = not (is_dirty t pid)
 
@@ -231,12 +252,13 @@ let rec flush_frame t fr =
   end
 
 and flush_page t pid =
-  match Itbl.find_opt t.frames pid with
-  | None ->
+  let fr = lookup t pid in
+  if fr == absent then begin
     (* Not cached: the disk image is current by definition. *)
     Itbl.remove t.deps pid;
     fire_waiters t pid
-  | Some fr -> flush_frame t fr
+  end
+  else flush_frame t fr
 
 (* --- clock ring maintenance --- *)
 
@@ -248,7 +270,8 @@ let ring_compact t =
     if i = t.hand then new_hand := !j;
     let pid = t.ring.(i) in
     if pid >= 0 then begin
-      (match Itbl.find_opt t.frames pid with Some fr -> fr.slot <- !j | None -> ());
+      (let fr = lookup t pid in
+       if fr != absent then fr.slot <- !j);
       live.(!j) <- pid;
       incr j
     end
@@ -292,7 +315,7 @@ let evict_one t =
       let pid = t.ring.(t.hand) in
       if pid < 0 then t.hand <- t.hand + 1
       else begin
-        let fr = Itbl.find t.frames pid in
+        let fr = t.frames.(pid) in
         if fr.pins > 0 then t.hand <- t.hand + 1
         else if fr.referenced then begin
           fr.referenced <- false;
@@ -309,13 +332,14 @@ let evict_one t =
     t.evictions <- t.evictions + 1;
     ring_remove t fr;
     t.hand <- t.hand + 1;
-    Itbl.remove t.frames fr.pid
+    t.frames.(fr.pid) <- absent;
+    t.resident <- t.resident - 1
 
 (* A load always takes the fresh copy the backend returns; an evicted
    frame's bytes are never recycled, because callers may still hold the
    [Page.t] a fix returned earlier and must not see it change under them. *)
 let load t pid =
-  if Itbl.length t.frames >= t.capacity then evict_one t;
+  if t.resident >= t.capacity then evict_one t;
   let data = Backend.read t.backend pid in
   (* Checksum verification: a stored checksum of 0 means the image was never
      stamped by a pool flush (virgin page, or written around the pool) and is
@@ -355,21 +379,36 @@ let load t pid =
       slot = -1;
     }
   in
-  Itbl.replace t.frames pid fr;
+  let len = Array.length t.frames in
+  if pid >= len then begin
+    let bigger = Array.make (max (pid + 1) (2 * len)) absent in
+    Array.blit t.frames 0 bigger 0 len;
+    t.frames <- bigger
+  end;
+  t.frames.(pid) <- fr;
+  t.resident <- t.resident + 1;
   ring_push t fr;
   fr
 
 let frame t pid =
-  match Itbl.find_opt t.frames pid with
-  | Some fr ->
+  let fr = lookup t pid in
+  if fr != absent then begin
     t.hits <- t.hits + 1;
     fr.referenced <- true;
     fr
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
     load t pid
+  end
 
 let get t pid = (frame t pid).data
+
+(* A handle fixed before a lock wait may belong to a frame evicted during
+   the wait; writes through it would land in a detached buffer. *)
+let refix t pid data =
+  let fr = lookup t pid in
+  if fr != absent && fr.data == data then data else get t pid
 
 let pin t pid =
   let fr = frame t pid in
@@ -377,17 +416,18 @@ let pin t pid =
   fr.data
 
 let unpin t pid =
-  match Itbl.find_opt t.frames pid with
-  | Some fr when fr.pins > 0 -> fr.pins <- fr.pins - 1
-  | _ -> invalid_arg "Buffer_pool.unpin: page not pinned"
+  let fr = lookup t pid in
+  if fr.pins > 0 then fr.pins <- fr.pins - 1
+  else invalid_arg "Buffer_pool.unpin: page not pinned"
 
 let with_page t pid f =
   let data = pin t pid in
   Fun.protect ~finally:(fun () -> unpin t pid) (fun () -> f data)
 
 let mark_dirty t pid =
-  match Itbl.find_opt t.frames pid with
-  | Some fr ->
+  let fr = lookup t pid in
+  if fr == absent then invalid_arg "Buffer_pool.mark_dirty: page not cached"
+  else begin
     (* Capture the recovery LSN on the clean->dirty transition: callers stamp
        the page with the mutating record's LSN before marking, so this is the
        oldest record that might need replaying against the frame — the
@@ -396,16 +436,23 @@ let mark_dirty t pid =
       fr.dirty <- true;
       fr.rec_lsn <- Page.lsn fr.data
     end;
-    (match t.dirty_hook with Some hook -> hook pid | None -> ())
-  | None -> invalid_arg "Buffer_pool.mark_dirty: page not cached"
+    match t.dirty_hook with Some hook -> hook pid | None -> ()
+  end
 
-let flush_all t =
-  let pids = Itbl.fold (fun pid _ acc -> pid :: acc) t.frames [] in
-  List.iter (fun pid -> flush_page t pid) (List.sort Int.compare pids)
+(* Resident pids satisfying [keep], ascending: the table is in page-id
+   order already.  Taken as a list before anything is flushed, because a
+   flush's durability callbacks may fix (and so load or evict) pages. *)
+let resident_pids t keep =
+  let acc = ref [] in
+  for pid = Array.length t.frames - 1 downto 0 do
+    let fr = Array.unsafe_get t.frames pid in
+    if fr != absent && keep fr then acc := pid :: !acc
+  done;
+  !acc
 
-let dirty_pages t =
-  Itbl.fold (fun pid fr acc -> if fr.dirty then pid :: acc else acc) t.frames []
-  |> List.sort Int.compare
+let flush_all t = List.iter (fun pid -> flush_page t pid) (resident_pids t (fun _ -> true))
+
+let dirty_pages t = resident_pids t (fun fr -> fr.dirty)
 
 (* Background-flusher entry point: drain up to [limit] dirty frames in
    ascending-pid order starting at the persistent sweep hand, wrapping once —
@@ -426,9 +473,8 @@ let flush_elevator ?(limit = max_int) t =
     let max_lsn =
       List.fold_left
         (fun m pid ->
-          match Itbl.find_opt t.frames pid with
-          | Some fr when fr.dirty -> Int64.max m (Page.lsn fr.data)
-          | _ -> m)
+          let fr = lookup t pid in
+          if fr.dirty then Int64.max m (Page.lsn fr.data) else m)
         Int64.min_int batch
     in
     if max_lsn > Int64.min_int then t.before_write max_lsn;
@@ -440,14 +486,15 @@ let flush_elevator ?(limit = max_int) t =
 (* Oldest recovery LSN over the dirty frames — together with the active-txn
    and reorg floors, this bounds how far the WAL may be truncated. *)
 let min_rec_lsn t =
-  Itbl.fold
-    (fun _ fr acc ->
+  Array.fold_left
+    (fun acc fr ->
       if not fr.dirty then acc
       else match acc with None -> Some fr.rec_lsn | Some m -> Some (Int64.min m fr.rec_lsn))
-    t.frames None
+    None t.frames
 
 let crash t =
-  Itbl.reset t.frames;
+  Array.fill t.frames 0 (Array.length t.frames) absent;
+  t.resident <- 0;
   Itbl.reset t.deps;
   Itbl.reset t.rdeps;
   Itbl.reset t.waiters;
@@ -457,5 +504,5 @@ let crash t =
   t.hand <- 0;
   t.sweep_pid <- 0
 
-let frame_count t = Itbl.length t.frames
+let frame_count t = t.resident
 let flushes t = t.flushes

@@ -69,6 +69,12 @@ val get : t -> int -> Page.t
     miss.  The caller may mutate the bytes and must then call
     {!mark_dirty}. *)
 
+val refix : t -> int -> Page.t -> Page.t
+(** [refix t pid data] is [data] when it is still [pid]'s resident frame,
+    and then counts no access; otherwise it fixes [pid] again as {!get}
+    does.  For a handle taken before a wait: an evicted frame's bytes are
+    never recycled, so a write through a stale handle would be lost. *)
+
 val pin : t -> int -> Page.t
 val unpin : t -> int -> unit
 

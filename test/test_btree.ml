@@ -360,7 +360,7 @@ let inode_page_test =
               match expect with
               | None -> () (* probe below all keys: clamped to first child *)
               | Some c ->
-                if (Inode.child_for p probe).Inode.child <> c then
+                if Inode.child_for p probe <> c then
                   QCheck.Test.fail_reportf "child_for %d mismatch" probe)
             [ 0; 13; 40; 79 ]);
         true
@@ -393,6 +393,108 @@ let leaf_page_test =
       in
       got = want)
 
+(* ---------------- in-place search kernels ---------------- *)
+
+let leaf_of keys =
+  let p = Page.create ~size:512 in
+  Leaf.init p ~low_mark:min_int;
+  List.iter (fun k -> assert (Leaf.insert p { Leaf.key = k; payload = payload k })) keys;
+  p
+
+let pairs = List.map (fun r -> (r.Leaf.key, r.Leaf.payload))
+
+(* The per-leaf step the range kernel replaced. *)
+let filter_range p ~lo ~hi acc =
+  List.rev_append (List.filter (fun r -> r.Leaf.key >= lo && r.Leaf.key <= hi) (Leaf.records p)) acc
+
+let test_leaf_range_kernel () =
+  let acc = [ { Leaf.key = -1; payload = "earlier leaf" } ] in
+  let check name p ~lo ~hi =
+    Alcotest.(check (list (pair int string)))
+      name
+      (pairs (filter_range p ~lo ~hi acc))
+      (pairs (Leaf.rev_range p ~lo ~hi acc))
+  in
+  check "empty leaf" (leaf_of []) ~lo:0 ~hi:100;
+  let p = leaf_of [ 10; 20; 30; 40 ] in
+  check "lo above the max key" p ~lo:41 ~hi:100;
+  check "hi below the min key" p ~lo:0 ~hi:9;
+  check "lo = hi on a key" p ~lo:20 ~hi:20;
+  check "lo = hi between keys" p ~lo:25 ~hi:25;
+  check "lo > hi" p ~lo:30 ~hi:20;
+  check "bounds between keys" p ~lo:15 ~hi:35;
+  check "whole leaf" p ~lo:min_int ~hi:max_int;
+  Alcotest.(check (list int)) "reversed onto the accumulator" [ 30; 20; -1 ]
+    (List.map (fun r -> r.Leaf.key) (Leaf.rev_range p ~lo:20 ~hi:30 acc))
+
+let leaf_range_test =
+  QCheck.Test.make ~name:"leaf range kernel = filter over records" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple (list_size (int_bound 18) (int_bound 200)) (int_range (-10) 210)
+            (int_range (-10) 210)))
+    (fun (keys, lo, hi) ->
+      let p = leaf_of (List.sort_uniq compare keys) in
+      pairs (Leaf.rev_range p ~lo ~hi []) = pairs (filter_range p ~lo ~hi []))
+
+(* Every in-place search on internal nodes against a linear scan of the
+   node's entries, on random pages up to capacity. *)
+let inode_search_test =
+  QCheck.Test.make ~name:"internal node search = linear reference" ~count:300
+    QCheck.(
+      make Gen.(pair (list (int_bound 1000)) (list_size (int_bound 20) (int_range (-5) 1005))))
+    (fun (keys, probes) ->
+      let p = Page.create ~size:512 in
+      Inode.init p ~level:1 ~low_mark:min_int;
+      let keys = List.filteri (fun i _ -> i < Inode.capacity p) (List.sort_uniq compare keys) in
+      List.iter (fun k -> assert (Inode.insert p { Inode.key = k; child = (7 * k) + 3 })) keys;
+      let entries = Array.of_list keys in
+      let n = Array.length entries in
+      List.for_all
+        (fun k ->
+          let linear_index =
+            let best = ref 0 in
+            Array.iteri (fun i key -> if key <= k then best := i) entries;
+            !best
+          in
+          let found = List.find_index (fun key -> key = k) keys in
+          let next = List.find_opt (fun key -> key > k) keys in
+          let child_ok =
+            if n = 0 then
+              match Inode.child_index_for p k with _ -> false | exception Not_found -> true
+            else
+              Inode.child_index_for p k = linear_index
+              && Inode.child_for p k = (7 * entries.(linear_index)) + 3
+          in
+          child_ok
+          && Inode.find_key p k = found
+          && Inode.next_entry_key p k = next
+          && List.for_all
+               (fun i ->
+                 Inode.key_at p i = entries.(i) && Inode.child_at p i = (7 * entries.(i)) + 3)
+               (List.init n Fun.id))
+        (keys @ probes))
+
+(* A page on the descent that is neither a leaf nor an internal node: here
+   a freed page that still holds an entry leading back to the root. *)
+let test_descent_through_non_node () =
+  let env = mk () in
+  for k = 0 to 299 do
+    insert env k
+  done;
+  let path = Tree.descend_path env.tree 150 in
+  Alcotest.(check bool) "at least two levels" true (List.length path >= 2);
+  let leaf = List.nth path (List.length path - 1) in
+  let p = Tree.page env.tree leaf in
+  Inode.init p ~level:1 ~low_mark:min_int;
+  assert (Inode.insert p { Inode.key = min_int; child = Tree.root env.tree });
+  Page.set_kind p Page.kind_free;
+  Alcotest.check_raises "descend_path" (Tree.Not_a_node leaf) (fun () ->
+      ignore (Tree.descend_path env.tree 150));
+  Alcotest.check_raises "parent_of_leaf" (Tree.Not_a_node leaf) (fun () ->
+      ignore (Tree.parent_of_leaf env.tree 150))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "btree"
@@ -411,6 +513,8 @@ let () =
           Alcotest.test_case "persistence" `Quick test_persistence;
           Alcotest.test_case "next_base cursor" `Quick test_next_base;
           Alcotest.test_case "stats fixes each page once" `Quick test_stats_fixes_each_page_once;
+          Alcotest.test_case "descent through a non-node page" `Quick
+            test_descent_through_non_node;
         ] );
       ( "cursor + dump",
         [
@@ -419,5 +523,13 @@ let () =
           Alcotest.test_case "cursor after reorg" `Quick test_cursor_survives_reorg;
           Alcotest.test_case "dump" `Quick test_dump_renders;
         ] );
-      ("properties", [ q model_test; q leaf_page_test; q inode_page_test ]);
+      ( "properties",
+        [
+          q model_test;
+          q leaf_page_test;
+          q inode_page_test;
+          Alcotest.test_case "leaf range kernel" `Quick test_leaf_range_kernel;
+          q leaf_range_test;
+          q inode_search_test;
+        ] );
     ]

@@ -54,6 +54,21 @@ let test_version_table () =
   Olc.unit_end o;
   Alcotest.(check bool) "balanced again" false (Olc.active o)
 
+(* Versions live in an array indexed by page id. *)
+let test_version_array_bounds () =
+  let o = Olc.create () in
+  Alcotest.(check int) "never bumped" 0 (Olc.version o 3);
+  Alcotest.(check int) "past the table" 0 (Olc.version o 1_000_000);
+  Alcotest.(check int) "negative page id" 0 (Olc.version o (-1));
+  Olc.bump o 5_000;
+  Olc.bump o 2;
+  Alcotest.(check int) "bump past the end grows the table" 1 (Olc.version o 5_000);
+  Alcotest.(check int) "earlier pages kept" 1 (Olc.version o 2);
+  Alcotest.(check int) "neighbours untouched" 0 (Olc.version o 4_999);
+  Olc.invalidate_all o;
+  Alcotest.(check (list int)) "zeroed by invalidate_all" [ 0; 0; 0 ]
+    (List.map (Olc.version o) [ 2; 5_000; 1_000_000 ])
+
 let test_skip_bumps_flag () =
   let o = Olc.create () in
   Olc.test_skip_bumps := true;
@@ -478,6 +493,7 @@ let () =
         [
           Alcotest.test_case "bump/invalidate/epoch/clamp" `Quick test_version_table;
           Alcotest.test_case "test_skip_bumps" `Quick test_skip_bumps_flag;
+          Alcotest.test_case "page ids past the table" `Quick test_version_array_bounds;
         ] );
       ( "probe",
         [ Alcotest.test_case "non-mutating RX probe" `Quick test_probe_non_mutating ] );

@@ -604,6 +604,64 @@ let test_stats_counter_trace () =
   Alcotest.(check bool) "residents" true
     (Buffer_pool.in_pool pool 0 && Buffer_pool.in_pool pool 2 && not (Buffer_pool.in_pool pool 1))
 
+(* The frame table is indexed by page id: whatever order pages arrive in,
+   dirty_pages and flush_all come out ascending, a page id past the table's
+   end grows it, and crash empties it. *)
+let test_frame_table () =
+  let disk, _ = mk ~pages:300 () in
+  let pool = Buffer_pool.create ~capacity:16 (Backend.of_disk disk) in
+  let order = [ 40; 3; 17; 63; 0; 9; 250 ] in
+  List.iter
+    (fun pid ->
+      let p = Buffer_pool.get pool pid in
+      (* The LSN names the page, so the WAL-rule hook sees the flush order. *)
+      Page.set_lsn p (Int64.of_int pid);
+      if pid <> 9 then Buffer_pool.mark_dirty pool pid)
+    order;
+  Alcotest.(check int) "frame_count" 7 (Buffer_pool.frame_count pool);
+  Alcotest.(check bool) "past the initial table" true (Buffer_pool.in_pool pool 250);
+  Alcotest.(check bool) "never loaded" false (Buffer_pool.in_pool pool 100);
+  Alcotest.(check bool) "past the table" false (Buffer_pool.in_pool pool 299);
+  Alcotest.(check (list int)) "dirty_pages ascending" [ 0; 3; 17; 40; 63; 250 ]
+    (Buffer_pool.dirty_pages pool);
+  let flushed = ref [] in
+  Buffer_pool.set_before_write pool (fun lsn -> flushed := Int64.to_int lsn :: !flushed);
+  Buffer_pool.flush_all pool;
+  Alcotest.(check (list int)) "flush_all ascending" [ 0; 3; 17; 40; 63; 250 ] (List.rev !flushed);
+  Alcotest.(check (list int)) "all clean" [] (Buffer_pool.dirty_pages pool);
+  let s = Buffer_pool.stats pool in
+  ignore (Buffer_pool.get pool 250);
+  Alcotest.(check int) "a resident page past 64 is a hit" (s.Buffer_pool.s_hits + 1)
+    (Buffer_pool.stats pool).Buffer_pool.s_hits;
+  for pid = 100 to 115 do
+    ignore (Buffer_pool.get pool pid)
+  done;
+  Alcotest.(check int) "frame_count at capacity" 16 (Buffer_pool.frame_count pool);
+  Buffer_pool.crash pool;
+  Alcotest.(check int) "crash empties the table" 0 (Buffer_pool.frame_count pool);
+  Alcotest.(check bool) "nothing resident" false
+    (List.exists (Buffer_pool.in_pool pool) (order @ List.init 16 (fun i -> 100 + i)));
+  Alcotest.(check (list int)) "no dirty pages" [] (Buffer_pool.dirty_pages pool);
+  ignore (Buffer_pool.get pool 3);
+  Alcotest.(check int) "refills" 1 (Buffer_pool.frame_count pool)
+
+(* refix keeps a still-resident handle without counting an access and
+   re-fixes an evicted one. *)
+let test_refix () =
+  let disk, _ = mk ~pages:32 () in
+  let pool = Buffer_pool.create ~capacity:2 (Backend.of_disk disk) in
+  let p0 = Buffer_pool.get pool 0 in
+  let s = Buffer_pool.stats pool in
+  Alcotest.(check bool) "resident: same handle" true (Buffer_pool.refix pool 0 p0 == p0);
+  Alcotest.(check bool) "no access counted" true (Buffer_pool.stats pool = s);
+  ignore (Buffer_pool.get pool 1);
+  ignore (Buffer_pool.get pool 2);
+  ignore (Buffer_pool.get pool 3);
+  Alcotest.(check bool) "evicted" false (Buffer_pool.in_pool pool 0);
+  let q0 = Buffer_pool.refix pool 0 p0 in
+  Alcotest.(check bool) "evicted: the resident frame" true
+    (q0 != p0 && q0 == Buffer_pool.get pool 0)
+
 let () =
   Alcotest.run "pager"
     [
@@ -639,6 +697,8 @@ let () =
           Alcotest.test_case "dirty eviction prereq order" `Quick
             test_dirty_eviction_flushes_prereqs_in_order;
           Alcotest.test_case "counter trace" `Quick test_stats_counter_trace;
+          Alcotest.test_case "page-id frame table" `Quick test_frame_table;
+          Alcotest.test_case "refix" `Quick test_refix;
         ] );
       ( "allocator",
         [

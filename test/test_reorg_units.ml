@@ -205,8 +205,8 @@ let test_builder_stable_point_seals () =
 
 (* ---------------- unit executor ---------------- *)
 
-let mk_tree_db () =
-  let db = Db.create ~leaf_pages:512 () in
+let mk_tree_db ?capacity () =
+  let db = Db.create ~leaf_pages:512 ?capacity () in
   let tx = Txn_mgr.begin_txn db.Db.mgr in
   for k = 0 to 599 do
     Tree.insert db.Db.tree ~txn:tx ~key:(2 * k) ~payload:(payload (2 * k)) ()
@@ -274,6 +274,46 @@ let test_swap_unit_direct () =
   Alcotest.(check bool) "contents preserved" true
     (Btree.Invariant.contents db.Db.tree = before);
   (* Physical positions swapped. *)
+  let pids' = Tree.leaf_pids db.Db.tree in
+  Alcotest.(check int) "b at a's position" b (List.nth pids' 1);
+  Alcotest.(check int) "a at b's position" a (List.nth pids' 5)
+
+(* A swap fixes both leaves' pages before it X-locks their chain
+   neighbours.  Here a user holds X on one neighbour and, while the unit
+   waits for it, touches every leaf of a small pool, so both swapped leaves
+   are evicted under the unit.  The exchange must still land in the
+   resident frames. *)
+let test_swap_survives_eviction_during_neighbour_wait () =
+  let db = mk_tree_db ~capacity:8 () in
+  let ctx = mk_ctx db in
+  let pids = Tree.leaf_pids db.Db.tree in
+  let a = List.nth pids 1 and b = List.nth pids 5 in
+  let key_of pid = Option.get (Leaf.min_key (Tree.page db.Db.tree pid)) in
+  let a_base = Option.get (Tree.parent_of_leaf db.Db.tree (key_of a)) in
+  let b_base = Option.get (Tree.parent_of_leaf db.Db.tree (key_of b)) in
+  let neighbour = List.nth pids 2 in
+  let before = Btree.Invariant.contents db.Db.tree in
+  let eng = Engine.create () in
+  let user = Txn_mgr.fresh_owner db.Db.mgr in
+  let evicted = ref false and outcome = ref None in
+  Engine.spawn eng (fun () ->
+      Transact.Lock_client.acquire db.Db.locks ~txn:user (Lockmgr.Resource.Page neighbour)
+        Lockmgr.Mode.X;
+      Engine.sleep 10;
+      Tree.iter_leaves db.Db.tree (fun _ _ -> ());
+      let pool = db.Db.pool in
+      evicted := not (Pager.Buffer_pool.in_pool pool a || Pager.Buffer_pool.in_pool pool b);
+      Transact.Lock_client.release_all db.Db.locks ~txn:user);
+  Engine.spawn eng (fun () ->
+      Engine.sleep 1;
+      outcome := Some (Unit_exec.execute ctx (Unit_exec.Swap { a_base; a; b_base; b })));
+  Engine.run eng;
+  Alcotest.(check bool) "both leaves evicted during the wait" true !evicted;
+  Alcotest.(check bool) "done" true
+    (match !outcome with Some (Unit_exec.Done _) -> true | _ -> false);
+  Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
+  Alcotest.(check bool) "contents preserved" true
+    (Btree.Invariant.contents db.Db.tree = before);
   let pids' = Tree.leaf_pids db.Db.tree in
   Alcotest.(check int) "b at a's position" b (List.nth pids' 1);
   Alcotest.(check int) "a at b's position" a (List.nth pids' 5)
@@ -408,5 +448,7 @@ let () =
           Alcotest.test_case "waits for reader" `Quick test_unit_blocked_by_reader_waits;
           Alcotest.test_case "pass 2 cascades into a pending slot" `Quick
             test_pass2_cascades_into_pending_slot;
+          Alcotest.test_case "swap survives eviction during a neighbour wait" `Quick
+            test_swap_survives_eviction_during_neighbour_wait;
         ] );
     ]
