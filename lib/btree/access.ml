@@ -12,11 +12,13 @@ type t = {
   record_locking : bool;
   mutable on_base_update : (Txn.t -> Wal.Record.side_op -> unit) option;
   mutable side_undo : (Wal.Record.side_op -> unit) option;
-  mutable health : Obs.Health.t option;
   mutable olc_enabled : bool;
   mutable olc_max_retries : int;
-  mutable read_probe : (leaf:int -> key:int -> valid:bool -> unit) option;
 }
+
+let topic = Obs.Bus.topic ()
+
+type Obs.Bus.event += Olc_read of { leaf : int; key : int; result : string option }
 
 let olc_default = true
 let olc_max_retries_default = 3
@@ -28,10 +30,8 @@ let create ~tree ~mgr ?(record_locking = false) () =
     record_locking;
     on_base_update = None;
     side_undo = None;
-    health = None;
     olc_enabled = olc_default;
     olc_max_retries = olc_max_retries_default;
-    read_probe = None;
   }
 
 let set_olc t ?(max_retries = olc_max_retries_default) enabled =
@@ -40,11 +40,6 @@ let set_olc t ?(max_retries = olc_max_retries_default) enabled =
 
 let olc_enabled t = t.olc_enabled
 
-let set_read_probe t f = t.read_probe <- f
-
-let set_health t h = t.health <- h
-let health t = t.health
-
 let set_side_undo t f = t.side_undo <- Some f
 
 let run_side_undo t op = match t.side_undo with Some f -> f op | None -> ()
@@ -52,6 +47,7 @@ let run_side_undo t op = match t.side_undo with Some f -> f op | None -> ()
 let tree t = t.tree
 let mgr t = t.mgr
 let locks t = Txn_mgr.lock_mgr t.mgr
+let bus t = Lock_mgr.bus (locks t)
 
 let set_on_base_update t f = t.on_base_update <- Some f
 let clear_on_base_update t = t.on_base_update <- None
@@ -268,14 +264,8 @@ let olc_read t ~txn key =
       (* Same atomic step as the descent's last page read. *)
       let res = Leaf.find (Tree.page t.tree leaf) key in
       Olc.note_read olc;
-      (match t.read_probe with
-      | Some probe ->
-        (* Checker mode: judge the optimistic result against a fresh
-           unlocked descent in the same atomic step — ground truth, since
-           nothing can run between the two. *)
-        let valid = res = Tree.search t.tree key in
-        probe ~leaf ~key ~valid
-      | None -> ());
+      let bus = bus t in
+      if Obs.Bus.wants bus topic then Obs.Bus.emit bus topic (Olc_read { leaf; key; result = res });
       res
     | _ -> fallback ()
     | exception Olc_conflict ->

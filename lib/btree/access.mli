@@ -63,13 +63,8 @@ val set_side_undo : t -> (Wal.Record.side_op -> unit) -> unit
 val run_side_undo : t -> Wal.Record.side_op -> unit
 (** Dispatch a side-file CLR action to the installed hook (no-op if none). *)
 
-val set_health : t -> Obs.Health.t option -> unit
-(** Attach the database's tree-health tracker.  [Access] itself never reads
-    it; it is the handle through which the reorganizer's passes and the
-    side file report progress events ({!Obs.Health.note_unit},
-    {!Obs.Health.side_event}, ...). *)
-
-val health : t -> Obs.Health.t option
+val bus : t -> Obs.Bus.t
+(** The store's event stream (the lock manager's). *)
 
 val set_olc : t -> ?max_retries:int -> bool -> unit
 (** Enable/disable the optimistic read path (DESIGN.md §11; on from
@@ -87,12 +82,15 @@ val set_olc : t -> ?max_retries:int -> bool -> unit
 
 val olc_enabled : t -> bool
 
-val set_read_probe : t -> (leaf:int -> key:int -> valid:bool -> unit) option -> unit
-(** Conformance-checker hook: fires on every {e committed} optimistic point
-    read, in the same atomic scheduler step as the read itself, with
-    [valid] = "the optimistic result equals a fresh root-to-leaf descent's
-    answer right now".  The olc protocol model asserts [valid] always holds;
-    the {!Olc.test_skip_bumps} mutation makes it fire false. *)
+val topic : Obs.Bus.topic
+
+type Obs.Bus.event +=
+  | Olc_read of { leaf : int; key : int; result : string option }
+      (** A {e committed} optimistic point read, emitted under {!topic} in
+          the same atomic scheduler step as the read itself.  The
+          conformance checker judges [result] against a fresh root-to-leaf
+          descent taken in its handler; the {!Olc.test_skip_bumps} mutation
+          makes that verdict fail. *)
 
 val read : t -> txn:Transact.Txn.t -> int -> string option
 

@@ -10,13 +10,11 @@ type t = {
   rtable : Rtable.t;
   metrics : Metrics.t;
   actor : Transact.Txn.t;
-  tracer : Obs.Trace.t option;
   shard : int * int;
-  prot : (Prot.event -> unit) option;
   worker_rtables : Rtable.t list ref;
 }
 
-let make ?registry ?tracer ?(shard = (0, 1)) ?prot ~access ~config () =
+let make ?registry ?(shard = (0, 1)) ~access ~config () =
   let shard_i, shard_n = shard in
   if shard_n < 1 || shard_i < 0 || shard_i >= shard_n then
     invalid_arg "Ctx.make: shard index out of range";
@@ -31,13 +29,12 @@ let make ?registry ?tracer ?(shard = (0, 1)) ?prot ~access ~config () =
     rtable = Rtable.create ~first_id:(shard_i + 1) ~id_stride:shard_n ();
     metrics = Metrics.create ?registry ();
     actor;
-    tracer;
     shard;
-    prot;
     worker_rtables = ref [];
   }
 
-let emit t ev = match t.prot with None -> () | Some f -> f ev
+let bus t = Access.bus t.access
+let emit t ev = Obs.Bus.emit (bus t) Prot.topic ev
 
 let worker t ~index ~count =
   let shard_i, shard_n = t.shard in
@@ -60,22 +57,16 @@ let worker t ~index ~count =
     rtable;
     metrics = t.metrics;
     actor;
-    tracer = t.tracer;
     shard = t.shard;
-    prot = t.prot;
     worker_rtables = t.worker_rtables;
   }
 
-let span t ?args name f =
-  match t.tracer with
-  | None -> f ()
-  | Some tr ->
-    let tid = Sched.Engine.current_fiber () in
-    Obs.Trace.with_span tr ~tid ?args ~cat:"reorg" name f
+let span t phase f =
+  emit t (Prot.Phase_begin phase);
+  Fun.protect ~finally:(fun () -> emit t (Prot.Phase_end phase)) f
 
 let tree t = Access.tree t.access
 let olc t = Btree.Tree.olc (tree t)
-let health t = Access.health t.access
 let locks t = Access.locks t.access
 let journal t = Tree.journal (tree t)
 let pool t = Journal.pool (journal t)
@@ -93,22 +84,19 @@ let log_reorg t body =
   (* All unit-lifecycle WAL records flow through here (execution, §5.2 undo
      and recovery completions alike), so this is the one place the protocol
      stream derives its Unit_* events. *)
-  (match t.prot with
-  | None -> ()
-  | Some f ->
-    let actor = t.actor.Transact.Txn.id in
-    (match body with
-    | Wal.Record.Reorg_begin { unit_id; rtype; base_pages; leaf_pages } ->
-      f
-        (Prot.Unit_begin
-           { actor; unit_id; kind = rtype; bases = base_pages; leaves = leaf_pages; lsn })
-    | Wal.Record.Reorg_move { unit_id; org; dest; _ } ->
-      f (Prot.Unit_move { actor; unit_id; org; dest; lsn })
-    | Wal.Record.Reorg_modify { unit_id; base; _ } ->
-      f (Prot.Unit_modify { actor; unit_id; base; lsn })
-    | Wal.Record.Reorg_end { unit_id; largest_key; _ } ->
-      f (Prot.Unit_end { actor; unit_id; largest_key; lsn })
-    | _ -> ()));
+  let actor = t.actor.Transact.Txn.id in
+  (match body with
+  | Wal.Record.Reorg_begin { unit_id; rtype; base_pages; leaf_pages } ->
+    emit t
+      (Prot.Unit_begin
+         { actor; unit_id; kind = rtype; bases = base_pages; leaves = leaf_pages; lsn })
+  | Wal.Record.Reorg_move { unit_id; org; dest; _ } ->
+    emit t (Prot.Unit_move { actor; unit_id; org; dest; lsn })
+  | Wal.Record.Reorg_modify { unit_id; base; _ } ->
+    emit t (Prot.Unit_modify { actor; unit_id; base; lsn })
+  | Wal.Record.Reorg_end { unit_id; largest_key; _ } ->
+    emit t (Prot.Unit_end { actor; unit_id; largest_key; lsn })
+  | _ -> ());
   lsn
 
 let stamp t ~page lsn = Journal.stamp (journal t) ~page lsn

@@ -1,8 +1,8 @@
 (** Shared state of one reorganization run: the access layer it works
     through, its configuration, the §5 system table, metrics, the
     reorganizer's own lock-owner identity (registered as the preferred
-    deadlock victim), and an optional tracer for per-pass / per-unit
-    spans. *)
+    deadlock victim).  Everything it reports goes out on the store's bus
+    ({!emit}). *)
 
 type t = {
   access : Btree.Access.t;
@@ -10,9 +10,7 @@ type t = {
   rtable : Rtable.t;
   metrics : Metrics.t;
   actor : Transact.Txn.t;  (** the reorganization process's lock owner *)
-  tracer : Obs.Trace.t option;
   shard : int * int;  (** [(index, count)] of the shard this run works on *)
-  prot : (Prot.event -> unit) option;  (** protocol-event sink (model checker) *)
   worker_rtables : Rtable.t list ref;
       (** system tables of derived {!worker} contexts — their in-flight
           units are truncation floors for the parent's checkpoints *)
@@ -20,36 +18,34 @@ type t = {
 
 val make :
   ?registry:Obs.Registry.t ->
-  ?tracer:Obs.Trace.t ->
   ?shard:int * int ->
-  ?prot:(Prot.event -> unit) ->
   access:Btree.Access.t ->
   config:Config.t ->
   unit ->
   t
-(** [registry] attaches the run's {!Metrics} counters; [tracer] records each
-    pass, unit and switch attempt as spans on the calling process's row.
-    [shard:(i, n)] (default [(0, 1)]) puts unit ids on the lattice
+(** [registry] attaches the run's {!Metrics} counters.  [shard:(i, n)] (default [(0, 1)]) puts unit ids on the lattice
     [i+1 + k*n] so the system tables of concurrently reorganizing shards
     never share a unit id; the actor's lock-owner id is globally unique
     already because it is minted by the shard's strided transaction
-    manager.  [prot] installs a {!Prot} event sink: {!log_reorg} derives the
-    unit-lifecycle events from the records it appends, and the passes emit
-    the switch-protocol events explicitly. *)
+    manager. *)
 
-val emit : t -> Prot.event -> unit
-(** Feed one protocol event to the attached sink (no-op without one). *)
+val bus : t -> Obs.Bus.t
+(** The store's event stream. *)
+
+val emit : t -> Obs.Bus.event -> unit
+(** Emit one reorganizer event under {!Prot.topic}.  {!log_reorg} derives
+    the unit-lifecycle events from the records it appends; the passes emit
+    the switch-protocol events and the spans explicitly. *)
 
 val worker : t -> index:int -> count:int -> t
 (** A derived context for one of [count] parallel reorganizer workers: its
     own lock-owner identity and system table (with a unit-id lattice
     disjoint across both workers and shards), sharing the parent's access
-    layer, configuration, metrics and tracer. *)
+    layer, configuration and metrics. *)
 
-val span : t -> ?args:(string * Obs.Trace.arg) list -> string -> (unit -> 'a) -> 'a
-(** [span t name f] runs [f] inside a ["reorg"]-category span on the current
-    scheduler fiber's row; a no-op wrapper when no tracer is attached.  Must
-    be called from inside an engine process. *)
+val span : t -> Prot.phase -> (unit -> 'a) -> 'a
+(** [span t phase f] runs [f] between {!Prot.Phase_begin} and
+    {!Prot.Phase_end} (the end also when [f] raises). *)
 
 val tree : t -> Btree.Tree.t
 
@@ -58,10 +54,6 @@ val olc : t -> Btree.Olc.t
     at every raw page mutation that bypasses {!Btree.Tree.physical} and
     registers its units ({!Btree.Olc.unit_begin}/[unit_end]) so optimistic
     readers fall back to the locked protocol while a unit is in flight. *)
-
-val health : t -> Obs.Health.t option
-(** The database's tree-health tracker, when one is attached to the access
-    layer — how unit completions and switches are reported. *)
 
 val locks : t -> Lockmgr.Lock_mgr.t
 val journal : t -> Transact.Journal.t

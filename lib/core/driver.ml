@@ -33,21 +33,19 @@ let run ?(pass1_workers = 1) ctx =
   let tree = Ctx.tree ctx in
   let before = Tree.stats tree in
   let pass1_units =
-    Ctx.span ctx "pass1"
-      ~args:[ ("workers", Obs.Trace.Int pass1_workers) ]
-      (fun () ->
+    Ctx.span ctx (Prot.Pass1 { workers = pass1_workers }) (fun () ->
         if pass1_workers > 1 then Pass1.run_parallel ctx ~workers:pass1_workers
         else Pass1.run ctx)
   in
   Ctx.checkpoint ctx;
   let out_of_order = Pass2.out_of_order ctx in
   let swaps, moves =
-    Ctx.span ctx "pass2" (fun () ->
+    Ctx.span ctx Prot.Pass2 (fun () ->
         if ctx.Ctx.config.Config.swap_pass then Pass2.run ctx else (0, 0))
   in
   Ctx.checkpoint ctx;
   let switched =
-    Ctx.span ctx "pass3" (fun () ->
+    Ctx.span ctx Prot.Pass3 (fun () ->
         if ctx.Ctx.config.Config.shrink_pass then Pass3.run ctx () else false)
   in
   Ctx.checkpoint ctx;

@@ -100,8 +100,6 @@ let run ctx ?resume ?finish () =
     let old_root = Tree.root tree in
     let gen = Tree.generation tree + 1 in
     let side = Side_file.create ~journal ~locks in
-    Side_file.set_health side (Access.health access);
-    Side_file.set_prot side ctx.Ctx.prot;
     let me = ctx.Ctx.actor.Transact.Txn.id in
     (match (resume, finish) with
     | Some r, _ -> Side_file.restore_entries side r.r_side
@@ -202,7 +200,7 @@ let run ctx ?resume ?finish () =
         if next_key <> max_int then scan next_key
     in
     if finish = None then
-      Ctx.span ctx "pass3.scan" (fun () -> scan resume_key);
+      Ctx.span ctx Prot.Pass3_scan (fun () -> scan resume_key);
     Rtable.set_ck ctx.Ctx.rtable (Some max_int);
     Ctx.emit ctx (Prot.Scan_done { actor = me });
     (* ---- finalize the new upper levels ---- *)
@@ -250,9 +248,7 @@ let run ctx ?resume ?finish () =
         Engine.sleep 2;
         acquire_side_x ()
     in
-    Ctx.span ctx "pass3.switch"
-      ~args:[ ("old_root", Obs.Trace.Int old_root); ("new_root", Obs.Trace.Int (Tree.root nt)) ]
-      (fun () ->
+    Ctx.span ctx (Prot.Pass3_switch { old_root; new_root = Tree.root nt }) (fun () ->
         acquire_side_x ();
         Ctx.emit ctx (Prot.Side_locked { actor = me });
         (* Final catch-up: only the entries appended while we waited. *)
@@ -281,7 +277,7 @@ let run ctx ?resume ?finish () =
             Meta.set_generation p gen);
         Olc.bump (Ctx.olc ctx) (Tree.meta_pid tree);
         Wal.Log.force_all (Ctx.log ctx));
-    (match Access.health access with Some h -> Obs.Health.note_switch h | None -> ());
+    Ctx.emit ctx Prot.Switched;
     let cleanup () =
       discard_old_internals ctx ~old_root;
       Journal.physical journal ~page:scratch_meta ~off:0 ~len:1 (fun p ->

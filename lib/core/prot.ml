@@ -1,4 +1,6 @@
-(* Typed protocol events for the reorganization side of the model checker.
+(* The reorganizer's typed events on the store's bus: the protocol steps
+   the model checker replays, plus the pass spans and progress facts the
+   trace and the health tracker follow.
 
    The unit-lifecycle events (the Unit_ constructors) are derived at the
    single choke point
@@ -8,9 +10,18 @@
    switch events are emitted by [Pass3] and [Side_file] at the protocol
    steps of §7. *)
 
+let topic = Obs.Bus.topic ()
+
 type pass3_mode = Fresh | Resume | Finish
 
-type event =
+type phase =
+  | Pass1 of { workers : int }
+  | Pass2
+  | Pass3
+  | Pass3_scan
+  | Pass3_switch of { old_root : int; new_root : int }
+
+type Obs.Bus.event +=
   | Unit_begin of {
       actor : int;
       unit_id : int;
@@ -42,7 +53,10 @@ type event =
   | Switch_cleanup of { actor : int }
   | Side_accept of { key : int }
   | Side_redirect of { key : int }
-  | Olc_read of { leaf : int; key : int; valid : bool }
+  | Phase_begin of phase
+  | Phase_end of phase
+  | Switched
+  | Side_backlog of { size : int; change : Obs.Health.side_event }
 
 let mode_to_string = function Fresh -> "fresh" | Resume -> "resume" | Finish -> "finish"
 
@@ -83,7 +97,5 @@ let to_string = function
   | Switch_cleanup { actor } -> Printf.sprintf "Switch_cleanup{actor=%d}" actor
   | Side_accept { key } -> Printf.sprintf "Side_accept{key=%d}" key
   | Side_redirect { key } -> Printf.sprintf "Side_redirect{key=%d}" key
-  | Olc_read { leaf; key; valid } ->
-    Printf.sprintf "Olc_read{leaf=%d key=%d valid=%b}" leaf key valid
+  | _ -> "<not a protocol event>"
 
-let pp ppf ev = Format.pp_print_string ppf (to_string ev)

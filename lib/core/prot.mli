@@ -1,10 +1,11 @@
-(** Typed protocol events emitted by the reorganizer for the model checker.
+(** The reorganizer's typed events, emitted on the store's bus
+    ({!Ctx.emit}) under {!topic}.
 
-    Alongside {!Obs.Trace} (human timelines) the reorganizer publishes a
-    machine-checkable stream of protocol steps.  Consumers install a sink via
-    [?prot] on {!Ctx.make} / {!Recovery.restart} and {!Side_file.set_prot};
-    the [lib/model] conformance machines replay the stream against guarded
-    models of the paper's unit lifecycle (§5) and switch protocol (§7).
+    Most are protocol steps: the [lib/model] conformance machines replay
+    them against guarded models of the paper's unit lifecycle (§5) and
+    switch protocol (§7).  The rest are for the other subscribers: pass
+    spans ({!Phase_begin}/{!Phase_end}) for the trace, and the progress
+    facts the health tracker counts ({!Switched}, {!Side_backlog}).
 
     Event sources:
     - [Unit_begin]/[Unit_move]/[Unit_modify]/[Unit_end] are derived from the
@@ -17,15 +18,21 @@
       side-file catch-up, the switch record, the drain with forced aborts
       (§7.4) and the λ-switch variant;
     - [Side_accept]/[Side_redirect] are the side file's per-update admission
-      decisions (accepted behind CK vs redirected to the new tree);
-    - [Olc_read] is fired by the access layer's optimistic read path
-      (installed through {!Btree.Access.set_read_probe}) for every committed
-      lock-free point lookup, carrying an oracle verdict computed in the same
-      atomic scheduler step. *)
+      decisions (accepted behind CK vs redirected to the new tree). *)
+
+val topic : Obs.Bus.topic
 
 type pass3_mode = Fresh | Resume | Finish
 
-type event =
+(** A traced stretch of the reorganization ({!Ctx.span}). *)
+type phase =
+  | Pass1 of { workers : int }
+  | Pass2
+  | Pass3
+  | Pass3_scan
+  | Pass3_switch of { old_root : int; new_root : int }
+
+type Obs.Bus.event +=
   | Unit_begin of {
       actor : int;
       unit_id : int;
@@ -58,12 +65,16 @@ type event =
   | Switch_cleanup of { actor : int }
   | Side_accept of { key : int }
   | Side_redirect of { key : int }
-  | Olc_read of { leaf : int; key : int; valid : bool }
-      (** a committed optimistic read: [valid] = its result equals a fresh
-          locked-descent answer taken in the same atomic step *)
+  | Phase_begin of phase
+  | Phase_end of phase  (** also when the phase raised *)
+  | Switched  (** pass 3's switch completed: the meta page names the new root *)
+  | Side_backlog of { size : int; change : Obs.Health.side_event }
+      (** the side file's size after an append, take, undo-remove or
+          recovery restore *)
 
 val key_to_string : int -> string
 (** Renders [min_int]/[max_int] as the -inf/+inf sentinels they are. *)
 
-val to_string : event -> string
-val pp : Format.formatter -> event -> unit
+val to_string : Obs.Bus.event -> string
+(** Renders the protocol steps; any other event as a placeholder. *)
+

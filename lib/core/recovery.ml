@@ -522,7 +522,7 @@ let rebuild_builder_state ctx ~stable_key =
 (* Restart                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let restart ?registry ?tracer ?shard ?prot ~access ~config () =
+let restart ?registry ?shard ~access ~config () =
   let tree = Access.tree access in
   let mgr = Access.mgr access in
   let journal = Tree.journal tree in
@@ -556,7 +556,7 @@ let restart ?registry ?tracer ?shard ?prot ~access ~config () =
      of a torn block operation): recompute the free sets. *)
   if a.losers <> [] then Alloc.rebuild (Tree.alloc tree);
   (* Forward recovery of the reorganizer's state. *)
-  let ctx = Ctx.make ?registry ?tracer ?shard ?prot ~access ~config () in
+  let ctx = Ctx.make ?registry ?shard ~access ~config () in
   Rtable.restore ctx.Ctx.rtable a.rt;
   let finished_unit = finish_units ctx log ~open_units:a.open_units in
   let resume =

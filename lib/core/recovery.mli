@@ -44,9 +44,7 @@ type outcome = {
 
 val restart :
   ?registry:Obs.Registry.t ->
-  ?tracer:Obs.Trace.t ->
   ?shard:int * int ->
-  ?prot:(Prot.event -> unit) ->
   access:Btree.Access.t ->
   config:Config.t ->
   unit ->

@@ -14,21 +14,12 @@ type t = {
   mutable front : Record.side_op list; (* oldest first *)
   mutable back : Record.side_op list; (* newest first *)
   mutable count : int;
-  mutable health : Obs.Health.t option;
-  mutable prot : (Prot.event -> unit) option;
 }
 
-let create ~journal ~locks =
-  { journal; locks; front = []; back = []; count = 0; health = None; prot = None }
+let create ~journal ~locks = { journal; locks; front = []; back = []; count = 0 }
 
-let set_health t h = t.health <- h
-let set_prot t f = t.prot <- f
-let emit t ev = match t.prot with None -> () | Some f -> f ev
-
-let note t ev =
-  match t.health with
-  | Some h -> Obs.Health.side_event h ~size:t.count ev
-  | None -> ()
+let emit t ev = Obs.Bus.emit (Lockmgr.Lock_mgr.bus t.locks) Prot.topic ev
+let note t change = emit t (Prot.Side_backlog { size = t.count; change })
 
 let key_of = function
   | Record.Side_insert { key; _ } | Record.Side_delete { key; _ } -> key
@@ -101,7 +92,6 @@ let remove t op =
   note t Obs.Health.Removed
 
 let size t = t.count
-let is_empty t = t.count = 0
 
 let restore_entries t ops =
   t.front <- ops;

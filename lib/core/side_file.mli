@@ -15,15 +15,10 @@
 type t
 
 val create : journal:Transact.Journal.t -> locks:Lockmgr.Lock_mgr.t -> t
-
-val set_health : t -> Obs.Health.t option -> unit
-(** Report the backlog size to the tree-health tracker after every append,
-    take, undo-remove, and recovery-restore. *)
-
-val set_prot : t -> (Prot.event -> unit) option -> unit
-(** Protocol-event sink: each {!append} emits [Side_accept] or
-    [Side_redirect] with the affected key, so the model checker sees the
-    admission decision the switch protocol hinges on. *)
+(** Events go out on the lock manager's bus: {!Prot.Side_backlog} after
+    every append, take, undo-remove and recovery-restore, and from each
+    {!append} a [Side_accept] or [Side_redirect] with the affected key —
+    the admission decision the switch protocol hinges on. *)
 
 val append : t -> txn:Transact.Txn.t -> Wal.Record.side_op -> [ `Accepted | `Redirect ]
 (** May raise {!Transact.Lock_client.Deadlock_victim}. *)
@@ -41,7 +36,6 @@ val remove : t -> Wal.Record.side_op -> unit
 (** Logical undo of an append (wired into the transaction manager). *)
 
 val size : t -> int
-val is_empty : t -> bool
 
 val restore_entries : t -> Wal.Record.side_op list -> unit
 (** Recovery: reload surviving entries (oldest first). *)

@@ -24,15 +24,6 @@ type outcome = Done of int | Stale | Gave_up
 
 exception Stale_plan
 
-let pp_plan ppf = function
-  | Compact { base; leaves; dest } ->
-    let d = match dest with `In_place p -> Printf.sprintf "in-place:%d" p | `New_place p -> Printf.sprintf "new-place:%d" p in
-    Format.fprintf ppf "compact base=%d leaves=[%s] dest=%s" base
-      (String.concat ";" (List.map string_of_int leaves))
-      d
-  | Swap { a_base; a; b_base; b } -> Format.fprintf ppf "swap %d(%d) <-> %d(%d)" a a_base b b_base
-  | Move { base; org; dest } -> Format.fprintf ppf "move %d -> %d (base %d)" org dest base
-
 (* ------------------------------------------------------------------ *)
 (* Unit bodies                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -651,34 +642,22 @@ let execute_swap ctx ~a_base ~a ~b_base ~b =
 
 (* ------------------------------------------------------------------ *)
 
-let outcome_label = function Done _ -> "done" | Stale -> "stale" | Gave_up -> "gave-up"
-
 let run_plan ctx = function
   | Compact { base; leaves; dest } -> execute_compact ctx ~base ~leaves ~dest
   | Swap { a_base; a; b_base; b } -> execute_swap ctx ~a_base ~a ~b_base ~b
   | Move { base; org; dest } -> execute_move ctx ~base ~org ~dest
 
-(* One span per unit attempt, named by unit kind, closed with the outcome. *)
+type Obs.Bus.event += Attempt of plan | Attempt_end of outcome option
+
 let execute_once ctx plan =
-  match ctx.Ctx.tracer with
-  | None -> run_plan ctx plan
-  | Some tr ->
-    let name, args =
-      match plan with
-      | Compact { base; leaves; _ } ->
-        ("unit.compact", [ ("base", Obs.Trace.Int base); ("leaves", Obs.Trace.Int (List.length leaves)) ])
-      | Swap { a; b; _ } -> ("unit.swap", [ ("a", Obs.Trace.Int a); ("b", Obs.Trace.Int b) ])
-      | Move { org; dest; _ } -> ("unit.move", [ ("org", Obs.Trace.Int org); ("dest", Obs.Trace.Int dest) ])
-    in
-    let tid = Sched.Engine.current_fiber () in
-    Obs.Trace.begin_span tr ~tid ~args ~cat:"reorg" name;
-    (try
-       let outcome = run_plan ctx plan in
-       Obs.Trace.end_span tr ~tid ~args:[ ("outcome", Obs.Trace.Str (outcome_label outcome)) ] ();
-       outcome
-     with e ->
-       Obs.Trace.end_span tr ~tid ~args:[ ("outcome", Obs.Trace.Str "exception") ] ();
-       raise e)
+  Ctx.emit ctx (Attempt plan);
+  match run_plan ctx plan with
+  | outcome ->
+    Ctx.emit ctx (Attempt_end (Some outcome));
+    outcome
+  | exception e ->
+    Ctx.emit ctx (Attempt_end None);
+    raise e
 
 let execute ctx plan =
   let limit = ctx.Ctx.config.Config.unit_retry_limit in
@@ -689,7 +668,6 @@ let execute ctx plan =
       Sched.Engine.sleep (1 + attempt);
       go (attempt + 1)
     | Done _ as outcome ->
-      (match Ctx.health ctx with Some h -> Obs.Health.note_unit h | None -> ());
       (* Model the unit's page I/O; overlapping these sleeps is where
          parallel workers win. *)
       if ctx.Ctx.config.Config.io_pacing > 0 then

@@ -41,8 +41,12 @@ type outcome =
   | Gave_up  (** deadlock-victim retries exhausted, or undo-at-deadlock ran *)
 
 val execute : Ctx.t -> plan -> outcome
+(** Each attempt is bracketed by {!Attempt} and {!Attempt_end} on the
+    store's bus ({!Ctx.emit}). *)
 
-val pp_plan : Format.formatter -> plan -> unit
+type Obs.Bus.event +=
+  | Attempt of plan
+  | Attempt_end of outcome option  (** [None]: the attempt raised *)
 
 (** {1 Forward recovery}
 

@@ -27,11 +27,11 @@ type waiter = {
   w_wake : grant -> unit;
 }
 
-(* Typed protocol events for the model-conformance checker (lib/model).  One
-   event per observable lock-table decision; emitted only when a hook is
-   installed, so scenarios without a checker pay one [None] test per
-   decision. *)
-type event =
+(* One event per observable lock-table decision, built only while some
+   subscriber of the bus handles [topic]. *)
+let topic = Obs.Bus.topic ()
+
+type Obs.Bus.event +=
   | Ev_granted of { owner : owner; res : Resource.t; mode : Mode.t; after_wait : bool }
   | Ev_queued of {
       owner : owner;
@@ -97,16 +97,15 @@ type t = {
   mutable scan_steps : int; (* holder/index list elements examined on lock paths *)
   mutable instant_checks : int; (* non-enqueuing grantability probes (OLC fallback tests) *)
   by_mode : mode_stats array;
-  mutable tracer : Obs.Trace.t option;
+  bus : Obs.Bus.t;
   (* Extra waits-for edges from outside this lock domain.  A cross-shard
      coordinator installs a closure that returns the union of the OTHER
      shards' local edges for an owner, so cycles spanning shard lock
      managers are still found by the local DFS at enqueue time. *)
   mutable extra_edges : (owner -> owner list) option;
-  mutable event_hook : (event -> unit) option;
 }
 
-let create () =
+let create ?(bus = Obs.Bus.create ()) () =
   {
     entries = Rtbl.create 64;
     owner_index = Itbl.create 16;
@@ -126,14 +125,12 @@ let create () =
     instant_checks = 0;
     by_mode =
       Array.init Mode.arity (fun _ -> { m_acquires = 0; m_waits = 0; m_deadlocks = 0 });
-    tracer = None;
-    event_hook = None;
+    bus;
   }
 
-let set_tracer t tracer = t.tracer <- tracer
-let tracer t = t.tracer
-let set_event_hook t hook = t.event_hook <- hook
-let emit t ev = match t.event_hook with None -> () | Some f -> f ev
+let bus t = t.bus
+let on t = Obs.Bus.wants t.bus topic
+let emit t ev = Obs.Bus.emit t.bus topic ev
 
 let mode_stats t mode = t.by_mode.(Mode.index mode)
 
@@ -254,7 +251,7 @@ let remove_holding t e o res mode =
 (* Drop every mode [o] holds on [e] at once (release_all path). *)
 let drop_owner t e o res =
   match Itbl.find_opt e.holders o with
-  | None -> false
+  | None -> []
   | Some ms ->
     List.iter
       (fun (m, _) ->
@@ -263,7 +260,7 @@ let drop_owner t e o res =
       ms;
     Itbl.remove e.holders o;
     index_remove t o res;
-    true
+    ms
 
 (* Can [o] be granted [mode] given current holders (ignoring its own
    holdings)?  O(Mode.arity): a held mode that conflicts with the request is
@@ -376,9 +373,10 @@ let fire t res e woken =
       Itbl.remove t.pending w.w_owner;
       if not w.w_instant then begin
         add_holding t e w.w_owner res w.w_mode;
-        emit t (Ev_granted { owner = w.w_owner; res; mode = w.w_mode; after_wait = true })
+        if on t then
+          emit t (Ev_granted { owner = w.w_owner; res; mode = w.w_mode; after_wait = true })
       end
-      else emit t (Ev_signalled { owner = w.w_owner; res; mode = w.w_mode });
+      else if on t then emit t (Ev_signalled { owner = w.w_owner; res; mode = w.w_mode });
       w.w_wake Granted)
     woken;
   gc_entry t res e
@@ -390,7 +388,7 @@ let try_acquire t ~owner res mode =
     add_holding t e owner res mode;
     t.acquires <- t.acquires + 1;
     (mode_stats t mode).m_acquires <- (mode_stats t mode).m_acquires + 1;
-    emit t (Ev_granted { owner; res; mode; after_wait = false });
+    if on t then emit t (Ev_granted { owner; res; mode; after_wait = false });
     `Granted
   end
   else begin
@@ -403,7 +401,7 @@ let try_acquire t ~owner res mode =
       add_holding t e owner res mode;
       t.acquires <- t.acquires + 1;
       (mode_stats t mode).m_acquires <- (mode_stats t mode).m_acquires + 1;
-      emit t (Ev_granted { owner; res; mode; after_wait = false });
+      if on t then emit t (Ev_granted { owner; res; mode; after_wait = false });
       `Granted
     end
     else begin
@@ -529,19 +527,9 @@ let resolve_deadlock t cycle =
   | Some (res, e, w) ->
     t.deadlocks <- t.deadlocks + 1;
     (mode_stats t w.w_mode).m_deadlocks <- (mode_stats t w.w_mode).m_deadlocks + 1;
-    (match t.tracer with
-    | Some tr ->
-      Obs.Trace.instant tr ~cat:"lock" "lock.deadlock-victim"
-        ~args:
-          [
-            ("owner", Obs.Trace.Int w.w_owner);
-            ("res", Obs.Trace.Str (Resource.to_string res));
-            ("mode", Obs.Trace.Str (Mode.to_string w.w_mode));
-          ]
-    | None -> ());
     (* The victim event precedes the wakes its removal enables, matching the
        order in which the model must replay the queue change. *)
-    emit t (Ev_victim { owner = w.w_owner; res; mode = w.w_mode; forced = false });
+    if on t then emit t (Ev_victim { owner = w.w_owner; res; mode = w.w_mode; forced = false });
     (* Removing the victim may unblock others. *)
     let woken = process_queue t e in
     fire t res e woken;
@@ -562,7 +550,7 @@ let enqueue t ~owner res mode ~instant ~wake =
   Itbl.replace t.pending owner res;
   t.waits <- t.waits + 1;
   (mode_stats t mode).m_waits <- (mode_stats t mode).m_waits + 1;
-  emit t (Ev_queued { owner; res; mode; instant; conversion });
+  if on t then emit t (Ev_queued { owner; res; mode; instant; conversion });
   match find_cycle t owner with
   | Some cycle -> resolve_deadlock t cycle
   | None -> ()
@@ -574,17 +562,7 @@ let cancel_wait t ~owner =
     t.deadlocks <- t.deadlocks + 1;
     t.cancelled_waits <- t.cancelled_waits + 1;
     (mode_stats t w.w_mode).m_deadlocks <- (mode_stats t w.w_mode).m_deadlocks + 1;
-    (match t.tracer with
-    | Some tr ->
-      Obs.Trace.instant tr ~cat:"lock" "lock.forced-abort"
-        ~args:
-          [
-            ("owner", Obs.Trace.Int w.w_owner);
-            ("res", Obs.Trace.Str (Resource.to_string res));
-            ("mode", Obs.Trace.Str (Mode.to_string w.w_mode));
-          ]
-    | None -> ());
-    emit t (Ev_victim { owner = w.w_owner; res; mode = w.w_mode; forced = true });
+    if on t then emit t (Ev_victim { owner = w.w_owner; res; mode = w.w_mode; forced = true });
     let woken = process_queue t e in
     fire t res e woken;
     w.w_wake Deadlock;
@@ -596,7 +574,7 @@ let release t ~owner res mode =
   | Some e ->
     remove_holding t e owner res mode;
     t.releases <- t.releases + 1;
-    emit t (Ev_released { owner; res; mode });
+    if on t then emit t (Ev_released { owner; res; mode });
     let woken = process_queue t e in
     fire t res e woken
 
@@ -606,15 +584,17 @@ let downgrade t ~owner res ~from_ ~to_ =
   | Some e ->
     remove_holding t e owner res from_;
     add_holding t e owner res to_;
-    emit t (Ev_released { owner; res; mode = from_ });
-    emit t (Ev_granted { owner; res; mode = to_; after_wait = false });
+    if on t then begin
+      emit t (Ev_released { owner; res; mode = from_ });
+      emit t (Ev_granted { owner; res; mode = to_; after_wait = false })
+    end;
     let woken = process_queue t e in
     fire t res e woken
 
 let release_all t ~owner =
   (match remove_waiter t owner with
   | Some (res, e, w) ->
-    emit t (Ev_dequeued { owner; res; mode = w.w_mode });
+    if on t then emit t (Ev_dequeued { owner; res; mode = w.w_mode });
     let woken = process_queue t e in
     fire t res e woken
   | None -> ());
@@ -628,16 +608,14 @@ let release_all t ~owner =
         match entry_opt t res with
         | None -> ()
         | Some e ->
-          (match (t.event_hook, Itbl.find_opt e.holders owner) with
-          | Some _, Some ms ->
+          let dropped = drop_owner t e owner res in
+          if on t then
             List.iter
               (fun (m, n) ->
                 for _ = 1 to n do
                   emit t (Ev_released { owner; res; mode = m })
                 done)
-              ms
-          | _ -> ());
-          ignore (drop_owner t e owner res);
+              dropped;
           t.releases <- t.releases + 1;
           let woken = process_queue t e in
           fire t res e woken)
@@ -664,8 +642,6 @@ let waiters t res =
   match entry_opt t res with
   | None -> []
   | Some e -> List.map (fun w -> (w.w_owner, w.w_mode)) e.queue
-
-let is_waiting t ~owner = Itbl.mem t.pending owner
 
 let locked_count t ~owner =
   match Itbl.find_opt t.owner_index owner with None -> 0 | Some s -> Rtbl.length s

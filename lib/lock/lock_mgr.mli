@@ -58,7 +58,10 @@ type stats = {
           probes don't masquerade as lock traffic *)
 }
 
-val create : unit -> t
+val create : ?bus:Obs.Bus.t -> unit -> t
+(** [bus] is the store's event stream (default: a fresh one of its own). *)
+
+val bus : t -> Obs.Bus.t
 
 val register_reorganizer : t -> owner -> unit
 (** Mark [owner] as the reorganization process for victim selection. *)
@@ -107,8 +110,6 @@ val holders : t -> Resource.t -> (owner * Mode.t list) list
 
 val waiters : t -> Resource.t -> (owner * Mode.t) list
 
-val is_waiting : t -> owner:owner -> bool
-
 val wait_edges : t -> owner -> owner list
 (** Local waits-for edges of [owner]: the holders and earlier queued waiters
     whose modes conflict with its pending request here.  Empty if the owner
@@ -153,21 +154,17 @@ val register_obs : t -> Obs.Registry.t -> unit
 val mode_tally : t -> Mode.t -> int * int * int
 (** [(acquires, waits, deadlock_victims)] for one mode. *)
 
-val set_tracer : t -> Obs.Trace.t option -> unit
-(** While set, deadlock victims and switch-time forced aborts are recorded
-    as instant events; the scheduler's lock client additionally records each
-    lock wait as a span on the waiting process's timeline row. *)
-
-val tracer : t -> Obs.Trace.t option
-
 (** {2 Protocol events}
 
-    A typed stream of every observable lock-table decision, consumed by the
-    model-conformance checker ([lib/model]).  Events fire in decision order:
-    a deadlock victim's {!Ev_victim} precedes the {!Ev_granted}s its removal
+    Every observable lock-table decision, emitted on the manager's bus under
+    {!topic}: the model-conformance checker ([lib/model]) replays them, and
+    the trace renders the victims.  Events fire in decision order: a
+    deadlock victim's {!Ev_victim} precedes the {!Ev_granted}s its removal
     enables; a grant after waiting fires before the waiter's [wake]. *)
 
-type event =
+val topic : Obs.Bus.topic
+
+type Obs.Bus.event +=
   | Ev_granted of { owner : owner; res : Resource.t; mode : Mode.t; after_wait : bool }
       (** a mode was added to the owner's holdings (immediately, by
           conversion/cover, or — [after_wait] — when its queued wait fired) *)
@@ -188,7 +185,3 @@ type event =
   | Ev_released of { owner : owner; res : Resource.t; mode : Mode.t }
       (** one acquisition released (bulk {!release_all} emits one event per
           held acquisition) *)
-
-val set_event_hook : t -> (event -> unit) option -> unit
-(** Install (or clear) the protocol-event consumer.  With no hook installed
-    the emission paths cost a single [None] test. *)

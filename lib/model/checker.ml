@@ -1,5 +1,5 @@
-(* The conformance checker: owns one machine per model, fans the typed event
-   streams out to them, and collects violations.  Track keys are prefixed
+(* The conformance checker: owns one machine per model, fans a store's event
+   stream out to them, and collects violations.  Track keys are prefixed
    with the shard ("s0/Page 17", "s1/unit3") so one checker covers a whole
    sharded engine; [cycle] relabels violations with the current scenario
    phase so a torture report says which crash boundary tripped it. *)
@@ -9,11 +9,11 @@ module Prot = Reorg.Prot
 module Coordinator = Shard.Coordinator
 
 type t = {
-  locks : (Lock_model.state, Lock_mgr.event) Machine.t;
-  units : (Unit_model.state, Prot.event) Machine.t;
-  actors : (Unit_model.actor_state, Prot.event) Machine.t;
-  switches : (Switch_model.state, Prot.event) Machine.t;
-  olc : (Olc_model.state, Prot.event) Machine.t;
+  locks : (Lock_model.state, Obs.Bus.event) Machine.t;
+  units : (Unit_model.state, Obs.Bus.event) Machine.t;
+  actors : (Unit_model.actor_state, Obs.Bus.event) Machine.t;
+  switches : (Switch_model.state, Obs.Bus.event) Machine.t;
+  olc : (Olc_model.state, Olc_model.read) Machine.t;
   coords : (Coord_model.state, Coordinator.event) Machine.t;
   mutable label : string;
   mutable violations : Machine.violation list; (* newest first *)
@@ -74,53 +74,49 @@ let cycle t label =
    units and switches are represented again by recovery's own events. *)
 let crash = reset
 
-let lock_hook t ~shard =
-  let track ev =
-    let res =
-      match ev with
-      | Lock_mgr.Ev_granted { res; _ }
-      | Lock_mgr.Ev_queued { res; _ }
-      | Lock_mgr.Ev_signalled { res; _ }
-      | Lock_mgr.Ev_victim { res; _ }
-      | Lock_mgr.Ev_dequeued { res; _ }
-      | Lock_mgr.Ev_released { res; _ } ->
-        res
-    in
-    Printf.sprintf "s%d/%s" shard (Lockmgr.Resource.to_string res)
-  in
-  fun ev ->
+let feed t ~shard ev =
+  match ev with
+  | Lock_mgr.Ev_granted { res; _ }
+  | Lock_mgr.Ev_queued { res; _ }
+  | Lock_mgr.Ev_signalled { res; _ }
+  | Lock_mgr.Ev_victim { res; _ }
+  | Lock_mgr.Ev_dequeued { res; _ }
+  | Lock_mgr.Ev_released { res; _ } ->
     t.events <- t.events + 1;
-    Machine.step t.locks ~track:(track ev) ev
-
-let attach_locks t ~shard lm = Lock_mgr.set_event_hook lm (Some (lock_hook t ~shard))
-
-let prot_hook t ~shard =
-  fun ev ->
+    Machine.step t.locks
+      ~track:(Printf.sprintf "s%d/%s" shard (Lockmgr.Resource.to_string res))
+      ev
+  | Prot.Unit_begin { unit_id; actor; _ }
+  | Prot.Unit_move { unit_id; actor; _ }
+  | Prot.Unit_modify { unit_id; actor; _ }
+  | Prot.Unit_undo { unit_id; actor }
+  | Prot.Unit_end { unit_id; actor; _ }
+  | Prot.Unit_recover { unit_id; actor } ->
     t.events <- t.events + 1;
-    (match ev with
-    | Prot.Unit_begin { unit_id; _ }
-    | Prot.Unit_move { unit_id; _ }
-    | Prot.Unit_modify { unit_id; _ }
-    | Prot.Unit_undo { unit_id; _ }
-    | Prot.Unit_end { unit_id; _ }
-    | Prot.Unit_recover { unit_id; _ } ->
-      Machine.step t.units ~track:(Printf.sprintf "s%d/unit%d" shard unit_id) ev
-    | _ -> ());
-    (match ev with
-    | Prot.Unit_begin { actor; _ }
-    | Prot.Unit_move { actor; _ }
-    | Prot.Unit_modify { actor; _ }
-    | Prot.Unit_undo { actor; _ }
-    | Prot.Unit_end { actor; _ }
-    | Prot.Unit_recover { actor; _ } ->
-      Machine.step t.actors ~track:(Printf.sprintf "s%d/actor%d" shard actor) ev
-    | _ -> ());
-    (* Olc_read is the access layer's event, not a switch-protocol step: it
-       gets its own per-shard machine and is kept out of the switch-drain
-       model (which has no transition for it). *)
-    match ev with
-    | Prot.Olc_read _ -> Machine.step t.olc ~track:(Printf.sprintf "s%d/olc" shard) ev
-    | _ -> Machine.step t.switches ~track:(Printf.sprintf "s%d" shard) ev
+    Machine.step t.units ~track:(Printf.sprintf "s%d/unit%d" shard unit_id) ev;
+    Machine.step t.actors ~track:(Printf.sprintf "s%d/actor%d" shard actor) ev;
+    (* Unit events move the switch machine's LSN high-watermark. *)
+    Machine.step t.switches ~track:(Printf.sprintf "s%d" shard) ev
+  | Prot.Pass3_start _ | Prot.Scan_base _ | Prot.Scan_done _ | Prot.Catchup _
+  | Prot.Side_locked _ | Prot.Switch_logged _ | Prot.Forced_abort _ | Prot.Switch_cleanup _
+  | Prot.Side_accept _ | Prot.Side_redirect _ ->
+    t.events <- t.events + 1;
+    Machine.step t.switches ~track:(Printf.sprintf "s%d" shard) ev
+  | _ -> ()
+
+(* The oracle runs here, in the subscriber, synchronously at the emit site:
+   nothing can run between the optimistic read and this fresh descent, so
+   the verdict is ground truth — and a store without a checker never pays
+   for the extra descent. *)
+let attach t ~shard (st : Shard.Store.t) =
+  Obs.Bus.subscribe st.Shard.Store.bus
+    [ Lock_mgr.topic; Prot.topic; Btree.Access.topic ]
+    (function
+      | Btree.Access.Olc_read { leaf; key; result } ->
+        t.events <- t.events + 1;
+        let valid = result = Btree.Tree.search st.Shard.Store.tree key in
+        Machine.step t.olc ~track:(Printf.sprintf "s%d/olc" shard) { Olc_model.leaf; key; valid }
+      | ev -> feed t ~shard ev)
 
 let coord_hook t =
   fun ev ->

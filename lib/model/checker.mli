@@ -1,6 +1,7 @@
 (** The conformance checker: one {!Machine.t} per protocol model, fed from
-    the typed event hooks of the lock manager, the reorganization context and
-    the cross-shard coordinator.  Attach it to a running engine (or a replay)
+    each attached store's event stream (lock decisions, the reorganizer's
+    protocol steps, optimistic reads) and the cross-shard coordinator's
+    hook.  Attach it to a running engine (or a replay)
     and it judges every protocol decision online; [finalize] at the end flags
     units/switches/transactions left in a non-accepting state. *)
 
@@ -19,16 +20,17 @@ val crash : t -> unit
 (** Simulated crash: drop all tracks (volatile protocol state is gone); the
     post-restart execution re-announces live state via recovery events. *)
 
-val attach_locks : t -> shard:int -> Lockmgr.Lock_mgr.t -> unit
-(** Route the lock manager's event stream into the Table-1 model, tracks
-    keyed ["s<shard>/<resource>"]. *)
+val attach : t -> shard:int -> Shard.Store.t -> unit
+(** Subscribe to the store's bus: lock decisions go to the Table-1 model
+    (tracks ["s<shard>/<resource>"]), the reorganizer's protocol steps to the
+    unit lifecycle, actor and switch models, and every committed optimistic
+    read to the olc model, judged against a fresh {!Btree.Tree.search} of
+    the store's tree taken in the same atomic step. *)
 
-val lock_hook : t -> shard:int -> Lockmgr.Lock_mgr.event -> unit
-
-val prot_hook : t -> shard:int -> Reorg.Prot.event -> unit
-(** The sink to pass as [Ctx.make ~prot]: routes unit events to the
-    lifecycle/actor machines, [Olc_read] to the shard's optimistic-read
-    machine, and everything else to the shard's switch machine. *)
+val feed : t -> shard:int -> Obs.Bus.event -> unit
+(** Check one lock or protocol event directly (synthetic streams): unit
+    events go to the lifecycle, actor and switch models, the other protocol
+    steps to the switch model.  Any other event is ignored. *)
 
 val attach_coordinator : t -> Shard.Coordinator.t -> unit
 

@@ -1,7 +1,7 @@
 (* Model 1: the Table-1 lock protocol, one machine track per (shard,
    resource).  The state is the model's own view of the resource — who holds
    which modes with what multiplicity, who is queued — rebuilt purely from
-   the {!Lockmgr.Lock_mgr.event} stream; every grant decision of the real
+   the lock manager's events; every grant decision of the real
    lock manager is judged against the literal {!Table1} matrix, so a wrong
    compatibility answer (or a grant that jumps a queue it shouldn't) is a
    guard violation even though the implementation was internally
@@ -97,8 +97,9 @@ let pp_event = function
     Printf.sprintf "dequeued owner=%d mode=%s" owner (Mode.to_string mode)
   | Lock_mgr.Ev_released { owner; mode; _ } ->
     Printf.sprintf "released owner=%d mode=%s" owner (Mode.to_string mode)
+  | _ -> "<not a lock event>"
 
-let def : (state, Lock_mgr.event) Machine.def =
+let def : (state, Obs.Bus.event) Machine.def =
   {
     Machine.d_name = "table1-locks";
     d_initial = initial;

@@ -36,7 +36,7 @@ let unit_lsn = function
     Some lsn
   | _ -> None
 
-let def : (state, Prot.event) Machine.def =
+let def : (state, Obs.Bus.event) Machine.def =
   {
     Machine.d_name = "switch-drain";
     d_initial = initial;

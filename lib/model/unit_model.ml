@@ -42,7 +42,7 @@ let fenced st ev = match lsn_of ev with Some l -> l > st.last_lsn | None -> true
 let advance st ev =
   match lsn_of ev with Some l -> { st with last_lsn = l } | None -> st
 
-let lifecycle : (state, Prot.event) Machine.def =
+let lifecycle : (state, Obs.Bus.event) Machine.def =
   {
     Machine.d_name = "unit-lifecycle";
     d_initial = initial;
@@ -128,7 +128,7 @@ let unit_of = function
 
 let on_current st ev = match (st.active_unit, unit_of ev) with Some a, Some u -> a = u | _ -> false
 
-let actor : (actor_state, Prot.event) Machine.def =
+let actor : (actor_state, Obs.Bus.event) Machine.def =
   {
     Machine.d_name = "unit-actor";
     d_initial = actor_initial;

@@ -2,11 +2,6 @@ type page_info = { live : int; usable : int; next_pid : int option; low_key : in
 type side_event = Append | Take | Removed | Restored
 type signal = Utilization | Fragmentation | Backlog
 
-let signal_name = function
-  | Utilization -> "utilization"
-  | Fragmentation -> "fragmentation"
-  | Backlog -> "backlog"
-
 type fire = { f_name : string; f_value : float; f_at : int }
 
 type watch_def = {

@@ -122,8 +122,6 @@ val region_utilization : t -> lo:int -> hi:int -> float
 
 type signal = Utilization | Fragmentation | Backlog
 
-val signal_name : signal -> string
-
 type fire = { f_name : string; f_value : float; f_at : int }
 
 val watch :

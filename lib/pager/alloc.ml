@@ -12,8 +12,15 @@ type t = {
   mutable internal_hi : int; (* exclusive high-water mark of the disk *)
   mutable leaf_overflows : int;
   pending : (int, int) Hashtbl.t; (* page awaiting release -> durability dep *)
-  mutable note : ([ `Alloc | `Free ] -> int -> unit) option; (* health observer *)
 }
+
+let topic = Obs.Bus.topic ()
+
+type Obs.Bus.event += Allocated of int | Released of int
+
+let note t ev =
+  let bus = Buffer_pool.bus t.pool in
+  if Obs.Bus.wants bus topic then Obs.Bus.emit bus topic ev
 
 let create ~pool ~meta_pages ~leaf_pages =
   let backend = Buffer_pool.backend pool in
@@ -31,10 +38,7 @@ let create ~pool ~meta_pages ~leaf_pages =
     internal_hi = leaf_hi;
     leaf_overflows = 0;
     pending = Hashtbl.create 8;
-    note = None;
   }
-
-let set_note t note = t.note <- note
 
 let leaf_zone t = (t.leaf_lo, t.leaf_hi)
 
@@ -52,10 +56,10 @@ let grow_internal t =
 
 (* Every successful allocation (zone alloc, alloc_specific, try_claim)
    funnels through here; every return to a free set goes through [release].
-   The two notes give the health tracker the allocator's full churn. *)
+   The two events give the health tracker the allocator's full churn. *)
 let recycle t pid =
   Buffer_pool.forget_dependencies t.pool pid;
-  (match t.note with Some f -> f `Alloc pid | None -> ());
+  note t (Allocated pid);
   pid
 
 let rec alloc t zone =
@@ -106,7 +110,7 @@ let release t pid =
   (match zone_of t pid with
   | Leaf -> t.free_leaf <- Iset.add pid t.free_leaf
   | Internal -> t.free_internal <- Iset.add pid t.free_internal);
-  match t.note with Some f -> f `Free pid | None -> ()
+  note t (Released pid)
 
 let free t pid =
   if pid < t.meta_pages then invalid_arg "Alloc.free: cannot free a meta page";

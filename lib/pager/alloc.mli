@@ -28,10 +28,13 @@ val create : pool:Buffer_pool.t -> meta_pages:int -> leaf_pages:int -> t
 val leaf_zone : t -> int * int
 (** [lo, hi) bounds of the leaf zone. *)
 
-val set_note : t -> ([ `Alloc | `Free ] -> int -> unit) option -> unit
-(** Observe allocator churn: called once per successful allocation (any
-    path) and once per return to a free set.  The tree-health tracker uses
-    it to count churn and re-examine the affected pages. *)
+val topic : Obs.Bus.topic
+
+type Obs.Bus.event +=
+  | Allocated of int  (** a successful allocation, by any path *)
+  | Released of int  (** a page returned to a free set *)
+(** Allocator churn, emitted on the pool's bus under {!topic}.  The
+    tree-health tracker counts it and re-examines the affected pages. *)
 
 val alloc : t -> zone -> int
 (** Smallest free page id in the zone.  The internal zone grows on demand; an

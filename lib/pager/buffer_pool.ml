@@ -69,18 +69,27 @@ type t = {
   mutable torn_detected : int;
   mutable read_repair : bool;
   mutable sweep_pid : int; (* elevator hand: next pid the flusher visits *)
-  mutable tracer : Obs.Trace.t option;
-  (* Every page mutation in the system funnels through [mark_dirty]; the
-     health tracker hooks it to learn which pages to re-examine. *)
-  mutable dirty_hook : (int -> unit) option;
+  bus : Obs.Bus.t;
 }
+
+(* Page I/O (flushes, prerequisite flushes, torn pages) and page mutations
+   are separate topics: the health tracker follows every mutation, the
+   trace every write. *)
+let topic = Obs.Bus.topic ()
+let dirty_topic = Obs.Bus.topic ()
+
+type Obs.Bus.event +=
+  | Dirtied of int
+  | Flushed of int
+  | Dep_flushed of { blocked : int; prereq : int }
+  | Torn_detected of int
 
 (* Default bound: enough that the repo's own workloads rarely thrash, small
    enough that eviction is actually exercised — an unbounded pool hides every
    write-ordering bug the careful-writing machinery exists to catch. *)
 let default_capacity = 256
 
-let create ?(capacity = default_capacity) backend =
+let create ?(capacity = default_capacity) ?(bus = Obs.Bus.create ()) backend =
   if capacity < 1 then invalid_arg "Buffer_pool.create: capacity must be >= 1";
   {
     backend;
@@ -103,11 +112,10 @@ let create ?(capacity = default_capacity) backend =
     torn_detected = 0;
     read_repair = false;
     sweep_pid = 0;
-    tracer = None;
-    dirty_hook = None;
+    bus;
   }
 
-let set_dirty_hook t hook = t.dirty_hook <- hook
+let bus t = t.bus
 
 let capacity t = t.capacity
 
@@ -120,8 +128,6 @@ let stats t =
     s_evictions = t.evictions;
     s_torn_detected = t.torn_detected;
   }
-
-let set_tracer t tracer = t.tracer <- tracer
 
 let register_obs t reg =
   Obs.Registry.gauge reg "pager.hits" (fun () -> t.hits);
@@ -227,14 +233,10 @@ let rec flush_frame t fr =
     Itbl.remove t.deps fr.pid;
     if ps <> [] then begin
       t.dep_flushes <- t.dep_flushes + List.length ps;
-      match t.tracer with
-      | Some tr ->
+      if Obs.Bus.wants t.bus topic then
         List.iter
-          (fun p ->
-            Obs.Trace.instant tr ~cat:"pager" "pager.dep-flush"
-              ~args:[ ("blocked", Obs.Trace.Int fr.pid); ("prereq", Obs.Trace.Int p) ])
+          (fun p -> Obs.Bus.emit t.bus topic (Dep_flushed { blocked = fr.pid; prereq = p }))
           ps
-      | None -> ()
     end;
     List.iter (fun p -> flush_page t p) ps;
     (* WAL rule. *)
@@ -242,10 +244,7 @@ let rec flush_frame t fr =
     Page.set_checksum fr.data (Page.body_checksum fr.data);
     Backend.write t.backend fr.pid fr.data;
     t.flushes <- t.flushes + 1;
-    (match t.tracer with
-    | Some tr ->
-      Obs.Trace.instant tr ~cat:"pager" "pager.flush" ~args:[ ("pid", Obs.Trace.Int fr.pid) ]
-    | None -> ());
+    if Obs.Bus.wants t.bus topic then Obs.Bus.emit t.bus topic (Flushed fr.pid);
     fr.dirty <- false;
     discharge_deps_on t fr.pid;
     fire_waiters t fr.pid
@@ -355,11 +354,7 @@ let load t pid =
     && stored <> Page.body_checksum data
     && begin
          t.torn_detected <- t.torn_detected + 1;
-         (match t.tracer with
-         | Some tr ->
-           Obs.Trace.instant tr ~cat:"pager" "pager.torn-page"
-             ~args:[ ("pid", Obs.Trace.Int pid) ]
-         | None -> ());
+         if Obs.Bus.wants t.bus topic then Obs.Bus.emit t.bus topic (Torn_detected pid);
          if not t.read_repair then raise (Torn_page pid);
          Page.set_checksum data 0;
          true
@@ -420,10 +415,6 @@ let unpin t pid =
   if fr.pins > 0 then fr.pins <- fr.pins - 1
   else invalid_arg "Buffer_pool.unpin: page not pinned"
 
-let with_page t pid f =
-  let data = pin t pid in
-  Fun.protect ~finally:(fun () -> unpin t pid) (fun () -> f data)
-
 let mark_dirty t pid =
   let fr = lookup t pid in
   if fr == absent then invalid_arg "Buffer_pool.mark_dirty: page not cached"
@@ -436,7 +427,7 @@ let mark_dirty t pid =
       fr.dirty <- true;
       fr.rec_lsn <- Page.lsn fr.data
     end;
-    match t.dirty_hook with Some hook -> hook pid | None -> ()
+    if Obs.Bus.wants t.bus dirty_topic then Obs.Bus.emit t.bus dirty_topic (Dirtied pid)
   end
 
 (* Resident pids satisfying [keep], ascending: the table is in page-id

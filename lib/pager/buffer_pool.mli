@@ -39,8 +39,9 @@ exception Torn_page of int
 (** A load hit a page whose stored checksum does not match its body and
     read-repair mode is off. *)
 
-val create : ?capacity:int -> Backend.t -> t
-(** [capacity] is the maximum number of frames, default
+val create : ?capacity:int -> ?bus:Obs.Bus.t -> Backend.t -> t
+(** [bus] is the store's event stream (default: a fresh one of its own).
+    [capacity] is the maximum number of frames, default
     {!default_capacity}.  When the pool is full, a victim is chosen by a
     clock (second-chance) sweep: each frame carries a referenced bit, set on
     every access; the clock hand clears the bit on its first visit and evicts
@@ -78,16 +79,9 @@ val refix : t -> int -> Page.t -> Page.t
 val pin : t -> int -> Page.t
 val unpin : t -> int -> unit
 
-val with_page : t -> int -> (Page.t -> 'a) -> 'a
-(** Pin, apply, unpin (also on exception). *)
-
 val mark_dirty : t -> int -> unit
-
-val set_dirty_hook : t -> (int -> unit) option -> unit
-(** Observe every {!mark_dirty} (called with the pid, after the flag is
-    set).  Every page mutation in the system funnels through the pool, so
-    this is the one choke point the tree-health tracker needs; the hook must
-    be O(1) and must not touch the pool. *)
+(** Emits {!Dirtied} after the flag is set; its subscribers must be O(1)
+    and must not touch the pool. *)
 
 val is_dirty : t -> int -> bool
 val in_pool : t -> int -> bool
@@ -182,6 +176,19 @@ val register_obs : t -> Obs.Registry.t -> unit
     [pager.dep_flushes] (flushes forced by careful-writing prerequisites),
     [pager.evictions], [pager.torn_detected] and [pager.frames] gauges. *)
 
-val set_tracer : t -> Obs.Trace.t option -> unit
-(** While set, every page flush is recorded as a [pager.flush] instant event
-    and every careful-writing prerequisite flush as [pager.dep-flush]. *)
+val bus : t -> Obs.Bus.t
+
+val topic : Obs.Bus.topic
+(** Page I/O: {!Flushed}, {!Dep_flushed}, {!Torn_detected}. *)
+
+val dirty_topic : Obs.Bus.topic
+(** Page mutations: {!Dirtied}. *)
+
+type Obs.Bus.event +=
+  | Dirtied of int
+      (** {!mark_dirty} on this page: every page mutation funnels through
+          it, so the health tracker learns which pages to re-examine *)
+  | Flushed of int  (** a dirty page was written to the backend *)
+  | Dep_flushed of { blocked : int; prereq : int }
+      (** careful writing: [prereq] is flushed first because [blocked] is *)
+  | Torn_detected of int  (** a load found a torn page *)

@@ -19,6 +19,7 @@ type t = {
   alloc : Alloc.t;
   tree : Tree.t;
   access : Access.t;
+  bus : Obs.Bus.t;
   health : Obs.Health.t;
   shard : int * int;
 }
@@ -54,29 +55,36 @@ let assemble ?faults ?(record_locking = false) ?(shard = (0, 1)) ~page_size ~lea
   let shard_i, shard_n = shard in
   if shard_n < 1 || shard_i < 0 || shard_i >= shard_n then
     invalid_arg "Store.assemble: shard index out of range";
+  (* One event stream for the whole store: every component emits on it. *)
+  let bus = Obs.Bus.create () in
   let disk = Disk.create ~page_size () in
   let faults = match faults with Some f -> f | None -> Pager.Fault.create () in
   (* Every page write and every log force goes through the one fault
      controller, so a simulated crash is a single authoritative event. *)
   let backend = Pager.Backend.faulty ~fault:faults (Pager.Backend.of_disk disk) in
-  let pool =
-    match capacity with
-    | Some c -> Buffer_pool.create ~capacity:c backend
-    | None -> Buffer_pool.create backend
-  in
-  let log = Wal.Log.create () in
+  let pool = Buffer_pool.create ?capacity ~bus backend in
+  let log = Wal.Log.create ~bus () in
   Wal.Log.set_fault log faults;
   let journal = Journal.create pool log in
-  let locks = Lockmgr.Lock_mgr.create () in
+  let locks = Lockmgr.Lock_mgr.create ~bus () in
   (* Shard i of n owns the owner-id residue class i+1 (mod n): ids minted by
      any shard never collide with any other shard's. *)
   let mgr = Txn_mgr.create ~first_id:(shard_i + 1) ~id_stride:shard_n journal locks in
-  (* Tree-health tracking: the pool's dirty hook enqueues every mutated
-     page; the refresher re-reads one page on demand and classifies it.
-     Installed before [mk_tree] so a bulk load's page writes are captured —
-     no initial full-tree scan is ever needed. *)
+  (* Tree-health tracking: every mutated page is enqueued; the refresher
+     re-reads one page on demand and classifies it.  Subscribed before
+     [mk_tree] so a bulk load's page writes are captured — no initial
+     full-tree scan is ever needed. *)
   let health = Obs.Health.create () in
-  Buffer_pool.set_dirty_hook pool (Some (fun pid -> Obs.Health.note_dirty health pid));
+  Obs.Bus.subscribe bus
+    [ Buffer_pool.dirty_topic; Alloc.topic; Reorg.Prot.topic ]
+    (function
+      | Buffer_pool.Dirtied pid -> Obs.Health.note_dirty health pid
+      | Alloc.Allocated pid -> Obs.Health.note_alloc_event health `Alloc pid
+      | Alloc.Released pid -> Obs.Health.note_alloc_event health `Free pid
+      | Reorg.Unit_exec.Attempt_end (Some (Reorg.Unit_exec.Done _)) -> Obs.Health.note_unit health
+      | Reorg.Prot.Switched -> Obs.Health.note_switch health
+      | Reorg.Prot.Side_backlog { size; change } -> Obs.Health.side_event health ~size change
+      | _ -> ());
   let usable = Btree.Layout.usable_bytes ~page_size:(Buffer_pool.page_size pool) in
   Obs.Health.set_refresher health (fun pid ->
       match Buffer_pool.get pool pid with
@@ -95,14 +103,13 @@ let assemble ?faults ?(record_locking = false) ?(shard = (0, 1)) ~page_size ~lea
            treat as not-a-leaf; the next mutation re-enqueues it. *)
         None);
   let alloc = Alloc.create ~pool ~meta_pages:1 ~leaf_pages in
-  Alloc.set_note alloc (Some (fun ev pid -> Obs.Health.note_alloc_event health ev pid));
   Obs.Health.set_free_probe health (fun () -> Alloc.free_count alloc Alloc.Leaf);
   let tree = mk_tree ~journal ~alloc in
   let access = Access.create ~tree ~mgr ~record_locking () in
-  Access.set_health access (Some health);
   wire_undo mgr tree access;
   let t =
-    { disk; backend; faults; pool; log; journal; locks; mgr; alloc; tree; access; health; shard }
+    { disk; backend; faults; pool; log; journal; locks; mgr; alloc; tree; access; bus; health;
+      shard }
   in
   List.iter (fun (_, f) -> f t) (List.rev !assemble_hooks);
   t
@@ -133,11 +140,6 @@ let register_obs t reg =
   Pager.Fault.register_obs t.faults reg;
   Obs.Health.register_obs t.health reg;
   Btree.Olc.register_obs (Btree.Tree.olc t.tree) reg
-
-let set_tracers t tracer =
-  Lockmgr.Lock_mgr.set_tracer t.locks tracer;
-  Buffer_pool.set_tracer t.pool tracer;
-  Wal.Log.set_tracer t.log tracer
 
 let checkpoint t ?(reorg_table = Record.empty_reorg_table) () =
   let body =

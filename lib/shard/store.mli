@@ -1,7 +1,8 @@
 (** One per-tree storage bundle: disk, storage backend, fault controller,
     buffer pool, log, lock manager, transaction manager, allocator, B+-tree
     and the concurrent access layer, with the cross-module hooks installed
-    (WAL rule, logical undo, fault injection, health tracking).
+    (WAL rule, logical undo, fault injection), all emitting on one event
+    stream that the store's health tracker subscribes to.
 
     Historically this record {e was} the database ([Sim.Db.t]); extracting it
     makes the bundle reusable — a sharded engine assembles one store per
@@ -27,10 +28,13 @@ type t = {
   alloc : Pager.Alloc.t;
   tree : Btree.Tree.t;
   access : Btree.Access.t;
+  bus : Obs.Bus.t;
+      (** the store's one event stream: every component emits on it; the
+          trace, the protocol checker and [health] subscribe *)
   health : Obs.Health.t;
-      (** incrementally-maintained tree health: fed by the pool's dirty
-          hook, the allocator's churn notes, the side file's backlog and
-          the reorganizer's unit/switch events — see {!Obs.Health} *)
+      (** incrementally-maintained tree health, subscribed to [bus]: page
+          mutations, allocator churn, the side file's backlog and the
+          reorganizer's unit/switch events — see {!Obs.Health} *)
   shard : int * int;
       (** [(index, count)] — this store's position in a sharded assembly;
           [(0, 1)] for a standalone database.  Drives the id lattices that
@@ -94,9 +98,6 @@ val register_obs : t -> Obs.Registry.t -> unit
     tree-health and optimistic-read ([olc.*]) gauges.  Sharded assemblies pass a
     [Obs.Registry.prefixed reg "shard<i>."] view so every shard's metrics
     coexist in one registry. *)
-
-val set_tracers : t -> Obs.Trace.t option -> unit
-(** Point every subsystem's tracer hook at the same trace (or detach). *)
 
 val checkpoint : t -> ?reorg_table:Wal.Record.reorg_table -> unit -> unit
 (** Write and force a checkpoint record. *)

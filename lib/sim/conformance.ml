@@ -106,8 +106,9 @@ let shard_torture ?(n = 120) ~seed ~stride () =
    object. *)
 let mutate_table1 () =
   let c = Model.Checker.create () in
-  let lm = Lock_mgr.create () in
-  Model.Checker.attach_locks c ~shard:0 lm;
+  let db = Db.create () in
+  Model.Checker.attach c ~shard:0 db;
+  let lm = db.Db.locks in
   Mode.test_break_compat := Some (Mode.RX, Mode.X);
   Fun.protect
     ~finally:(fun () -> Mode.test_break_compat := None)

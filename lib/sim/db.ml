@@ -15,6 +15,7 @@ type t = Store.t = {
   alloc : Pager.Alloc.t;
   tree : Btree.Tree.t;
   access : Btree.Access.t;
+  bus : Obs.Bus.t;
   health : Obs.Health.t;
   shard : int * int;
 }
@@ -29,7 +30,6 @@ let load ?faults ?page_size ?leaf_pages ?capacity ?record_locking ~fill ?interna
     records
 
 let register_obs = Store.register_obs
-let set_tracers = Store.set_tracers
 let checkpoint = Store.checkpoint
 let crash_now = Store.crash_now
 let flush_all = Store.flush_all

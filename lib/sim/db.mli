@@ -23,10 +23,10 @@ type t = Shard.Store.t = {
   alloc : Pager.Alloc.t;
   tree : Btree.Tree.t;
   access : Btree.Access.t;
+  bus : Obs.Bus.t;  (** the store's one event stream — see {!Shard.Store.t} *)
   health : Obs.Health.t;
-      (** incrementally-maintained tree health: fed by the pool's dirty
-          hook, the allocator's churn notes, the side file's backlog and
-          the reorganizer's unit/switch events — see {!Obs.Health} *)
+      (** incrementally-maintained tree health, subscribed to [bus] — see
+          {!Obs.Health} *)
   shard : int * int;  (** [(0, 1)] here — see {!Shard.Store.t} *)
 }
 
@@ -71,9 +71,6 @@ val load :
 val register_obs : t -> Obs.Registry.t -> unit
 (** Register the lock manager's, buffer pool's, log's, fault controller's
     and tree-health gauges. *)
-
-val set_tracers : t -> Obs.Trace.t option -> unit
-(** Point every subsystem's tracer hook at the same trace (or detach). *)
 
 val checkpoint : t -> ?reorg_table:Wal.Record.reorg_table -> unit -> unit
 (** Write and force a checkpoint record. *)

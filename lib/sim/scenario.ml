@@ -51,19 +51,13 @@ let purged ?(page_size = 512) ~seed ~n ~ranges ~width () =
   in
   (db, expected)
 
-let arm_olc ?prot ~config db =
-  let on = config.Reorg.Config.olc in
-  Btree.Access.set_olc db.Db.access ~max_retries:config.Reorg.Config.olc_max_retries on;
-  (* With a checker attached, every committed optimistic read carries its
-     oracle verdict into the olc conformance machine. *)
-  Btree.Access.set_read_probe db.Db.access
-    (match (on, prot) with
-    | true, Some p -> Some (fun ~leaf ~key ~valid -> p (Reorg.Prot.Olc_read { leaf; key; valid }))
-    | _ -> None)
+let arm_olc ~config db =
+  Btree.Access.set_olc db.Db.access ~max_retries:config.Reorg.Config.olc_max_retries
+    config.Reorg.Config.olc
 
 let trace_run eng tracer stores =
   Engine.set_tracer eng tracer;
-  Array.iter (fun st -> Db.set_tracers st tracer) stores
+  Option.iter (fun tr -> Array.iter (fun st -> Trace_sink.subscribe tr st.Db.bus) stores) tracer
 
 type run = {
   registry : Obs.Registry.t option;
@@ -96,20 +90,11 @@ type result = {
 }
 
 let run_reorg (r : run) db =
-  let prot =
-    match r.checker with
-    | Some c ->
-      Model.Checker.attach_locks c ~shard:0 db.Db.locks;
-      Some (Model.Checker.prot_hook c ~shard:0)
-    | None -> None
-  in
-  arm_olc ?prot ~config:r.config db;
-  let ctx =
-    Reorg.Ctx.make ?registry:r.registry ?tracer:r.tracer ?prot ~access:db.Db.access
-      ~config:r.config ()
-  in
+  Option.iter (fun c -> Model.Checker.attach c ~shard:0 db) r.checker;
+  arm_olc ~config:r.config db;
+  let ctx = Reorg.Ctx.make ?registry:r.registry ~access:db.Db.access ~config:r.config () in
   let eng = Engine.create () in
-  trace_run eng ctx.Reorg.Ctx.tracer [| db |];
+  trace_run eng r.tracer [| db |];
   (match r.registry with
   | Some reg ->
     Engine.register_obs eng reg;

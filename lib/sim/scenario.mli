@@ -37,21 +37,20 @@ val purged :
   Db.t * (int * string) list
 (** Clustered range deletions (retention purges). *)
 
-val arm_olc : ?prot:(Reorg.Prot.event -> unit) -> config:Reorg.Config.t -> Db.t -> unit
-(** Set [db]'s optimistic read path to [config.olc].  With it on and a
-    [prot] sink given, every committed optimistic read also flows into
-    [prot] with its oracle verdict ({!Reorg.Prot.Olc_read}), which is how the
-    olc conformance machine sees it. *)
+val arm_olc : config:Reorg.Config.t -> Db.t -> unit
+(** Set [db]'s optimistic read path to [config.olc]. *)
 
 val trace_run : Sched.Engine.t -> Obs.Trace.t option -> Db.t array -> unit
 (** Point one run's tracing at one trace: the engine's logical clock and
-    per-process rows, and every store's lock, pager and WAL spans. *)
+    per-process rows, and a {!Trace_sink} subscription on every store's bus
+    (made once per store). *)
 
 type run = {
   registry : Obs.Registry.t option;  (** every subsystem's counters *)
   tracer : Obs.Trace.t option;  (** spans on per-process rows, in logical time *)
   checker : Model.Checker.t option;
-      (** attached to the lock manager and the context; the caller finalizes it *)
+      (** attached to the store's bus ({!Model.Checker.attach}); the caller
+          finalizes it *)
   config : Reorg.Config.t;  (** [config.olc] arms the users' optimistic path ({!arm_olc}) *)
   pass1_workers : int;
   users : int;  (** {!Workload.Mix} users, stopped when the reorganizer reports *)

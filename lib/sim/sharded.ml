@@ -70,14 +70,12 @@ let crash_now t =
   Array.iter Store.volatile_teardown t.stores;
   Pager.Fault.revive t.faults
 
-let recover ?registry ?tracer ?prot ?(config = Reorg.Config.default) t =
+let recover ?registry ?(config = Reorg.Config.default) t =
   let n = shards t in
   Array.mapi
     (fun i (st : Store.t) ->
       Reorg.Recovery.restart
         ?registry:(shard_registry registry i)
-        ?tracer
-        ?prot:(Option.map (fun f -> f i) prot)
         ~shard:(i, n) ~access:st.Store.access ~config ())
     t.stores
 
@@ -98,11 +96,11 @@ type reorg_outcome = {
   total_ticks : int;
 }
 
-let shard_ctx ?registry ?tracer ~config t i =
+let shard_ctx ?registry ~config t i =
   let st = t.stores.(i) in
   Reorg.Ctx.make
     ?registry:(shard_registry registry i)
-    ?tracer ~shard:(i, shards t) ~access:st.Store.access ~config ()
+    ~shard:(i, shards t) ~access:st.Store.access ~config ()
 
 let register_shard_obs ?registry t =
   match registry with
@@ -124,9 +122,9 @@ let reorg_parallel ?registry ?tracer ?(config = Reorg.Config.default) t =
      each engine's final clock is that shard's independent timeline and the
      makespan is what a machine running them side by side would take. *)
   for i = 0 to n - 1 do
-    let ctx = shard_ctx ?registry ?tracer ~config t i in
+    let ctx = shard_ctx ?registry ~config t i in
     let eng = Engine.create () in
-    Scenario.trace_run eng ctx.Reorg.Ctx.tracer [| t.stores.(i) |];
+    Scenario.trace_run eng tracer [| t.stores.(i) |];
     (match shard_registry registry i with
     | Some reg -> Engine.register_obs eng reg
     | None -> ());
@@ -154,7 +152,7 @@ let reorg_with_users ?registry ?tracer ?(config = Reorg.Config.default)
   Scenario.trace_run eng tracer t.stores;
   Array.iter (Scenario.arm_olc ~config) t.stores;
   for i = 0 to n - 1 do
-    let ctx = shard_ctx ?registry ?tracer ~config t i in
+    let ctx = shard_ctx ?registry ~config t i in
     Engine.spawn eng ~name:(Printf.sprintf "reorganizer-%d" i) (fun () ->
         reports.(i) <- Reorg.Driver.run ctx;
         incr done_)

@@ -47,14 +47,11 @@ val crash_now : t -> unit
 
 val recover :
   ?registry:Obs.Registry.t ->
-  ?tracer:Obs.Trace.t ->
-  ?prot:(int -> Reorg.Prot.event -> unit) ->
   ?config:Reorg.Config.t ->
   t ->
   (Reorg.Ctx.t * Reorg.Recovery.outcome) array
 (** Restart every shard independently, in shard order, each under its own
-    [shard:(i, n)] lattice and a ["shard<i>."]-prefixed registry view.
-    [prot i] is installed as shard [i]'s protocol-event sink. *)
+    [shard:(i, n)] lattice and a ["shard<i>."]-prefixed registry view. *)
 
 val resume_after_recovery : t -> (Reorg.Ctx.t * Reorg.Recovery.outcome) array -> unit
 (** Resume the interrupted per-shard reorganizations concurrently on one

@@ -104,8 +104,9 @@ type instance = {
   drive : Model.Checker.t option -> expectation -> unit;
       (* attach the checker, run the seeded workload to completion, then
          background writeback *)
-  restart : Model.Checker.t option -> Reorg.Recovery.outcome list;
-      (* crash the machine, recover every store, finish the reorganizations *)
+  restart : unit -> Reorg.Recovery.outcome list;
+      (* crash the machine, recover every store, finish the reorganizations
+         (a checker attached by [drive] stays subscribed to the stores) *)
 }
 
 let sweep ?registry ?checker ~seed ~stride ~(build : Pager.Fault.t -> instance) () =
@@ -142,7 +143,7 @@ let sweep ?registry ?checker ~seed ~stride ~(build : Pager.Fault.t -> instance) 
           (fun (o : Reorg.Recovery.outcome) ->
             units_finished := !units_finished + o.Reorg.Recovery.units_finished;
             torn_repaired := !torn_repaired + o.Reorg.Recovery.torn_pages)
-          (inst.restart checker)
+          (inst.restart ())
       end
       else incr survivors;
       acked_txns := !acked_txns + List.length exp.acked;
@@ -277,15 +278,11 @@ let run ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?(leaf_pages
       (* Background writeback: these page writes are crash boundaries too. *)
       Db.flush_all db
     in
-    let restart checker =
+    let restart () =
       Db.crash_now db;
-      let ctx, outcome =
-        Reorg.Recovery.restart ?registry ?tracer
-          ?prot:(Option.map (fun c -> Model.Checker.prot_hook c ~shard:0) checker)
-          ~access:db.Db.access ~config ()
-      in
+      let ctx, outcome = Reorg.Recovery.restart ?registry ~access:db.Db.access ~config () in
       let eng = Engine.create () in
-      Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
+      Engine.set_tracer eng tracer;
       Engine.spawn eng ~name:"recovery-resume" (fun () ->
           ignore (Reorg.Recovery.resume_reorganization ctx outcome));
       Engine.run eng;
@@ -320,9 +317,7 @@ let run_sharded ?checker ?(n = 300) ?(shards = 3) ?(users = 3) ?(xspan = 2) ~see
     let drive checker exp =
       Option.iter
         (fun c ->
-          Array.iteri
-            (fun i (st : Store.t) -> Model.Checker.attach_locks c ~shard:i st.Store.locks)
-            t.Sharded.stores;
+          Array.iteri (fun i st -> Model.Checker.attach c ~shard:i st) t.Sharded.stores;
           Model.Checker.attach_coordinator c t.Sharded.coord)
         checker;
       let eng = Engine.create () in
@@ -330,9 +325,8 @@ let run_sharded ?checker ?(n = 300) ?(shards = 3) ?(users = 3) ?(xspan = 2) ~see
       Array.iteri
         (fun i (st : Store.t) ->
           let ctx =
-            Reorg.Ctx.make
-              ?prot:(Option.map (fun c -> Model.Checker.prot_hook c ~shard:i) checker)
-              ~shard:(i, shards) ~access:st.Store.access ~config:Reorg.Config.default ()
+            Reorg.Ctx.make ~shard:(i, shards) ~access:st.Store.access
+              ~config:Reorg.Config.default ()
           in
           Engine.spawn eng ~name:(Printf.sprintf "reorganizer-%d" i) (fun () ->
               ignore (Reorg.Driver.run ctx);
@@ -377,12 +371,9 @@ let run_sharded ?checker ?(n = 300) ?(shards = 3) ?(users = 3) ?(xspan = 2) ~see
       Engine.run eng;
       Sharded.flush_all t
     in
-    let restart checker =
+    let restart () =
       Sharded.crash_now t;
-      let recovered = Sharded.recover
-          ?prot:(Option.map (fun c i -> Model.Checker.prot_hook c ~shard:i) checker)
-          t
-      in
+      let recovered = Sharded.recover t in
       Sharded.resume_after_recovery t recovered;
       Array.to_list (Array.map snd recovered)
     in

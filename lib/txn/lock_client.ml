@@ -2,6 +2,19 @@ module Lock_mgr = Lockmgr.Lock_mgr
 
 exception Deadlock_victim
 
+let topic = Obs.Bus.topic ()
+
+type Obs.Bus.event +=
+  | Waited of {
+      txn : int;
+      res : Lockmgr.Resource.t;
+      mode : Lockmgr.Mode.t;
+      instant : bool;
+      started : int;
+      ticks : int;
+      outcome : Lock_mgr.grant;
+    }
+
 let try_acquire mgr ~txn res mode = Lock_mgr.try_acquire mgr ~owner:txn.Txn.id res mode
 
 let block mgr ~txn res mode ~instant =
@@ -13,23 +26,10 @@ let block mgr ~txn res mode ~instant =
           resume ()));
   let ticks = Sched.Engine.current_time () - started in
   Txn.note_wait txn ~ticks;
-  (match Lock_mgr.tracer mgr with
-  | Some tr ->
-    let name = if instant then "lock.rs-wait" else "lock.wait" in
-    let outcome =
-      match !result with Lock_mgr.Granted -> "granted" | Lock_mgr.Deadlock -> "deadlock"
-    in
-    Obs.Trace.complete tr
-      ~tid:(Sched.Engine.current_fiber ())
-      ~cat:"lock" ~ts:started ~dur:ticks name
-      ~args:
-        [
-          ("res", Obs.Trace.Str (Lockmgr.Resource.to_string res));
-          ("mode", Obs.Trace.Str (Lockmgr.Mode.to_string mode));
-          ("txn", Obs.Trace.Int txn.Txn.id);
-          ("outcome", Obs.Trace.Str outcome);
-        ]
-  | None -> ());
+  let bus = Lock_mgr.bus mgr in
+  if Obs.Bus.wants bus topic then
+    Obs.Bus.emit bus topic
+      (Waited { txn = txn.Txn.id; res; mode; instant; started; ticks; outcome = !result });
   match !result with
   | Lock_mgr.Granted -> ()
   | Lock_mgr.Deadlock -> raise Deadlock_victim

@@ -1,5 +1,11 @@
 type entry = { body : Record.body; size : int }
 
+let topic = Obs.Bus.topic ()
+
+type Obs.Bus.event +=
+  | Forced of { from : Lsn.t; upto : Lsn.t }
+  | Truncated of { base : int; records : int }
+
 type stats = { records : int; bytes : int; forced : int }
 
 type t = {
@@ -14,10 +20,10 @@ type t = {
   mutable truncated : int; (* records reclaimed by truncate *)
   mutable reset_floor : Lsn.t; (* head LSN at the last reset_stats *)
   mutable fault : Pager.Fault.t option;
-  mutable tracer : Obs.Trace.t option;
+  bus : Obs.Bus.t;
 }
 
-let create () =
+let create ?(bus = Obs.Bus.create ()) () =
   {
     entries = Array.make 64 None;
     base = 0;
@@ -30,10 +36,9 @@ let create () =
     truncated = 0;
     reset_floor = Lsn.nil;
     fault = None;
-    tracer = None;
+    bus;
   }
 
-let set_tracer t tracer = t.tracer <- tracer
 let set_fault t fault = t.fault <- Some fault
 
 let register_obs t reg =
@@ -80,11 +85,8 @@ let force t lsn =
     let lsn = t.flushed + allowed in
     if allowed > 0 then begin
       t.forced <- t.forced + 1;
-      (match t.tracer with
-      | Some tr ->
-        Obs.Trace.instant tr ~cat:"wal" "wal.force"
-          ~args:[ ("from", Obs.Trace.Int t.flushed); ("to", Obs.Trace.Int lsn) ]
-      | None -> ());
+      if Obs.Bus.wants t.bus topic then
+        Obs.Bus.emit t.bus topic (Forced { from = t.flushed; upto = lsn });
       (* Track the most recent checkpoint as it becomes stable. *)
       for l = t.flushed + 1 to lsn do
         match t.entries.(slot t l) with
@@ -189,11 +191,8 @@ let truncate t ~keep_from =
     t.base <- new_base;
     t.truncated <- t.truncated + !reclaimed;
     if t.ckpt <> Lsn.nil && t.ckpt <= new_base then t.ckpt <- Lsn.nil;
-    match t.tracer with
-    | Some tr ->
-      Obs.Trace.instant tr ~cat:"wal" "wal.truncate"
-        ~args:[ ("base", Obs.Trace.Int t.base); ("records", Obs.Trace.Int !reclaimed) ]
-    | None -> ()
+    if Obs.Bus.wants t.bus topic then
+      Obs.Bus.emit t.bus topic (Truncated { base = t.base; records = !reclaimed })
   end
 
 let truncated_records t = t.truncated

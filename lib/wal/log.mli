@@ -17,7 +17,8 @@ type stats = {
   forced : int;  (** number of force operations actually advancing the boundary *)
 }
 
-val create : unit -> t
+val create : ?bus:Obs.Bus.t -> unit -> t
+(** [bus] is the store's event stream (default: a fresh one of its own). *)
 
 val append : t -> Record.body -> Lsn.t
 (** Append and return the record's LSN (LSNs start at 1). *)
@@ -83,6 +84,11 @@ val register_obs : t -> Obs.Registry.t -> unit
 (** Register [wal.records], [wal.bytes], [wal.forced] and
     [wal.flushed_lsn] gauges. *)
 
-val set_tracer : t -> Obs.Trace.t option -> unit
-(** While set, every force that actually advances the stable boundary is
-    recorded as a [wal.force] instant event. *)
+val topic : Obs.Bus.topic
+
+type Obs.Bus.event +=
+  | Forced of { from : Lsn.t; upto : Lsn.t }
+      (** a force advanced the stable boundary from [from] to [upto] *)
+  | Truncated of { base : int; records : int }
+      (** {!truncate} reclaimed [records] entries; [base] is the new head *)
+(** Emitted on the log's bus under {!topic}. *)

@@ -460,28 +460,6 @@ let decode s =
   if c.pos <> String.length s then fail ();
   body
 
-let txn_of = function
-  | Txn_begin t | Txn_commit t | Txn_abort t -> Some t
-  | Update { txn; _ }
-  | Leaf_insert { txn; _ }
-  | Leaf_delete { txn; _ }
-  | Clr { txn; _ }
-  | Nta_end { txn; _ }
-  | Side_file { txn; _ } ->
-    Some txn
-  | Reorg_begin _ | Reorg_move _ | Reorg_modify _ | Reorg_end _ | Side_applied _ | Stable_key _
-  | Switch _ | Checkpoint _ ->
-    None
-
-let pages_touched = function
-  | Update { page; _ } | Leaf_insert { page; _ } | Leaf_delete { page; _ } -> [ page ]
-  | Reorg_move { org; dest; _ } -> [ org; dest ]
-  | Reorg_modify { base; _ } -> [ base ]
-  | Clr { action = Undo_phys { page; _ }; _ } -> [ page ]
-  | Txn_begin _ | Txn_commit _ | Txn_abort _ | Clr _ | Nta_end _ | Reorg_begin _ | Reorg_end _
-  | Side_file _ | Side_applied _ | Stable_key _ | Switch _ | Checkpoint _ ->
-    []
-
 let reorg_type_to_string = function Compact -> "compact" | Swap -> "swap" | Move -> "move"
 
 let pp_side_op ppf = function

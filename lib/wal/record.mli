@@ -122,11 +122,5 @@ val encoded_size : body -> int
 (** [String.length (encode body)], computed by the same encoder writing to a
     byte-counting sink: nothing is allocated for the payloads. *)
 
-val txn_of : body -> txn_id option
-(** The transaction a record belongs to, if any. *)
-
-val pages_touched : body -> page_id list
-(** Pages whose contents this record's redo may change. *)
-
 val pp : Format.formatter -> body -> unit
 val reorg_type_to_string : reorg_type -> string

@@ -131,7 +131,7 @@ let test_dsl_finalize_and_reset () =
 
 let test_checker_rejects_orphan_move () =
   let c = Checker.create () in
-  Checker.prot_hook c ~shard:0
+  Checker.feed c ~shard:0
     (Prot.Unit_move { actor = 9; unit_id = 4; org = 10; dest = 11; lsn = 5 });
   Alcotest.(check bool) "orphan MOVE rejected" false (Checker.ok c);
   match Checker.first_violation c with
@@ -144,16 +144,16 @@ let test_checker_rejects_regressing_lsn () =
   let ev l =
     Prot.Unit_modify { actor = 9; unit_id = 4; base = 3; lsn = l }
   in
-  Checker.prot_hook c ~shard:0
+  Checker.feed c ~shard:0
     (Prot.Unit_begin
        { actor = 9; unit_id = 4; kind = Wal.Record.Compact; bases = [ 3 ]; leaves = [ 10 ]; lsn = 6 });
-  Checker.prot_hook c ~shard:0 (ev 7);
-  Checker.prot_hook c ~shard:0 (ev 7);
+  Checker.feed c ~shard:0 (ev 7);
+  Checker.feed c ~shard:0 (ev 7);
   Alcotest.(check bool) "stale LSN rejected" false (Checker.ok c)
 
 let test_checker_rejects_double_switch () =
   let c = Checker.create () in
-  let h = Checker.prot_hook c ~shard:0 in
+  let h = Checker.feed c ~shard:0 in
   h (Prot.Pass3_start { actor = 1; mode = Prot.Fresh; ck = min_int; lambda = false });
   h (Prot.Scan_done { actor = 1 });
   h (Prot.Side_locked { actor = 1 });
@@ -168,7 +168,7 @@ let test_checker_rejects_double_switch () =
 
 let test_checker_rejects_backlogged_switch () =
   let c = Checker.create () in
-  let h = Checker.prot_hook c ~shard:0 in
+  let h = Checker.feed c ~shard:0 in
   h (Prot.Pass3_start { actor = 1; mode = Prot.Fresh; ck = min_int; lambda = false });
   h (Prot.Scan_done { actor = 1 });
   h (Prot.Side_locked { actor = 1 });
@@ -235,12 +235,10 @@ let test_mutation_switch () =
 let victim_trace ~seed =
   let db, _ = Sim.Scenario.aged ~page_size:512 ~leaf_pages:256 ~seed ~n:250 ~f1:0.3 () in
   let victims = ref [] in
-  Lock_mgr.set_event_hook db.Sim.Db.locks
-    (Some
-       (function
-       | Lock_mgr.Ev_victim { owner; res; forced; _ } ->
-         victims := (owner, Resource.to_string res, forced) :: !victims
-       | _ -> ()));
+  Obs.Bus.subscribe db.Sim.Db.bus [ Lock_mgr.topic ] (function
+    | Lock_mgr.Ev_victim { owner; res; forced; _ } ->
+      victims := (owner, Resource.to_string res, forced) :: !victims
+    | _ -> ());
   ignore
     (Sim.Scenario.run_reorg
        { Sim.Scenario.default with config = Reorg.Config.paper; users = 4;

@@ -308,21 +308,21 @@ let test_give_up_lock_trace () =
   let base = Option.get (Tree.parent_of_leaf db.Db.tree 100) in
   let reader = ref (-1) in
   let trace = ref [] in
-  Lock_mgr.set_event_hook db.Db.locks
-    (Some
-       (fun ev ->
-         let note owner res kind mode =
-           if owner = !reader && res = Resource.Page base then
-             trace := (kind ^ " " ^ Mode.to_string mode) :: !trace
-         in
-         match ev with
-         | Lock_mgr.Ev_granted { owner; res; mode; _ } -> note owner res "granted" mode
-         | Lock_mgr.Ev_queued { owner; res; mode; instant; _ } ->
-           note owner res (if instant then "queued-instant" else "queued") mode
-         | Lock_mgr.Ev_signalled { owner; res; mode } -> note owner res "signalled" mode
-         | Lock_mgr.Ev_victim { owner; res; mode; _ } -> note owner res "victim" mode
-         | Lock_mgr.Ev_dequeued { owner; res; mode } -> note owner res "dequeued" mode
-         | Lock_mgr.Ev_released { owner; res; mode } -> note owner res "released" mode));
+  let recording = ref true in
+  Obs.Bus.subscribe db.Db.bus [ Lock_mgr.topic ] (fun ev ->
+      let note owner res kind mode =
+        if !recording && owner = !reader && res = Resource.Page base then
+          trace := (kind ^ " " ^ Mode.to_string mode) :: !trace
+      in
+      match ev with
+      | Lock_mgr.Ev_granted { owner; res; mode; _ } -> note owner res "granted" mode
+      | Lock_mgr.Ev_queued { owner; res; mode; instant; _ } ->
+        note owner res (if instant then "queued-instant" else "queued") mode
+      | Lock_mgr.Ev_signalled { owner; res; mode } -> note owner res "signalled" mode
+      | Lock_mgr.Ev_victim { owner; res; mode; _ } -> note owner res "victim" mode
+      | Lock_mgr.Ev_dequeued { owner; res; mode } -> note owner res "dequeued" mode
+      | Lock_mgr.Ev_released { owner; res; mode } -> note owner res "released" mode
+      | _ -> ());
   let eng = Engine.create () in
   Engine.spawn eng (fun () ->
       Lock_client.acquire db.Db.locks ~txn:reorg (Resource.Page base) Mode.R;
@@ -338,7 +338,7 @@ let test_give_up_lock_trace () =
       Alcotest.(check bool) "gave up once" true (tx.Transact.Txn.gave_up >= 1);
       Txn_mgr.finish_read_only db.Db.mgr tx);
   Engine.run eng;
-  Lock_mgr.set_event_hook db.Db.locks None;
+  recording := false;
   Alcotest.(check (list string)) "base-page lock trace of the retry loop"
     [ "granted S"; "released S"; "queued-instant RS"; "signalled RS"; "granted S";
       "released S" ]

@@ -287,20 +287,24 @@ let crash_inside_give_up ?(flush_first = false) ?(flush_exchanged = false) ~unit
     | Reorg.Unit_exec.Compact { base; _ } -> base
   in
   let moves = ref [] in
-  let prot = function
-    | Reorg.Prot.Unit_move { org; dest; _ } ->
-      moves := (org, dest) :: !moves;
-      if List.length !moves = reverse_at && not flush_first then begin
-        Wal.Log.force_all db.Db.log;
+  let live = ref true in
+  (* [live]: recovery's events reach this subscriber too; only the live
+     unit may crash the machine. *)
+  Obs.Bus.subscribe db.Db.bus [ Reorg.Prot.topic ] (fun ev ->
+      match ev with
+      | _ when not !live -> ()
+      | Reorg.Prot.Unit_move { org; dest; _ } ->
+        moves := (org, dest) :: !moves;
+        if List.length !moves = reverse_at && not flush_first then begin
+          Wal.Log.force_all db.Db.log;
+          raise Crash_here
+        end
+      | Reorg.Prot.Unit_end _ when flush_first && List.length !moves = reverse_at ->
+        (* The WAL rule forces the log up to the reverse MOVE, not the END. *)
+        Pager.Buffer_pool.flush_page db.Db.pool (fst (List.hd (List.rev !moves)));
         raise Crash_here
-      end
-    | Reorg.Prot.Unit_end _ when flush_first && List.length !moves = reverse_at ->
-      (* The WAL rule forces the log up to the reverse MOVE, not the END. *)
-      Pager.Buffer_pool.flush_page db.Db.pool (fst (List.hd (List.rev !moves)));
-      raise Crash_here
-    | _ -> ()
-  in
-  let ctx = Reorg.Ctx.make ~prot ~access:db.Db.access ~config:Reorg.Config.default () in
+      | _ -> ());
+  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
   let eng = Engine.create () in
   let user = Txn_mgr.fresh_owner db.Db.mgr in
   Engine.spawn eng (fun () ->
@@ -320,6 +324,7 @@ let crash_inside_give_up ?(flush_first = false) ?(flush_exchanged = false) ~unit
   (match Engine.run eng with
   | () -> Alcotest.fail "the unit did not give up"
   | exception Crash_here -> ());
+  live := false;
   Db.crash_now db;
   let stable = ref [] in
   Wal.Log.iter db.Db.log (fun _ body ->
@@ -328,16 +333,13 @@ let crash_inside_give_up ?(flush_first = false) ?(flush_exchanged = false) ~unit
       | _ -> ());
   Alcotest.(check (list (pair int int))) "stable MOVEs: the unit's and one reverse" !moves !stable;
   let events = ref [] in
-  let prot = function
+  Obs.Bus.subscribe db.Db.bus [ Reorg.Prot.topic ] (function
     | Reorg.Prot.Unit_recover _ -> events := "recover" :: !events
     | Reorg.Prot.Unit_move _ -> events := "move" :: !events
     | Reorg.Prot.Unit_modify _ -> events := "modify" :: !events
     | Reorg.Prot.Unit_end _ -> events := "end" :: !events
-    | _ -> ()
-  in
-  let ctx, outcome =
-    Reorg.Recovery.restart ~prot ~access:db.Db.access ~config:Reorg.Config.default ()
-  in
+    | _ -> ());
+  let ctx, outcome = Reorg.Recovery.restart ~access:db.Db.access ~config:Reorg.Config.default () in
   Alcotest.(check int) "one unit finished" 1 outcome.Reorg.Recovery.units_finished;
   Alcotest.(check (list string)) "recovery only ends the unit" [ "recover"; "end" ]
     (List.rev !events);
