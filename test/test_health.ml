@@ -223,6 +223,29 @@ let test_two_dbs_track_independently () =
   let s2 = Health.stats db2.Sim.Db.health in
   Alcotest.(check bool) "trackers are distinct" true (s1.Health.leaves < s2.Health.leaves)
 
+(* The trace and the checker are subscribers of the same bus as health:
+   attaching them (the checker's optimistic-read oracle fixes pages of its
+   own) must not change what health sees. *)
+let test_observers_leave_health_alone () =
+  let run ~observed =
+    let db, _ = Sim.Scenario.aged ~seed:23 ~n:400 ~leaf_pages:512 ~f1:0.3 () in
+    let tracer = Obs.Trace.create () and checker = Model.Checker.create () in
+    ignore
+      (Sim.Scenario.run_reorg
+         { Sim.Scenario.default with
+           tracer = (if observed then Some tracer else None);
+           checker = (if observed then Some checker else None);
+           users = 4; user_ops = 300; seed = 3 }
+         db);
+    Model.Checker.finalize checker;
+    (Health.stats db.Sim.Db.health, Obs.Trace.event_count tracer, Model.Checker.events checker)
+  in
+  let plain, _, _ = run ~observed:false in
+  let seen, trace_events, checked = run ~observed:true in
+  Alcotest.(check bool) "observers attached" true (trace_events > 0 && checked > 0);
+  Alcotest.(check bool) "a reorganization happened" true (plain.Health.units > 0);
+  Alcotest.(check bool) "identical health stats" true (plain = seen)
+
 (* ------------------------------------------------------------------ *)
 (* Sampler + watches on a real sparsification run                      *)
 (* ------------------------------------------------------------------ *)
@@ -324,6 +347,8 @@ let () =
             test_hooks_compose_and_remove_independently;
           Alcotest.test_case "two dbs track independently" `Quick
             test_two_dbs_track_independently;
+          Alcotest.test_case "trace and checker leave health alone" `Quick
+            test_observers_leave_health_alone;
         ] );
       ( "sampler",
         [

@@ -177,6 +177,25 @@ let test_checker_rejects_backlogged_switch () =
        { actor = 1; old_root = 2; new_root = 3; old_name = 0; new_name = 1; backlog = 2; lsn = 50 });
   Alcotest.(check bool) "switch with side-file backlog rejected" false (Checker.ok c)
 
+(* The olc oracle runs in the checker's own handler: an optimistic read
+   emitted with the wrong answer is judged against a fresh descent of the
+   store's tree right there. *)
+let test_checker_judges_olc_reads () =
+  let db = Sim.Db.load ~fill:0.7 (List.init 50 (fun i -> (2 * i, Sim.Db.payload_for (2 * i)))) in
+  let c = Checker.create () in
+  Checker.attach c ~shard:0 db;
+  let read key result =
+    Obs.Bus.emit db.Sim.Db.bus Btree.Access.topic
+      (Btree.Access.Olc_read { leaf = Btree.Tree.find_leaf db.Sim.Db.tree key; key; result })
+  in
+  read 10 (Some (Sim.Db.payload_for 10));
+  read 11 None;
+  Alcotest.(check bool) "right answers pass" true (Checker.ok c);
+  read 12 (Some "stale");
+  match Checker.first_violation c with
+  | Some v -> Alcotest.(check string) "olc machine objects" "olc-read" v.Machine.v_machine
+  | None -> Alcotest.fail "a wrong optimistic read went unnoticed"
+
 (* ------------------------------------------------------------------ *)
 (* Conformance of real executions                                      *)
 (* ------------------------------------------------------------------ *)
@@ -283,6 +302,7 @@ let () =
           Alcotest.test_case "stale lsn" `Quick test_checker_rejects_regressing_lsn;
           Alcotest.test_case "double switch" `Quick test_checker_rejects_double_switch;
           Alcotest.test_case "backlogged switch" `Quick test_checker_rejects_backlogged_switch;
+          Alcotest.test_case "olc oracle in the handler" `Quick test_checker_judges_olc_reads;
         ] );
       ( "conformance",
         [

@@ -117,6 +117,58 @@ let test_with_span_on_exception () =
   Alcotest.(check int) "named" 1 (Trace.count_named tr "boom")
 
 (* ------------------------------------------------------------------ *)
+(* Event bus                                                           *)
+(* ------------------------------------------------------------------ *)
+
+type Obs.Bus.event += Ping of int
+
+let test_bus_topics () =
+  let bus = Obs.Bus.create () in
+  let t1 = Obs.Bus.topic () and t2 = Obs.Bus.topic () and t3 = Obs.Bus.topic () in
+  let got = ref [] in
+  let sub name = function Ping n -> got := (name, n) :: !got | _ -> () in
+  Obs.Bus.subscribe bus [ t1 ] (sub "a");
+  Obs.Bus.subscribe bus [ t1; t2 ] (sub "b");
+  Alcotest.(check (list bool)) "wants" [ true; true; false ]
+    (List.map (Obs.Bus.wants bus) [ t1; t2; t3 ]);
+  Obs.Bus.emit bus t1 (Ping 1);
+  Obs.Bus.emit bus t2 (Ping 2);
+  Obs.Bus.emit bus t3 (Ping 3);
+  Alcotest.(check (list (pair string int))) "per topic, in subscription order"
+    [ ("a", 1); ("b", 1); ("b", 2) ] (List.rev !got)
+
+let all_topics =
+  [
+    Lockmgr.Lock_mgr.topic;
+    Transact.Lock_client.topic;
+    Pager.Buffer_pool.topic;
+    Pager.Buffer_pool.dirty_topic;
+    Pager.Alloc.topic;
+    Wal.Log.topic;
+    Btree.Access.topic;
+    Reorg.Prot.topic;
+  ]
+
+(* Two subscribers of one store, every topic, a seeded run with users: both
+   see the very same events in the very same order. *)
+let test_bus_two_subscribers () =
+  let db, _ = Sim.Scenario.aged ~seed:11 ~n:400 ~f1:0.3 () in
+  let first = ref [] and second = ref [] in
+  Obs.Bus.subscribe db.Sim.Db.bus all_topics (fun ev -> first := ev :: !first);
+  Obs.Bus.subscribe db.Sim.Db.bus all_topics (fun ev -> second := ev :: !second);
+  ignore
+    (Sim.Scenario.run_reorg
+       { Sim.Scenario.default with users = 4; user_mix = Workload.Mix.update_heavy; user_ops = 200 }
+       db);
+  Alcotest.(check int) "same count" (List.length !first) (List.length !second);
+  Alcotest.(check bool) "same events, same order" true (List.for_all2 ( == ) !first !second);
+  let kinds =
+    List.sort_uniq compare
+      (List.map (fun ev -> Obj.Extension_constructor.(name (of_val ev))) !first)
+  in
+  Alcotest.(check bool) "every layer spoke" true (List.length kinds >= 12)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end determinism                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -296,6 +348,11 @@ let () =
         ] );
       ( "json",
         [ Alcotest.test_case "adversarial floats" `Quick test_json_float_adversarial ] );
+      ( "bus",
+        [
+          Alcotest.test_case "topics and order" `Quick test_bus_topics;
+          Alcotest.test_case "two subscribers, one order" `Quick test_bus_two_subscribers;
+        ] );
       ( "end-to-end",
         [
           Alcotest.test_case "golden determinism" `Quick test_golden_trace_determinism;
