@@ -162,43 +162,18 @@ let apply_base_edits bp edits =
       end)
     edits
 
-(* A concurrent updater can split the base page itself between the time a
-   unit captures its plan and the time it logs MODIFY, relocating entries to
-   a fresh sibling.  A MODIFY applied to the planned base would then miss
-   its entry and leave a stale child pointer behind, so resolve which base
-   page holds each key {e now} and log one MODIFY per resolved base. *)
-let resolve_base ctx ~hint key =
-  match Btree.Tree.parent_of_leaf (Ctx.tree ctx) key with
-  | Some b -> b
-  (* The key's entry may still point at an org page this unit just freed. *)
-  | None | (exception (Not_found | Btree.Tree.Not_a_node _)) -> hint
-
+(* One MODIFY on the planned base.  The unit holds R (then X) on that base
+   from BEGIN on, so no updater can split it in between, and the entries
+   the edits name are there. *)
 let modify ctx r ~base ~edits =
-  let resolved =
-    List.map
-      (fun edit ->
-        let key =
-          match edit with
-          | Record.Delete_entry { key; _ } | Record.Insert_entry { key; _ } -> key
-          | Record.Update_entry { org_key; _ } -> org_key
-        in
-        (resolve_base ctx ~hint:base key, edit))
-      edits
-  in
-  List.iter
-    (fun b ->
-      if r.stable_modifies > 0 then r.stable_modifies <- r.stable_modifies - 1
-      else begin
-        let edits = List.filter_map (fun (b', e) -> if b' = b then Some e else None) resolved in
-        let prev = Rtable.last_lsn ctx.Ctx.rtable in
-        let lsn =
-          Ctx.log_reorg ctx (Record.Reorg_modify { unit_id = r.unit_id; base = b; edits; prev })
-        in
-        apply_base_edits (Ctx.page ctx b) edits;
-        Ctx.stamp ctx ~page:b lsn;
-        bump ctx b
-      end)
-    (List.sort_uniq compare (List.map fst resolved))
+  if r.stable_modifies > 0 then r.stable_modifies <- r.stable_modifies - 1
+  else begin
+    let prev = Rtable.last_lsn ctx.Ctx.rtable in
+    let lsn = Ctx.log_reorg ctx (Record.Reorg_modify { unit_id = r.unit_id; base; edits; prev }) in
+    apply_base_edits (Ctx.page ctx base) edits;
+    Ctx.stamp ctx ~page:base lsn;
+    bump ctx base
+  end
 
 let upgrade ctx held base =
   let res = Resource.Page base in

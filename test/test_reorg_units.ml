@@ -389,6 +389,67 @@ let test_unit_blocked_by_reader_waits () =
     (match !outcome with Some (Unit_exec.Done _) -> true | _ -> false);
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree
 
+(* While a compact waits for a reader, an updater splits leaves under
+   another base.  The unit's one MODIFY still names the base it planned on,
+   and its entry for the destination lands there. *)
+let test_modify_lands_on_planned_base () =
+  let db = mk_tree_db () in
+  let ctx = mk_ctx db in
+  let base = Option.get (Tree.parent_of_leaf db.Db.tree 0) in
+  let leaves =
+    List.filteri (fun i _ -> i < 3)
+      (List.map (fun e -> e.Inode.child) (Inode.entries (Tree.page db.Db.tree base)))
+  in
+  let far = List.init 150 (fun i -> 1001 + (2 * i)) in
+  Alcotest.(check bool) "the far keys live under another base" true
+    (Tree.parent_of_leaf db.Db.tree (List.hd far) <> Some base);
+  let leaves_before = (Tree.stats db.Db.tree).Tree.leaf_count in
+  let expected =
+    List.sort compare (Btree.Invariant.contents db.Db.tree @ List.map (fun k -> (k, payload k)) far)
+  in
+  let eng = Engine.create () in
+  let reader = Txn_mgr.fresh_owner db.Db.mgr in
+  let outcome = ref None and leaves_mid = ref 0 in
+  (* The reader leaves once the updater has committed. *)
+  Engine.spawn eng (fun () ->
+      Transact.Lock_client.acquire db.Db.locks ~txn:reader
+        (Lockmgr.Resource.Page (List.nth leaves 1))
+        Lockmgr.Mode.S;
+      while !leaves_mid = 0 do
+        Engine.sleep 1
+      done;
+      Transact.Lock_client.release_all db.Db.locks ~txn:reader);
+  Engine.spawn eng (fun () ->
+      Engine.sleep 1;
+      outcome :=
+        Some
+          (Unit_exec.execute ctx
+             (Unit_exec.Compact { base; leaves; dest = `In_place (List.hd leaves) })));
+  Engine.spawn eng (fun () ->
+      Engine.sleep 2;
+      let tx = Txn_mgr.begin_txn db.Db.mgr in
+      List.iter (fun key -> Btree.Access.insert db.Db.access ~txn:tx ~key ~payload:(payload key)) far;
+      Txn_mgr.commit db.Db.mgr tx;
+      leaves_mid := (Tree.stats db.Db.tree).Tree.leaf_count;
+      Alcotest.(check bool) "the unit is still waiting" true (!outcome = None));
+  Engine.run eng;
+  Alcotest.(check bool) "leaves split elsewhere" true (!leaves_mid > leaves_before);
+  Alcotest.(check bool) "unit done" true
+    (match !outcome with Some (Unit_exec.Done _) -> true | _ -> false);
+  let modified = ref [] in
+  Wal.Log.force_all db.Db.log;
+  Wal.Log.iter db.Db.log (fun _ b ->
+      match b with
+      | Record.Reorg_modify { base; _ } -> modified := base :: !modified
+      | _ -> ());
+  Alcotest.(check (list int)) "one MODIFY, on the planned base" [ base ] !modified;
+  Alcotest.(check bool) "the destination's entry is in the planned base" true
+    (List.exists
+       (fun e -> e.Inode.child = List.hd leaves)
+       (Inode.entries (Tree.page db.Db.tree base)));
+  Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
+  Alcotest.(check bool) "contents" true (Btree.Invariant.contents db.Db.tree = expected)
+
 (* Pass 2 at a position whose slot holds the leaf of a later position, and
    that leaf's own slot is a page still awaiting careful-writing release:
    the pending slot is resolved by forcing its dependency, so pass 2
@@ -446,6 +507,8 @@ let () =
           Alcotest.test_case "move" `Quick test_move_unit_direct;
           Alcotest.test_case "stale plan" `Quick test_stale_plan_rejected;
           Alcotest.test_case "waits for reader" `Quick test_unit_blocked_by_reader_waits;
+          Alcotest.test_case "modify lands on the planned base" `Quick
+            test_modify_lands_on_planned_base;
           Alcotest.test_case "pass 2 cascades into a pending slot" `Quick
             test_pass2_cascades_into_pending_slot;
           Alcotest.test_case "swap survives eviction during a neighbour wait" `Quick
