@@ -348,11 +348,13 @@ let redo ~tree ~unit_types log =
 (* Forward completion of the in-flight unit (§5.1)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The unit's BEGIN, MOVEs and MODIFY count, and the before-image of the
-   first header write to each of its leaves after BEGIN (a unit's leaves are
-   RX-locked by it, so that write is the unit's own). *)
+(* The unit's BEGIN, MOVEs and MODIFY count, the before-image of the first
+   header write to each of its leaves after BEGIN (a unit's leaves are
+   RX-locked by it, so that write is the unit's own), and every page
+   formatted after BEGIN with its header image. *)
 let unit_records log ~unit_id =
   let begin_info = ref None and moves = ref [] and modifies = ref 0 and headers = ref [] in
+  let formats = ref [] in
   Log.iter log (fun _ body ->
       match (body, !begin_info) with
       | Record.Reorg_begin { unit_id = u; rtype; base_pages; leaf_pages }, _ when u = unit_id ->
@@ -364,17 +366,27 @@ let unit_records log ~unit_id =
         when off = Btree.Layout.off_low_mark && List.mem page leaves
              && not (List.mem_assoc page !headers) ->
         headers := (page, before) :: !headers
+      | Record.Update { page; off = 0; after; _ }, Some (_, _, leaves)
+        when String.length after = Btree.Layout.body_start && not (List.mem page leaves) ->
+        formats := (page, after) :: !formats
       | _ -> ());
-  (!begin_info, List.rev !moves, !modifies, !headers)
+  (!begin_info, List.rev !moves, !modifies, !headers, !formats)
 
 let keys_of = function Record.Keys_only ks -> ks | Record.Full_records rs -> List.map fst rs
 
 (* Read an interrupted unit's plan back.  BEGIN names its pages, the stable
    MOVEs its destination and what already moved; the rest comes from the
    recovered pages, which redo left exactly as the stable log describes.
-   With no stable (pair of) MOVE(s) nothing moved, and the unit just ends. *)
-let read_back ctx ~rtype ~bases ~leaves ~moves ~modifies ~headers =
+   With no stable (pair of) MOVE(s) nothing moved, and the unit just ends,
+   freeing a fresh destination it had formatted as the give-up does. *)
+let read_back ctx ~rtype ~bases ~leaves ~moves ~modifies ~headers ~formats =
   let page = Ctx.page ctx in
+  (* A logged header image, at [off], on an otherwise empty page. *)
+  let image ~off bytes =
+    let p = Bytes.make (Ctx.page_size ctx) '\000' in
+    Bytes.blit_string bytes 0 p off (String.length bytes);
+    p
+  in
   match (rtype, leaves, moves) with
   | (Record.Compact | Record.Move), first :: _, (_, dest, _) :: _ ->
     let forwards = List.filter (fun (_, d, _) -> d = dest) moves in
@@ -427,10 +439,7 @@ let read_back ctx ~rtype ~bases ~leaves ~moves ~modifies ~headers =
     let header pid =
       let p =
         match List.assoc_opt pid headers with
-        | Some before ->
-          let p = Bytes.make (Ctx.page_size ctx) '\000' in
-          Bytes.blit_string before 0 p Btree.Layout.off_low_mark (String.length before);
-          p
+        | Some before -> image ~off:Btree.Layout.off_low_mark before
         | None -> page pid
       in
       (Leaf.low_mark p, (Leaf.prev p, Leaf.next p))
@@ -451,18 +460,30 @@ let read_back ctx ~rtype ~bases ~leaves ~moves ~modifies ~headers =
     ( steps,
       if reverse <> [] then Unit_exec.Backward { undone = 1 }
       else Unit_exec.Forward { moved = 1; modifies } )
+  | (Record.Compact | Record.Move), first :: _, [] ->
+    (* The destination's header carries the group's outer links, which no
+       other page formatted meanwhile can share. *)
+    let last = List.nth leaves (List.length leaves - 1) in
+    let formatted (_, after) =
+      let p = image ~off:0 after in
+      (Leaf.prev p, Leaf.next p) = (Leaf.prev (page first), Leaf.next (page last))
+    in
+    ( (match List.find_opt formatted formats with
+      | Some (dest, _) -> Unit_exec.formatted dest
+      | None -> []),
+      Unit_exec.Backward { undone = 0 } )
   | _ -> ([], Unit_exec.Backward { undone = 0 })
 
 (* §5.1: the interrupted unit is finished by the same interpreter that ran
    it, from the first step whose record is not stable. *)
 let finish_one ctx log ~unit_id =
   match unit_records log ~unit_id with
-  | None, _, _, _ ->
+  | None, _, _, _, _ ->
     (* BEGIN never became stable: the unit never existed. *)
     ()
-  | Some (rtype, bases, leaves), moves, modifies, headers ->
+  | Some (rtype, bases, leaves), moves, modifies, headers, formats ->
     Ctx.emit ctx (Prot.Unit_recover { actor = ctx.Ctx.actor.Transact.Txn.id; unit_id });
-    let steps, resume = read_back ctx ~rtype ~bases ~leaves ~moves ~modifies ~headers in
+    let steps, resume = read_back ctx ~rtype ~bases ~leaves ~moves ~modifies ~headers ~formats in
     Unit_exec.finish ctx ~unit_id steps resume
 
 let finish_units ctx log ~open_units =

@@ -388,6 +388,9 @@ let swap_steps ctx s =
 (* Forward recovery                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [backward] reads only a format step's page. *)
+let formatted pid = [ Format { pid; low_mark = min_int; prev = None; next = None } ]
+
 type resume = Forward of { moved : int; modifies : int } | Backward of { undone : int }
 
 let test_skip_resumed_rewire = ref false

@@ -99,6 +99,11 @@ type resume =
       (** the give-up had logged [undone] reverse MOVEs: resume its
           backward list after them *)
 
+val formatted : int -> step list
+(** The steps of a unit that got only as far as formatting its fresh
+    destination: [Backward { undone = 0 }] over them frees it and ends the
+    unit. *)
+
 val finish : Ctx.t -> unit_id:int -> step list -> resume -> unit
 (** Finish an interrupted unit without locks (restart runs alone) and log
     its END.  [Backward] of an empty step list just ends the unit. *)

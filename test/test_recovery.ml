@@ -383,6 +383,45 @@ let test_crash_after_swap_give_up_flush =
 let test_crash_after_exchanged_swap_give_up_flush =
   crash_inside_give_up ~flush_first:true ~flush_exchanged:true ~reverse_at:3 ~unit:swap_unit
 
+(* A move whose BEGIN and destination format are stable but whose MOVE is
+   not: only the format's record names the destination, and restart must
+   free it as the give-up would, not leave it allocated and unreachable. *)
+let test_crash_before_first_move () =
+  let db, records = mk_sparse ~n:200 () in
+  let org = List.nth (Tree.leaf_pids db.Db.tree) 1 in
+  let key = Option.get (Btree.Leaf.min_key (Tree.page db.Db.tree org)) in
+  let base = Option.get (Tree.parent_of_leaf db.Db.tree key) in
+  let lo, hi = Pager.Alloc.leaf_zone db.Db.alloc in
+  let dest = Option.get (Pager.Alloc.free_in_range db.Db.alloc ~lo ~hi) in
+  let live = ref true in
+  Obs.Bus.subscribe db.Db.bus [ Reorg.Prot.topic ] (function
+    | Reorg.Prot.Unit_move { lsn; _ } when !live ->
+      (* Everything below the MOVE reaches the stable log; the MOVE does not. *)
+      Wal.Log.force db.Db.log (lsn - 1);
+      raise Crash_here
+    | _ -> ());
+  let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
+  let eng = Engine.create () in
+  Engine.spawn eng (fun () ->
+      ignore (Reorg.Unit_exec.execute ctx (Reorg.Unit_exec.Move { base; org; dest })));
+  (match Engine.run eng with
+  | () -> Alcotest.fail "the unit did not reach its MOVE"
+  | exception Crash_here -> ());
+  live := false;
+  Db.crash_now db;
+  let begun = ref false and formats = ref 0 and moves = ref 0 in
+  Wal.Log.iter db.Db.log (fun _ body ->
+      match body with
+      | Wal.Record.Reorg_begin _ -> begun := true
+      | Wal.Record.Reorg_move _ -> incr moves
+      | Wal.Record.Update { page; off = 0; _ } when !begun && page = dest -> incr formats
+      | _ -> ());
+  Alcotest.(check (pair int int)) "stable: the format, no MOVE" (1, 0) (!formats, !moves);
+  ignore (restart db);
+  Alcotest.(check bool) "destination free" true (Pager.Alloc.is_free db.Db.alloc dest);
+  Invariant.check ~alloc:db.Db.alloc db.Db.tree;
+  Invariant.check_consistent_with db.Db.tree ~expected:records
+
 (* A swap cut between its two header writes: the stable log ends with the
    write of b's header, so after redo b's header already describes a's old
    place while a's still describes its own.  Recovery must take b's
@@ -505,6 +544,8 @@ let () =
             test_crash_after_exchanged_swap_give_up_flush;
           Alcotest.test_case "crash between a swap's header writes" `Quick
             test_crash_between_swap_headers;
+          Alcotest.test_case "crash before a move's first MOVE" `Quick
+            test_crash_before_first_move;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest crash_anywhere_prop ]);
     ]
