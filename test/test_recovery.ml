@@ -62,6 +62,32 @@ let test_uncommitted_not_durable () =
   Invariant.check ~alloc:db.Db.alloc db.Db.tree;
   Invariant.check_consistent_with db.Db.tree ~expected:[]
 
+(* A leaf split is sealed as a nested top action: once its records are
+   stable, undoing the transaction whose insert caused it takes back the
+   insert and keeps the split, because other transactions may already have
+   committed records into the new halves. *)
+let test_split_survives_undo () =
+  let records = List.init 200 (fun i -> (2 * i, payload (2 * i))) in
+  let db = Db.load ~page_size:512 ~fill:0.95 records in
+  let leaves_before = (Tree.stats db.Db.tree).Tree.leaf_count in
+  let tx = Txn_mgr.begin_txn db.Db.mgr in
+  let rec insert_until_split key =
+    Tree.insert db.Db.tree ~txn:tx ~key ~payload:(payload key) ();
+    if (Tree.stats db.Db.tree).Tree.leaf_count = leaves_before then insert_until_split (key + 2)
+  in
+  insert_until_split 101;
+  let split = Tree.leaf_pids db.Db.tree in
+  (* The split's records, its seal and the insert reach the stable log; the
+     transaction never commits. *)
+  Wal.Log.force_all db.Db.log;
+  Db.crash_now db;
+  let _, outcome = restart db in
+  Alcotest.(check int) "the inserting transaction is a loser" 1
+    outcome.Reorg.Recovery.losers_undone;
+  Invariant.check ~alloc:db.Db.alloc db.Db.tree;
+  Invariant.check_consistent_with db.Db.tree ~expected:records;
+  Alcotest.(check (list int)) "the split survives" split (Tree.leaf_pids db.Db.tree)
+
 (* ---------------- forward recovery of the reorganizer ---------------- *)
 
 let sparse_records n = List.init n (fun i -> (2 * i, payload (2 * i)))
@@ -526,6 +552,8 @@ let () =
             test_committed_survive_losers_rollback;
           Alcotest.test_case "redo from log" `Quick test_redo_after_clean_flush;
           Alcotest.test_case "uncommitted not durable" `Quick test_uncommitted_not_durable;
+          Alcotest.test_case "split survives its transaction's undo" `Quick
+            test_split_survives_undo;
         ] );
       ( "forward recovery",
         [
