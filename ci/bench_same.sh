@@ -11,13 +11,16 @@
 #   reorg-cli torture --seed 42 --stride 1 -n 120 --metrics
 #   reorg-cli reorganize --workers 2 --trace F --metrics
 #   reorg-cli workload --trace F --metrics
+#   reorg-cli model --seeds 11,23 --experiments workload --olc
+#   reorg-cli model --seeds 11 --experiments torture --stride 7 -n 120
 #   perfbench/perf.exe --workload W --seed 1 --seconds 1 --trace 1   (each W)
 #
 # and compares them: the bench JSON field by field, ignoring only the
 # wall-clock and provenance fields (wall_clock_s, "wall s",
 # generated_at_unix, revision); the CLI outputs and the two Chrome trace
 # files byte for byte (the traces, and the process names on their rows, are
-# seen by no bench JSON field); perfbench's round count, correctness,
+# seen by no bench JSON field; the model transcripts' "N events, M tracks"
+# count what the protocol checker's subscription received); perfbench's round count, correctness,
 # operation counts and every result metric except host times (unit s or
 # us), db_mem_mb and trace_overhead_frac.  Bench experiments run on
 # Config.paper (locked reads), so the perfbench runs are what pin the
@@ -67,6 +70,13 @@ outputs() {
   echo "== $1: workload --trace --metrics =="
   (cd "$dest" && "$cli" workload --trace workload.trace.json --metrics) \
     >"$dest/workload.out" 2>&1
+  # A failing model run exits 2; its status joins the compared transcript.
+  echo "== $1: model --seeds 11,23 --experiments workload --olc =="
+  "$cli" model --seeds 11,23 --experiments workload --olc >"$dest/model-workload.out" 2>&1 \
+    || echo "exit $?" >>"$dest/model-workload.out"
+  echo "== $1: model --seeds 11 --experiments torture --stride 7 -n 120 =="
+  "$cli" model --seeds 11 --experiments torture --stride 7 -n 120 \
+    >"$dest/model-torture.out" 2>&1 || echo "exit $?" >>"$dest/model-torture.out"
   for w in $workloads; do
     echo "== $1: perf.exe --workload $w --seed 1 --seconds 1 --trace 1 =="
     (cd "$2" && dune exec --root . perfbench/perf.exe -- --workload "$w" --seed 1 --seconds 1 \
@@ -139,7 +149,8 @@ sys.exit(1 if diffs else 0)
 EOF
 done
 
-for f in torture.out reorganize.out reorganize.trace.json workload.out workload.trace.json; do
+for f in torture.out reorganize.out reorganize.trace.json workload.out workload.trace.json \
+  model-workload.out model-torture.out; do
   echo "== $f =="
   if cmp -s "$out/base/$f" "$out/work/$f"; then
     echo "$f: identical"
