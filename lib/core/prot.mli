@@ -68,9 +68,7 @@ type Obs.Bus.event +=
   | Phase_begin of phase
   | Phase_end of phase  (** also when the phase raised *)
   | Switched  (** pass 3's switch completed: the meta page names the new root *)
-  | Side_backlog of { size : int; change : Obs.Health.side_event }
-      (** the side file's size after an append, take, undo-remove or
-          recovery restore *)
+  | Side_backlog of { size : int; change : Obs.Health.side_event }  (** after any change *)
 
 val key_to_string : int -> string
 (** Renders [min_int]/[max_int] as the -inf/+inf sentinels they are. *)

@@ -463,10 +463,10 @@ let read_back ctx ~rtype ~bases ~leaves ~moves ~modifies ~headers ~formats =
   | (Record.Compact | Record.Move), first :: _, [] ->
     (* The destination's header carries the group's outer links, which no
        other page formatted meanwhile can share. *)
-    let last = List.nth leaves (List.length leaves - 1) in
+    let last = page (List.nth leaves (List.length leaves - 1)) in
     let formatted (_, after) =
       let p = image ~off:0 after in
-      (Leaf.prev p, Leaf.next p) = (Leaf.prev (page first), Leaf.next (page last))
+      (Leaf.prev p, Leaf.next p) = (Leaf.prev (page first), Leaf.next last)
     in
     ( (match List.find_opt formatted formats with
       | Some (dest, _) -> Unit_exec.formatted dest

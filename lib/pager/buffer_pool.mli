@@ -178,16 +178,13 @@ val register_obs : t -> Obs.Registry.t -> unit
 
 val bus : t -> Obs.Bus.t
 
+(** [topic]: page I/O ({!Flushed}, {!Dep_flushed}, {!Torn_detected});
+    [dirty_topic]: page mutations ({!Dirtied}). *)
 val topic : Obs.Bus.topic
-(** Page I/O: {!Flushed}, {!Dep_flushed}, {!Torn_detected}. *)
-
 val dirty_topic : Obs.Bus.topic
-(** Page mutations: {!Dirtied}. *)
 
 type Obs.Bus.event +=
-  | Dirtied of int
-      (** {!mark_dirty} on this page: every page mutation funnels through
-          it, so the health tracker learns which pages to re-examine *)
+  | Dirtied of int  (** {!mark_dirty}: every page mutation funnels through it *)
   | Flushed of int  (** a dirty page was written to the backend *)
   | Dep_flushed of { blocked : int; prereq : int }
       (** careful writing: [prereq] is flushed first because [blocked] is *)

@@ -5,15 +5,8 @@ exception Deadlock_victim
 let topic = Obs.Bus.topic ()
 
 type Obs.Bus.event +=
-  | Waited of {
-      txn : int;
-      res : Lockmgr.Resource.t;
-      mode : Lockmgr.Mode.t;
-      instant : bool;
-      started : int;
-      ticks : int;
-      outcome : Lock_mgr.grant;
-    }
+  | Waited of { txn : int; res : Lockmgr.Resource.t; mode : Lockmgr.Mode.t; instant : bool;
+      started : int; ticks : int; outcome : Lock_mgr.grant }
 
 let try_acquire mgr ~txn res mode = Lock_mgr.try_acquire mgr ~owner:txn.Txn.id res mode
 

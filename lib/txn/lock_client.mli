@@ -12,18 +12,11 @@ exception Deadlock_victim
 val topic : Obs.Bus.topic
 
 type Obs.Bus.event +=
-  | Waited of {
-      txn : int;
-      res : Lockmgr.Resource.t;
-      mode : Lockmgr.Mode.t;
-      instant : bool;  (** the unconditional instant-duration wait (RS) *)
-      started : int;  (** engine tick the wait began *)
-      ticks : int;
-      outcome : Lockmgr.Lock_mgr.grant;
-    }
-      (** A blocking request finished waiting, emitted on the lock manager's
-          bus under {!topic}; the trace draws it as a span on the waiter's
-          row. *)
+  | Waited of { txn : int; res : Lockmgr.Resource.t; mode : Lockmgr.Mode.t; instant : bool;
+      started : int; ticks : int; outcome : Lockmgr.Lock_mgr.grant }
+      (** A blocking request (an instant-duration one if [instant]) waited
+          from tick [started] for [ticks]; emitted on the lock manager's bus
+          under {!topic}. *)
 
 val acquire : Lockmgr.Lock_mgr.t -> txn:Txn.t -> Lockmgr.Resource.t -> Lockmgr.Mode.t -> unit
 (** Acquire, blocking if necessary.  Raises {!Deadlock_victim}. *)
