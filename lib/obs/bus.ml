@@ -22,4 +22,11 @@ let subscribe t topics f =
   t.subs <- t.subs @ [ { s_mask; f } ]
 
 let wants t topic = t.mask land topic <> 0
-let emit t topic ev = List.iter (fun s -> if s.s_mask land topic <> 0 then s.f ev) t.subs
+(* A top-level loop: no closure is allocated per event. *)
+let rec dispatch topic ev = function
+  | [] -> ()
+  | s :: rest ->
+    if s.s_mask land topic <> 0 then s.f ev;
+    dispatch topic ev rest
+
+let emit t topic ev = dispatch topic ev t.subs
