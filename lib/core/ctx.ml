@@ -33,8 +33,7 @@ let make ?registry ?(shard = (0, 1)) ~access ~config () =
     worker_rtables = ref [];
   }
 
-let bus t = Access.bus t.access
-let emit t ev = Obs.Bus.emit (bus t) Prot.topic ev
+let emit t ev = Obs.Bus.emit (Access.bus t.access) Prot.topic ev
 
 let worker t ~index ~count =
   let shard_i, shard_n = t.shard in

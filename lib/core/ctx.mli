@@ -29,11 +29,8 @@ val make :
     already because it is minted by the shard's strided transaction
     manager. *)
 
-val bus : t -> Obs.Bus.t
-(** The store's event stream. *)
-
 val emit : t -> Obs.Bus.event -> unit
-(** Emit one reorganizer event under {!Prot.topic}.  {!log_reorg} derives
+(** Emit one reorganizer event on the store's bus under {!Prot.topic}.  {!log_reorg} derives
     the unit-lifecycle events from the records it appends; the passes emit
     the switch-protocol events and the spans explicitly. *)
 

@@ -51,7 +51,7 @@ type Obs.Bus.event +=
     }
   | Forced_abort of { actor : int; owner : int; lambda : bool }
   | Switch_cleanup of { actor : int }
-  | Side_accept of { key : int }
+  | Side_accept of { key : int; backlog : int }
   | Side_redirect of { key : int }
   | Phase_begin of phase
   | Phase_end of phase
@@ -95,7 +95,7 @@ let to_string = function
   | Forced_abort { actor; owner; lambda } ->
     Printf.sprintf "Forced_abort{actor=%d owner=%d lambda=%b}" actor owner lambda
   | Switch_cleanup { actor } -> Printf.sprintf "Switch_cleanup{actor=%d}" actor
-  | Side_accept { key } -> Printf.sprintf "Side_accept{key=%d}" key
+  | Side_accept { key; _ } -> Printf.sprintf "Side_accept{key=%d}" key
   | Side_redirect { key } -> Printf.sprintf "Side_redirect{key=%d}" key
   | _ -> "<not a protocol event>"
 

@@ -63,12 +63,13 @@ type Obs.Bus.event +=
     }
   | Forced_abort of { actor : int; owner : int; lambda : bool }
   | Switch_cleanup of { actor : int }
-  | Side_accept of { key : int }
+  | Side_accept of { key : int; backlog : int }  (** [backlog]: the size after it *)
   | Side_redirect of { key : int }
   | Phase_begin of phase
   | Phase_end of phase  (** also when the phase raised *)
   | Switched  (** pass 3's switch completed: the meta page names the new root *)
-  | Side_backlog of { size : int; change : Obs.Health.side_event }  (** after any change *)
+  | Side_backlog of { size : int; change : Obs.Health.side_event }
+      (** after a take, undo-remove or recovery restore *)
 
 val key_to_string : int -> string
 (** Renders [min_int]/[max_int] as the -inf/+inf sentinels they are. *)

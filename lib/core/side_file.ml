@@ -33,8 +33,7 @@ let append t ~txn op =
            Record.Side_file { txn = txn.Transact.Txn.id; op; prev }));
     t.back <- op :: t.back;
     t.count <- t.count + 1;
-    note t Obs.Health.Append;
-    emit t (Prot.Side_accept { key = key_of op });
+    emit t (Prot.Side_accept { key = key_of op; backlog = t.count });
     `Accepted
   | `Conflict _ ->
     (* Switching is in progress: wait it out with an instant-duration IX,

@@ -15,10 +15,11 @@
 type t
 
 val create : journal:Transact.Journal.t -> locks:Lockmgr.Lock_mgr.t -> t
-(** Events go out on the lock manager's bus: {!Prot.Side_backlog} after
-    every append, take, undo-remove and recovery-restore, and from each
-    {!append} a [Side_accept] or [Side_redirect] with the affected key —
-    the admission decision the switch protocol hinges on. *)
+(** Events go out on the lock manager's bus: from each {!append} a
+    [Side_accept] (with the new backlog) or [Side_redirect] with the
+    affected key — the admission decision the switch protocol hinges on —
+    and {!Prot.Side_backlog} after every take, undo-remove and
+    recovery-restore. *)
 
 val append : t -> txn:Transact.Txn.t -> Wal.Record.side_op -> [ `Accepted | `Redirect ]
 (** May raise {!Transact.Lock_client.Deadlock_victim}. *)

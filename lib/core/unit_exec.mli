@@ -100,9 +100,8 @@ type resume =
           backward list after them *)
 
 val formatted : int -> step list
-(** The steps of a unit that got only as far as formatting its fresh
-    destination: [Backward { undone = 0 }] over them frees it and ends the
-    unit. *)
+(** A unit that only formatted this fresh destination: [Backward { undone =
+    0 }] over it frees the page and ends the unit. *)
 
 val finish : Ctx.t -> unit_id:int -> step list -> resume -> unit
 (** Finish an interrupted unit without locks (restart runs alone) and log

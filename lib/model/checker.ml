@@ -76,10 +76,12 @@ let crash = reset
 
 let feed t ~shard ev =
   match ev with
-  | Lock_mgr.Ev_granted { res; _ } | Lock_mgr.Ev_queued { res; _ } | Lock_mgr.Ev_signalled { res; _ }
-  | Lock_mgr.Ev_victim { res; _ } | Lock_mgr.Ev_dequeued { res; _ } | Lock_mgr.Ev_released { res; _ } ->
+  | Lock_mgr.Ev_granted { res; _ } | Lock_mgr.Ev_queued { res; _ }
+  | Lock_mgr.Ev_signalled { res; _ } | Lock_mgr.Ev_victim { res; _ }
+  | Lock_mgr.Ev_dequeued { res; _ } | Lock_mgr.Ev_released { res; _ } ->
     t.events <- t.events + 1;
-    Machine.step t.locks ~track:(Printf.sprintf "s%d/%s" shard (Lockmgr.Resource.to_string res)) ev
+    let track = Printf.sprintf "s%d/%s" shard (Lockmgr.Resource.to_string res) in
+    Machine.step t.locks ~track ev
   | Prot.Unit_begin { unit_id; actor; _ } | Prot.Unit_move { unit_id; actor; _ }
   | Prot.Unit_modify { unit_id; actor; _ } | Prot.Unit_undo { unit_id; actor }
   | Prot.Unit_end { unit_id; actor; _ } | Prot.Unit_recover { unit_id; actor } ->

@@ -174,7 +174,7 @@ let def : (state, Obs.Bus.event) Machine.def =
                    suffix, so the updater must go direct — an accepted op
                    there would be applied twice or lost. *)
                 fun st ev ->
-                  match ev with Prot.Side_accept { key } -> key < st.ck | _ -> false );
+                  match ev with Prot.Side_accept { key; _ } -> key < st.ck | _ -> false );
             ]
           ~next:(fun st _ -> st);
         Machine.rule "side-redirect"

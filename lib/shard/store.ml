@@ -83,6 +83,8 @@ let assemble ?faults ?(record_locking = false) ?(shard = (0, 1)) ~page_size ~lea
       | Alloc.Released pid -> Obs.Health.note_alloc_event health `Free pid
       | Reorg.Unit_exec.Attempt_end (Some (Reorg.Unit_exec.Done _)) -> Obs.Health.note_unit health
       | Reorg.Prot.Switched -> Obs.Health.note_switch health
+      | Reorg.Prot.Side_accept { backlog; _ } ->
+        Obs.Health.side_event health ~size:backlog Obs.Health.Append
       | Reorg.Prot.Side_backlog { size; change } -> Obs.Health.side_event health ~size change
       | _ -> ());
   let usable = Btree.Layout.usable_bytes ~page_size:(Buffer_pool.page_size pool) in
