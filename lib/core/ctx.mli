@@ -23,16 +23,16 @@ val make :
   config:Config.t ->
   unit ->
   t
-(** [registry] attaches the run's {!Metrics} counters.  [shard:(i, n)] (default [(0, 1)]) puts unit ids on the lattice
-    [i+1 + k*n] so the system tables of concurrently reorganizing shards
-    never share a unit id; the actor's lock-owner id is globally unique
-    already because it is minted by the shard's strided transaction
-    manager. *)
+(** [registry] attaches the run's {!Metrics} counters.  [shard:(i, n)]
+    (default [(0, 1)]) puts unit ids on the lattice [i+1 + k*n] so the
+    system tables of concurrently reorganizing shards never share a unit
+    id; the actor's lock-owner id is globally unique already because it is
+    minted by the shard's strided transaction manager. *)
 
 val emit : t -> Obs.Bus.event -> unit
-(** Emit one reorganizer event on the store's bus under {!Prot.topic}.  {!log_reorg} derives
-    the unit-lifecycle events from the records it appends; the passes emit
-    the switch-protocol events and the spans explicitly. *)
+(** Emit one reorganizer event on the store's bus under {!Prot.topic}.
+    {!log_reorg} derives the unit-lifecycle events from the records it
+    appends; the passes emit the protocol steps and spans explicitly. *)
 
 val worker : t -> index:int -> count:int -> t
 (** A derived context for one of [count] parallel reorganizer workers: its

@@ -3,8 +3,8 @@
     observability the auto-reorg policy roadmap item needs.
 
     The tracker never scans the tree.  Mutation sites (the buffer pool's
-    dirty hook, in this repository) push {e page ids} into a pending set via
-    {!note_dirty}; reading any statistic drains the set through an injected
+    [Dirtied] events, in this repository) push {e page ids} into a pending
+    set via {!note_dirty}; reading any statistic drains the set through an injected
     {!set_refresher} closure that re-examines just those pages and updates
     the aggregates by delta.  The cost of maintenance is therefore
     O(pages touched since the last reading), independent of tree size, and
@@ -51,16 +51,16 @@ val refresh : t -> unit
 val pending_count : t -> int
 val tracked : t -> int
 
-(** {2 Signals fed by subsystem hooks} *)
+(** {2 Signals fed by the store's event stream} *)
 
 type side_event = Append | Take | Removed | Restored
 
 val side_event : t -> size:int -> side_event -> unit
-(** Side-file hook: called with the new backlog size after every append /
+(** Side file: called with the new backlog size after every append /
     take / undo-remove / recovery-restore. *)
 
 val note_alloc_event : t -> [ `Alloc | `Free ] -> int -> unit
-(** Allocator hook: page [pid] was allocated or freed.  Counts churn and
+(** Allocator: page [pid] was allocated or freed.  Counts churn and
     enqueues the page for re-examination. *)
 
 val set_free_probe : t -> (unit -> int) -> unit
