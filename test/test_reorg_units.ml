@@ -507,11 +507,11 @@ let () =
           Alcotest.test_case "move" `Quick test_move_unit_direct;
           Alcotest.test_case "stale plan" `Quick test_stale_plan_rejected;
           Alcotest.test_case "waits for reader" `Quick test_unit_blocked_by_reader_waits;
-          Alcotest.test_case "modify lands on the planned base" `Quick
-            test_modify_lands_on_planned_base;
           Alcotest.test_case "pass 2 cascades into a pending slot" `Quick
             test_pass2_cascades_into_pending_slot;
           Alcotest.test_case "swap survives eviction during a neighbour wait" `Quick
             test_swap_survives_eviction_during_neighbour_wait;
+          Alcotest.test_case "modify lands on the planned base" `Quick
+            test_modify_lands_on_planned_base;
         ] );
     ]
