@@ -421,9 +421,76 @@ let test_scan_steps_counts_work () =
   Lock_mgr.reset_stats m;
   Alcotest.(check int) "reset zeroes it" 0 (Lock_mgr.stats m).Lock_mgr.scan_steps
 
-(* Property: under random acquire/release/enqueue traffic, no two
-   incompatible modes are ever held on one resource, and every grant the
-   manager reports corresponds to a compatible state. *)
+let modes_str ms = List.map (fun (o, m) -> (o, Mode.to_string m)) ms
+
+(* One wake batch sees the grants it has already decided: behind a released
+   X, a queued S is granted and the IX queued after it must not be woken into
+   an S/IX co-holding. *)
+let test_same_batch_wake () =
+  let m = Lock_mgr.create () in
+  assert (granted (Lock_mgr.try_acquire m ~owner:1 (page 1) Mode.X));
+  let w2 = ref None and w3 = ref None in
+  Lock_mgr.enqueue m ~owner:2 (page 1) Mode.S ~instant:false ~wake:(fun g -> w2 := Some g);
+  Lock_mgr.enqueue m ~owner:3 (page 1) Mode.IX ~instant:false ~wake:(fun g -> w3 := Some g);
+  Lock_mgr.release m ~owner:1 (page 1) Mode.X;
+  Alcotest.(check bool) "S granted" true (!w2 = Some Lock_mgr.Granted);
+  Alcotest.(check bool) "IX still waiting" true (!w3 = None);
+  Alcotest.(check (list (pair int (list string))))
+    "owner 2 alone holds S"
+    [ (2, [ "S" ]) ]
+    (List.map (fun (o, ms) -> (o, List.map Mode.to_string ms)) (Lock_mgr.holders m (page 1)));
+  Alcotest.(check (list (pair int string))) "IX queued" [ (3, "IX") ]
+    (modes_str (Lock_mgr.waiters m (page 1)));
+  Lock_mgr.release m ~owner:2 (page 1) Mode.S;
+  Alcotest.(check bool) "IX granted after S" true (!w3 = Some Lock_mgr.Granted)
+
+(* The [`Conflict] payload: holders first, sorted by owner, each with its
+   first conflicting mode; then the conflicting queued waiters in queue
+   order. *)
+let test_conflict_payload () =
+  let m = Lock_mgr.create () in
+  assert (granted (Lock_mgr.try_acquire m ~owner:5 (page 1) Mode.S));
+  assert (granted (Lock_mgr.try_acquire m ~owner:2 (page 1) Mode.S));
+  assert (not (granted (Lock_mgr.try_acquire m ~owner:7 (page 1) Mode.X)));
+  Lock_mgr.enqueue m ~owner:7 (page 1) Mode.X ~instant:false ~wake:(fun _ -> ());
+  match Lock_mgr.try_acquire m ~owner:9 (page 1) Mode.X with
+  | `Granted -> Alcotest.fail "X should conflict"
+  | `Conflict blockers ->
+    Alcotest.(check (list (pair int string)))
+      "holders by owner, then the queue" [ (2, "S"); (5, "S"); (7, "X") ] (modes_str blockers)
+
+(* Holdings count acquisitions: S taken twice and released once still blocks
+   an X, and [release_all] emits one [Ev_released] per held acquisition. *)
+let test_multiplicity () =
+  let m = Lock_mgr.create () in
+  let released = ref [] in
+  Obs.Bus.subscribe (Lock_mgr.bus m) [ Lock_mgr.topic ] (function
+    | Lock_mgr.Ev_released { owner; res; mode } ->
+      released := (owner, Resource.to_string res, Mode.to_string mode) :: !released
+    | _ -> ());
+  assert (granted (Lock_mgr.try_acquire m ~owner:1 (page 1) Mode.S));
+  assert (granted (Lock_mgr.try_acquire m ~owner:1 (page 1) Mode.S));
+  assert (granted (Lock_mgr.try_acquire m ~owner:1 (page 2) Mode.IS));
+  Lock_mgr.release m ~owner:1 (page 1) Mode.S;
+  Alcotest.(check bool) "one S left blocks X" false
+    (granted (Lock_mgr.try_acquire m ~owner:2 (page 1) Mode.X));
+  assert (granted (Lock_mgr.try_acquire m ~owner:1 (page 1) Mode.S));
+  released := [];
+  Lock_mgr.release_all m ~owner:1;
+  Alcotest.(check (list (triple int string string)))
+    "one event per acquisition"
+    [ (1, "page:1", "S"); (1, "page:1", "S"); (1, "page:2", "IS") ]
+    (List.rev !released);
+  Alcotest.(check bool) "X granted once all are gone" true
+    (granted (Lock_mgr.try_acquire m ~owner:2 (page 1) Mode.X))
+
+(* Property: under random acquire/release traffic, no two incompatible modes
+   are ever held on one resource, and every [try_acquire] answer, grant or
+   refusal, equals a reference built from the test's own [held] list and the
+   literal [Model.Table1]: grant exactly when the requester's own holdings
+   cover the mode or every other owner's held modes are compatible with it.
+   Nothing is ever enqueued, so no queue can refuse a request and the
+   reference is exact. *)
 let lock_invariant_prop =
   QCheck.Test.make ~name:"no incompatible co-holders" ~count:200
     QCheck.(
@@ -453,9 +520,18 @@ let lock_invariant_prop =
                  !held)
           end
           else begin
-            match Lock_mgr.try_acquire m ~owner res mode with
-            | `Granted -> held := (owner, res, mode) :: !held
-            | `Conflict _ -> ()
+            let on_res = List.filter (fun (_, r, _) -> Resource.equal r res) !held in
+            let want =
+              List.exists (fun (o, _, m') -> o = owner && Model.Table1.covers ~held:m' ~need:mode) on_res
+              || List.for_all (fun (o, _, m') -> o = owner || Model.Table1.compatible m' mode) on_res
+            in
+            let got = granted (Lock_mgr.try_acquire m ~owner res mode) in
+            if got <> want then
+              QCheck.Test.fail_reportf "owner %d %s on %s: %s, reference says %s" owner
+                (Mode.to_string mode) (Resource.to_string res)
+                (if got then "granted" else "refused")
+                (if want then "grant" else "refuse");
+            if got then held := (owner, res, mode) :: !held
           end;
           (* Check the global invariant after every step. *)
           List.iter
@@ -497,6 +573,9 @@ let () =
           Alcotest.test_case "per-mode tallies" `Quick test_per_mode_tallies;
           Alcotest.test_case "locked counts" `Quick test_locked_counts;
           Alcotest.test_case "scan steps" `Quick test_scan_steps_counts_work;
+          Alcotest.test_case "same-batch wake" `Quick test_same_batch_wake;
+          Alcotest.test_case "conflict payload" `Quick test_conflict_payload;
+          Alcotest.test_case "multiplicity" `Quick test_multiplicity;
         ] );
       ( "deadlock",
         [
