@@ -48,18 +48,16 @@ type Obs.Bus.event +=
       (** wait abandoned by its own owner (release_all while queued) *)
   | Ev_released of { owner : owner; res : Resource.t; mode : Mode.t }
 
-(* Holder bookkeeping is hashed so the hot paths stay O(1) in the number of
-   holders: [holders] maps owner -> distinct modes held (with multiplicity —
-   the per-owner list is bounded by [Mode.arity], so it stays an assoc list),
-   and [mode_totals] counts, per mode, how many distinct owners hold it.
-   Compatibility against "all other holders" is then a [Mode.arity]-cell array
-   check instead of a walk over the holder list.  Every table here is keyed
-   monomorphically — owners through [Itbl], resources through
-   [Resource.equal]/[Resource.hash] — so no lock call reaches the
-   polymorphic compare or hash. *)
+(* One cell per owner holding the resource: the distinct modes it holds, each
+   with its acquisition count.  A grant decision sees one holder in nearly
+   every case and a handful at most, so the plain list is the whole table.
+   The tables that remain are keyed monomorphically — owners through [Itbl],
+   resources through [Resource.equal]/[Resource.hash] — so no lock call
+   reaches the polymorphic compare or hash. *)
+type holder = { h_owner : owner; mutable h_modes : (Mode.t * int) list }
+
 type entry = {
-  holders : (Mode.t * int) list Itbl.t;
-  mode_totals : int array; (* per Mode.index: distinct owners holding it *)
+  mutable holders : holder list;
   mutable queue : waiter list; (* FIFO, head first *)
 }
 
@@ -82,7 +80,7 @@ type mode_stats = {
 
 type t = {
   entries : entry Rtbl.t;
-  owner_index : unit Rtbl.t Itbl.t; (* owner -> resources held *)
+  owner_index : Resource.t list Itbl.t; (* owner -> resources held, each once *)
   max_locked : int Itbl.t;
   pending : Resource.t Itbl.t; (* owner -> resource it waits on *)
   mutable reorganizers : owner list;
@@ -94,7 +92,7 @@ type t = {
   mutable releases : int;
   mutable give_ups : int; (* instant-duration requests signalled: the paper's give-ups *)
   mutable cancelled_waits : int; (* waits cancelled from outside (switch time limit) *)
-  mutable scan_steps : int; (* holder/index list elements examined on lock paths *)
+  mutable scan_steps : int; (* holder cells, waiters and index elements examined *)
   mutable instant_checks : int; (* non-enqueuing grantability probes (OLC fallback tests) *)
   by_mode : mode_stats array;
   bus : Obs.Bus.t;
@@ -170,18 +168,23 @@ let entry t res =
   match Rtbl.find_opt t.entries res with
   | Some e -> e
   | None ->
-    let e = { holders = Itbl.create 4; mode_totals = Array.make Mode.arity 0; queue = [] } in
+    let e = { holders = []; queue = [] } in
     Rtbl.replace t.entries res e;
     e
 
 let entry_opt t res = Rtbl.find_opt t.entries res
 
 let gc_entry t res e =
-  if Itbl.length e.holders = 0 && e.queue = [] then Rtbl.remove t.entries res
+  if e.holders = [] && e.queue = [] then Rtbl.remove t.entries res
+
+let rec find_holder t o = function
+  | [] -> None
+  | h :: rest ->
+    t.scan_steps <- t.scan_steps + 1;
+    if h.h_owner = o then Some h else find_holder t o rest
 
 let owner_modes t e o =
-  t.scan_steps <- t.scan_steps + 1;
-  match Itbl.find_opt e.holders o with Some ms -> ms | None -> []
+  match find_holder t o e.holders with Some h -> h.h_modes | None -> []
 
 (* How many times [mode] appears in an owner's holdings (0 = not held), and
    the holdings with that mode's cell removed — [List.assoc_opt] and
@@ -195,123 +198,89 @@ let rec without (mode : Mode.t) = function
   | ((m, _) as cell) :: rest -> if m = mode then rest else cell :: without mode rest
 
 let index_add t o res =
-  let s =
-    match Itbl.find_opt t.owner_index o with
-    | Some s -> s
-    | None ->
-      let s = Rtbl.create 8 in
-      Itbl.replace t.owner_index o s;
-      s
-  in
-  t.scan_steps <- t.scan_steps + 1;
-  if not (Rtbl.mem s res) then begin
-    Rtbl.replace s res ();
-    let n = Rtbl.length s in
-    match Itbl.find_opt t.max_locked o with
-    | Some m when m >= n -> ()
-    | _ -> Itbl.replace t.max_locked o n
-  end
+  let rs = match Itbl.find_opt t.owner_index o with Some rs -> rs | None -> [] in
+  let n = List.length rs in
+  t.scan_steps <- t.scan_steps + n;
+  Itbl.replace t.owner_index o (res :: rs);
+  match Itbl.find_opt t.max_locked o with
+  | Some m when m > n -> ()
+  | _ -> Itbl.replace t.max_locked o (n + 1)
 
 let index_remove t o res =
   match Itbl.find_opt t.owner_index o with
   | None -> ()
-  | Some s ->
-    Rtbl.remove s res;
-    if Rtbl.length s = 0 then Itbl.remove t.owner_index o
+  | Some rs -> (
+    t.scan_steps <- t.scan_steps + List.length rs;
+    match List.filter (fun r -> not (Resource.equal r res)) rs with
+    | [] -> Itbl.remove t.owner_index o
+    | rs' -> Itbl.replace t.owner_index o rs')
 
+(* A new holder cell is the owner's first hold on [res], so the index does
+   not list [res] yet. *)
 let add_holding t e o res mode =
-  let ms = owner_modes t e o in
-  let ms' =
-    match held_count mode ms with
-    | 0 ->
-      let i = Mode.index mode in
-      e.mode_totals.(i) <- e.mode_totals.(i) + 1;
-      (mode, 1) :: ms
-    | n -> (mode, n + 1) :: without mode ms
-  in
-  Itbl.replace e.holders o ms';
-  index_add t o res
+  match find_holder t o e.holders with
+  | Some h ->
+    h.h_modes <-
+      (match held_count mode h.h_modes with
+      | 0 -> (mode, 1) :: h.h_modes
+      | n -> (mode, n + 1) :: without mode h.h_modes)
+  | None ->
+    e.holders <- { h_owner = o; h_modes = [ (mode, 1) ] } :: e.holders;
+    index_add t o res
 
 let remove_holding t e o res mode =
-  let ms = owner_modes t e o in
-  match held_count mode ms with
-  | 0 -> invalid_arg "Lock_mgr.release: mode not held"
-  | n ->
-    let ms' = if n > 1 then (mode, n - 1) :: without mode ms else without mode ms in
-    if n = 1 then begin
-      let i = Mode.index mode in
-      e.mode_totals.(i) <- e.mode_totals.(i) - 1
-    end;
-    if ms' = [] then begin
-      Itbl.remove e.holders o;
-      index_remove t o res
-    end
-    else Itbl.replace e.holders o ms'
+  match find_holder t o e.holders with
+  | None -> invalid_arg "Lock_mgr.release: mode not held"
+  | Some h -> (
+    match held_count mode h.h_modes with
+    | 0 -> invalid_arg "Lock_mgr.release: mode not held"
+    | n ->
+      if n > 1 then h.h_modes <- (mode, n - 1) :: without mode h.h_modes
+      else
+        match without mode h.h_modes with
+        | [] ->
+          e.holders <- List.filter (fun h' -> h' != h) e.holders;
+          index_remove t o res
+        | ms -> h.h_modes <- ms)
 
-(* Drop every mode [o] holds on [e] at once (release_all path). *)
-let drop_owner t e o res =
-  match Itbl.find_opt e.holders o with
+(* Drop every mode [o] holds on [e] at once (release_all path, which drops
+   the owner's index itself). *)
+let drop_owner t e o =
+  match find_holder t o e.holders with
   | None -> []
-  | Some ms ->
-    List.iter
-      (fun (m, _) ->
-        let i = Mode.index m in
-        e.mode_totals.(i) <- e.mode_totals.(i) - 1)
-      ms;
-    Itbl.remove e.holders o;
-    index_remove t o res;
-    ms
+  | Some h ->
+    e.holders <- List.filter (fun h' -> h' != h) e.holders;
+    h.h_modes
 
 (* Can [o] be granted [mode] given current holders (ignoring its own
-   holdings)?  O(Mode.arity): a held mode that conflicts with the request is
-   tolerable only when its sole holder is [o] itself. *)
+   holdings)?  Every other holder's modes must be Table-1 compatible with
+   the request. *)
 let compat_with_holders t e o mode =
-  let ok = ref true in
-  let examined = ref 0 in
-  for i = 0 to Mode.arity - 1 do
-    let n = e.mode_totals.(i) in
-    if n > 0 && !ok then begin
-      incr examined;
-      let m = Mode.of_index.(i) in
-      if not (Mode.compat m mode) then
-        if n > 1 then ok := false
-        else begin
-          incr examined;
-          match Itbl.find_opt e.holders o with
-          | Some ms when held_count m ms > 0 -> ()
-          | _ -> ok := false
-        end
-    end
-  done;
-  t.scan_steps <- t.scan_steps + !examined;
-  !ok
+  List.for_all
+    (fun h ->
+      t.scan_steps <- t.scan_steps + 1;
+      h.h_owner = o || List.for_all (fun (m, _) -> Mode.compat m mode) h.h_modes)
+    e.holders
 
+(* A new (non-conversion) request must not overtake queued waiters it
+   conflicts with. *)
 let compat_with_queue t e o mode =
-  (* A new (non-conversion) request must not overtake queued waiters it
-     conflicts with.  The work metric counts each waiter examined exactly
-     once, inside the same traversal (and honouring [for_all]'s
-     short-circuit) — not a second [List.length] walk of the queue. *)
-  let examined = ref 0 in
-  let ok =
-    List.for_all
-      (fun w ->
-        incr examined;
-        w.w_owner = o || Mode.compat w.w_mode mode)
-      e.queue
-  in
-  t.scan_steps <- t.scan_steps + !examined;
-  ok
+  List.for_all
+    (fun w ->
+      t.scan_steps <- t.scan_steps + 1;
+      w.w_owner = o || Mode.compat w.w_mode mode)
+    e.queue
 
 let blockers e o mode =
   let hs =
-    Itbl.fold
-      (fun o' ms acc ->
-        if o' = o then acc
+    List.filter_map
+      (fun h ->
+        if h.h_owner = o then None
         else
-          match List.find_opt (fun (m, _) -> not (Mode.compat m mode)) ms with
-          | Some (m, _) -> (o', m) :: acc
-          | None -> acc)
-      e.holders []
+          match List.find_opt (fun (m, _) -> not (Mode.compat m mode)) h.h_modes with
+          | Some (m, _) -> Some (h.h_owner, m)
+          | None -> None)
+      e.holders
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b) (* one entry per owner *)
   in
   let ws =
@@ -325,26 +294,20 @@ let blockers e o mode =
 
 (* Re-examine the queue after holders changed: grant (or signal, for instant
    requests) every waiter that is compatible with the holders and with all
-   still-blocked waiters ahead of it. *)
-let process_queue t e =
+   still-blocked waiters ahead of it.  Each grant joins the holders as it is
+   decided, so a later waiter in the same pass is judged against it (an [S]
+   woken behind a released [X] keeps the [IX] queued after it waiting).
+   The woken are then dequeued, reported and woken in queue order. *)
+let grant_waiters t res e =
   let blocked_modes = ref [] in
-  (* Modes granted earlier in this same wake batch: [compat_with_holders]
-     sees the holder table as it was when the batch started (grants are
-     applied in [fire]), so without this a batch like [S; IX] behind a
-     released X would wake both and leave incompatible holders coexisting. *)
-  let granted_in_batch = ref [] in
   let still_waiting = ref [] in
-  let to_wake = ref [] in
+  let woken = ref [] in
   List.iter
     (fun w ->
-      let ok =
+      if
         compat_with_holders t e w.w_owner w.w_mode
         && List.for_all (fun m -> Mode.compat m w.w_mode) !blocked_modes
-        && List.for_all
-             (fun (o, m) -> o = w.w_owner || Mode.compat m w.w_mode)
-             !granted_in_batch
-      in
-      if ok then begin
+      then begin
         if w.w_instant then begin
           (* A signalled instant-duration request is the paper's give-up:
              the requester abandons its current attempt and retries. *)
@@ -352,12 +315,10 @@ let process_queue t e =
           t.give_ups <- t.give_ups + 1
         end
         else begin
-          (* Resource is recovered lazily below; holders list needs it only
-             for the index, which add_holding handles. *)
           t.grants_after_wait <- t.grants_after_wait + 1;
-          granted_in_batch := (w.w_owner, w.w_mode) :: !granted_in_batch
+          add_holding t e w.w_owner res w.w_mode
         end;
-        to_wake := w :: !to_wake
+        woken := w :: !woken
       end
       else begin
         blocked_modes := w.w_mode :: !blocked_modes;
@@ -365,26 +326,28 @@ let process_queue t e =
       end)
     e.queue;
   e.queue <- List.rev !still_waiting;
-  List.rev !to_wake
-
-let fire t res e woken =
   List.iter
     (fun w ->
       Itbl.remove t.pending w.w_owner;
-      if not w.w_instant then begin
-        add_holding t e w.w_owner res w.w_mode;
-        if on t then
-          emit t (Ev_granted { owner = w.w_owner; res; mode = w.w_mode; after_wait = true })
-      end
-      else if on t then emit t (Ev_signalled { owner = w.w_owner; res; mode = w.w_mode });
+      if on t then
+        emit t
+          (if w.w_instant then Ev_signalled { owner = w.w_owner; res; mode = w.w_mode }
+           else Ev_granted { owner = w.w_owner; res; mode = w.w_mode; after_wait = true });
       w.w_wake Granted)
-    woken;
+    (List.rev !woken);
   gc_entry t res e
+
+(* Would [o] be granted [mode] right now?  Its own holdings cover the
+   request, or every other holder is compatible with it and — unless it is a
+   conversion — so is every queued waiter. *)
+let grantable t e o mode =
+  let held = owner_modes t e o in
+  List.exists (fun (m, _) -> Mode.covers ~held:m ~need:mode) held
+  || (compat_with_holders t e o mode && (held <> [] || compat_with_queue t e o mode))
 
 let try_acquire t ~owner res mode =
   let e = entry t res in
-  let held = owner_modes t e owner in
-  if List.exists (fun (m, _) -> Mode.covers ~held:m ~need:mode) held then begin
+  if grantable t e owner mode then begin
     add_holding t e owner res mode;
     t.acquires <- t.acquires + 1;
     (mode_stats t mode).m_acquires <- (mode_stats t mode).m_acquires + 1;
@@ -392,22 +355,8 @@ let try_acquire t ~owner res mode =
     `Granted
   end
   else begin
-    let conversion = held <> [] in
-    let ok =
-      compat_with_holders t e owner mode
-      && (conversion || compat_with_queue t e owner mode)
-    in
-    if ok then begin
-      add_holding t e owner res mode;
-      t.acquires <- t.acquires + 1;
-      (mode_stats t mode).m_acquires <- (mode_stats t mode).m_acquires + 1;
-      if on t then emit t (Ev_granted { owner; res; mode; after_wait = false });
-      `Granted
-    end
-    else begin
-      gc_entry t res e;
-      `Conflict (blockers e owner mode)
-    end
+    gc_entry t res e;
+    `Conflict (blockers e owner mode)
   end
 
 (* Instant-style grantability probe: would [try_acquire] grant right now?
@@ -417,13 +366,7 @@ let try_acquire t ~owner res mode =
    ([instant_checks]) so probes don't masquerade as acquires. *)
 let probe t ~owner res mode =
   t.instant_checks <- t.instant_checks + 1;
-  match entry_opt t res with
-  | None -> true
-  | Some e ->
-    let held = owner_modes t e owner in
-    List.exists (fun (m, _) -> Mode.covers ~held:m ~need:mode) held
-    || (compat_with_holders t e owner mode
-       && (held <> [] || compat_with_queue t e owner mode))
+  match entry_opt t res with None -> true | Some e -> grantable t e owner mode
 
 (* ---------------- deadlock detection ---------------- *)
 
@@ -440,12 +383,12 @@ let wait_edges t o =
       | None -> []
       | Some w ->
         let holder_edges =
-          Itbl.fold
-            (fun o' ms acc ->
-              if o' <> o && List.exists (fun (m, _) -> not (Mode.compat m w.w_mode)) ms then
-                o' :: acc
-              else acc)
-            e.holders []
+          List.filter_map
+            (fun h ->
+              if h.h_owner = o || List.for_all (fun (m, _) -> Mode.compat m w.w_mode) h.h_modes
+              then None
+              else Some h.h_owner)
+            e.holders
           |> List.sort Int.compare
         in
         let rec earlier acc = function
@@ -531,8 +474,7 @@ let resolve_deadlock t cycle =
        order in which the model must replay the queue change. *)
     if on t then emit t (Ev_victim { owner = w.w_owner; res; mode = w.w_mode; forced = false });
     (* Removing the victim may unblock others. *)
-    let woken = process_queue t e in
-    fire t res e woken;
+    grant_waiters t res e;
     w.w_wake Deadlock
 
 let enqueue t ~owner res mode ~instant ~wake =
@@ -563,8 +505,7 @@ let cancel_wait t ~owner =
     t.cancelled_waits <- t.cancelled_waits + 1;
     (mode_stats t w.w_mode).m_deadlocks <- (mode_stats t w.w_mode).m_deadlocks + 1;
     if on t then emit t (Ev_victim { owner = w.w_owner; res; mode = w.w_mode; forced = true });
-    let woken = process_queue t e in
-    fire t res e woken;
+    grant_waiters t res e;
     w.w_wake Deadlock;
     true
 
@@ -575,8 +516,7 @@ let release t ~owner res mode =
     remove_holding t e owner res mode;
     t.releases <- t.releases + 1;
     if on t then emit t (Ev_released { owner; res; mode });
-    let woken = process_queue t e in
-    fire t res e woken
+    grant_waiters t res e
 
 let downgrade t ~owner res ~from_ ~to_ =
   match entry_opt t res with
@@ -588,27 +528,25 @@ let downgrade t ~owner res ~from_ ~to_ =
       emit t (Ev_released { owner; res; mode = from_ });
       emit t (Ev_granted { owner; res; mode = to_; after_wait = false })
     end;
-    let woken = process_queue t e in
-    fire t res e woken
+    grant_waiters t res e
 
 let release_all t ~owner =
   (match remove_waiter t owner with
   | Some (res, e, w) ->
     if on t then emit t (Ev_dequeued { owner; res; mode = w.w_mode });
-    let woken = process_queue t e in
-    fire t res e woken
+    grant_waiters t res e
   | None -> ());
   match Itbl.find_opt t.owner_index owner with
   | None -> ()
-  | Some s ->
-    let resources = Rtbl.fold (fun r () acc -> r :: acc) s [] |> List.sort Resource.compare in
+  | Some rs ->
+    t.scan_steps <- t.scan_steps + List.length rs;
     Itbl.remove t.owner_index owner;
     List.iter
       (fun res ->
         match entry_opt t res with
         | None -> ()
         | Some e ->
-          let dropped = drop_owner t e owner res in
+          let dropped = drop_owner t e owner in
           if on t then
             List.iter
               (fun (m, n) ->
@@ -617,9 +555,8 @@ let release_all t ~owner =
                 done)
               dropped;
           t.releases <- t.releases + 1;
-          let woken = process_queue t e in
-          fire t res e woken)
-      resources
+          grant_waiters t res e)
+      (List.sort Resource.compare rs)
 
 let holds t ~owner res =
   match entry_opt t res with None -> [] | Some e -> List.map fst (owner_modes t e owner)
@@ -627,15 +564,16 @@ let holds t ~owner res =
 let held_resources t ~owner =
   match Itbl.find_opt t.owner_index owner with
   | None -> []
-  | Some s ->
-    Rtbl.fold (fun res () acc -> (res, holds t ~owner res) :: acc) s []
+  | Some rs ->
+    t.scan_steps <- t.scan_steps + List.length rs;
+    List.map (fun res -> (res, holds t ~owner res)) rs
     |> List.sort (fun (a, _) (b, _) -> Resource.compare a b)
 
 let holders t res =
   match entry_opt t res with
   | None -> []
   | Some e ->
-    Itbl.fold (fun o ms acc -> (o, List.map fst ms) :: acc) e.holders []
+    List.map (fun h -> (h.h_owner, List.map fst h.h_modes)) e.holders
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let waiters t res =
@@ -644,7 +582,7 @@ let waiters t res =
   | Some e -> List.map (fun w -> (w.w_owner, w.w_mode)) e.queue
 
 let locked_count t ~owner =
-  match Itbl.find_opt t.owner_index owner with None -> 0 | Some s -> Rtbl.length s
+  match Itbl.find_opt t.owner_index owner with None -> 0 | Some rs -> List.length rs
 
 let max_locked_count t ~owner =
   match Itbl.find_opt t.max_locked owner with Some m -> m | None -> 0

@@ -49,9 +49,15 @@ type stats = {
   deadlocks : int;  (** victims woken with [Deadlock] *)
   releases : int;
   scan_steps : int;
-      (** lock-table work metric: holder/queue/index elements examined on the
-          acquire/release paths — the unit of the lock-manager hot-path
-          before/after comparisons *)
+      (** lock-table work metric, a per-layer proxy: one step per holder
+          cell, queued waiter or owner-index element examined.  Holder cells
+          count when an owner's cell is looked up and when a request is
+          judged against the other holders; waiters count in a new request's
+          fairness check; owner-index elements count when the index is
+          walked (a new resource, a dropped one, {!release_all},
+          {!held_resources}).  The [`Conflict] payload, deadlock detection
+          and the {!holders}/{!waiters}/{!locked_count} inspectors are not
+          counted. *)
   instant_checks : int;
       (** non-mutating {!probe} calls — the optimistic read path's
           RX-presence tests, counted apart from [acquires] so OLC fallback

@@ -2,11 +2,10 @@ type t = IS | IX | S | X | R | RX | RS
 
 let all = [ IS; IX; S; X; R; RX; RS ]
 
-(* Dense index for per-mode count arrays (the lock manager's O(1) holder
+(* Dense index for per-mode count arrays (the lock manager's per-mode
    tallies). *)
 let index = function IS -> 0 | IX -> 1 | S -> 2 | X -> 3 | R -> 4 | RX -> 5 | RS -> 6
 let arity = 7
-let of_index = [| IS; IX; S; X; R; RX; RS |]
 
 (* Symmetric compatibility.  RX conflicts with everything; X conflicts with
    everything; RS conflicts with R (and X), which is what makes the

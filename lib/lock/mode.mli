@@ -31,9 +31,6 @@ val index : t -> int
 val arity : int
 (** Number of modes. *)
 
-val of_index : t array
-(** Inverse of {!index}: [of_index.(index m) = m]. *)
-
 val compat : t -> t -> bool
 (** [compat granted requested] — symmetric. *)
 
