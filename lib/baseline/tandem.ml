@@ -105,17 +105,15 @@ let compact ~access ~f2 stats =
   let rec pass () =
     let candidate =
       let found = ref None in
-      (try
-         Tree.iter_leaves tree (fun pid p ->
-             if !found = None then
-               match Leaf.next p with
-               | Some nxt when Leaf.live_bytes p < target ->
-                 if
-                   Leaf.live_bytes p + Leaf.live_bytes (page tree nxt) <= target
-                   && same_parent tree pid nxt
-                 then found := Some (pid, nxt)
-               | _ -> ())
-       with _ -> ());
+      Tree.iter_leaves tree (fun pid p ->
+          if !found = None then
+            match Leaf.next p with
+            | Some nxt when Leaf.live_bytes p < target ->
+              if
+                Leaf.live_bytes p + Leaf.live_bytes (page tree nxt) <= target
+                && same_parent tree pid nxt
+              then found := Some (pid, nxt)
+            | _ -> ());
       !found
     in
     match candidate with
