@@ -162,21 +162,25 @@ dune exec bin/reorg_cli.exe -- model --seeds 11 --experiments torture --stride 7
 dune exec bin/reorg_cli.exe -- model --seeds 11,23 --experiments workload --olc
 dune exec bin/reorg_cli.exe -- model --seeds 7 --experiments torture --stride 29 -n 120 --olc
 echo "== model mutation self-tests (must exit 2) =="
-set +e
-dune exec bin/reorg_cli.exe -- model --mutate table1 >/dev/null
-rc=$?
-set -e
-test "$rc" -eq 2 || { echo "mutate table1: expected exit 2, got $rc" >&2; exit 1; }
-set +e
-dune exec bin/reorg_cli.exe -- model --mutate switch >/dev/null
-rc=$?
-set -e
-test "$rc" -eq 2 || { echo "mutate switch: expected exit 2, got $rc" >&2; exit 1; }
-set +e
-dune exec bin/reorg_cli.exe -- model --mutate olc >/dev/null
-rc=$?
-set -e
-test "$rc" -eq 2 || { echo "mutate olc: expected exit 2, got $rc" >&2; exit 1; }
+# mutate NAME [GUARD]: the mutated run must exit 2 and, when GUARD is given,
+# report a violation of that guard, so it is caught for its own reason.
+mutate() {
+  set +e
+  out=$(dune exec bin/reorg_cli.exe -- model --mutate "$1")
+  rc=$?
+  set -e
+  test "$rc" -eq 2 || { echo "mutate $1: expected exit 2, got $rc" >&2; exit 1; }
+  if [ $# -eq 2 ]; then
+    printf '%s\n' "$out" | grep -q "guard '$2'" \
+      || { echo "mutate $1: no violation of guard '$2'" >&2; exit 1; }
+  fi
+}
+mutate table1 table1-compatible-with-other-holders
+mutate switch ck-advances-before-s-release
+# The olc self-test exits 2 for another reason: its 20 violations are
+# unit-not-already-begun and unit-id-fence-ascends (its seeds share one
+# checker), none olc-read.  See the FOUND line on mutate_olc in CHANGES.md.
+mutate olc
 echo "model OK"
 
 echo "All checks passed."
