@@ -206,12 +206,18 @@ let index_add t o res =
   | Some m when m > n -> ()
   | _ -> Itbl.replace t.max_locked o (n + 1)
 
+(* The index lists each resource once, so the walk stops at it. *)
+let rec without_res t res = function
+  | [] -> []
+  | r :: rest ->
+    t.scan_steps <- t.scan_steps + 1;
+    if Resource.equal r res then rest else r :: without_res t res rest
+
 let index_remove t o res =
   match Itbl.find_opt t.owner_index o with
   | None -> ()
   | Some rs -> (
-    t.scan_steps <- t.scan_steps + List.length rs;
-    match List.filter (fun r -> not (Resource.equal r res)) rs with
+    match without_res t res rs with
     | [] -> Itbl.remove t.owner_index o
     | rs' -> Itbl.replace t.owner_index o rs')
 
