@@ -221,10 +221,11 @@ let index_remove t o res =
     | [] -> Itbl.remove t.owner_index o
     | rs' -> Itbl.replace t.owner_index o rs')
 
-(* A new holder cell is the owner's first hold on [res], so the index does
-   not list [res] yet. *)
-let add_holding t e o res mode =
-  match find_holder t o e.holders with
+(* Add one acquisition of [mode] to [o]'s cell [h] on [e], or open the cell.
+   A new cell is the owner's first hold on [res], so the index does not list
+   [res] yet. *)
+let add_to t e h o res mode =
+  match h with
   | Some h ->
     h.h_modes <-
       (match held_count mode h.h_modes with
@@ -233,6 +234,8 @@ let add_holding t e o res mode =
   | None ->
     e.holders <- { h_owner = o; h_modes = [ (mode, 1) ] } :: e.holders;
     index_add t o res
+
+let add_holding t e o res mode = add_to t e (find_holder t o e.holders) o res mode
 
 let remove_holding t e o res mode =
   match find_holder t o e.holders with
@@ -343,18 +346,18 @@ let grant_waiters t res e =
     (List.rev !woken);
   gc_entry t res e
 
-(* Would [o] be granted [mode] right now?  Its own holdings cover the
-   request, or every other holder is compatible with it and — unless it is a
-   conversion — so is every queued waiter. *)
-let grantable t e o mode =
-  let held = owner_modes t e o in
+(* Would [o], holding [held] on [e], be granted [mode] right now?  Its own
+   holdings cover the request, or every other holder is compatible with it
+   and — unless it is a conversion — so is every queued waiter. *)
+let grantable t e o held mode =
   List.exists (fun (m, _) -> Mode.covers ~held:m ~need:mode) held
   || (compat_with_holders t e o mode && (held <> [] || compat_with_queue t e o mode))
 
 let try_acquire t ~owner res mode =
   let e = entry t res in
-  if grantable t e owner mode then begin
-    add_holding t e owner res mode;
+  let h = find_holder t owner e.holders in
+  if grantable t e owner (match h with Some h -> h.h_modes | None -> []) mode then begin
+    add_to t e h owner res mode;
     t.acquires <- t.acquires + 1;
     (mode_stats t mode).m_acquires <- (mode_stats t mode).m_acquires + 1;
     if on t then emit t (Ev_granted { owner; res; mode; after_wait = false });
@@ -372,7 +375,9 @@ let try_acquire t ~owner res mode =
    ([instant_checks]) so probes don't masquerade as acquires. *)
 let probe t ~owner res mode =
   t.instant_checks <- t.instant_checks + 1;
-  match entry_opt t res with None -> true | Some e -> grantable t e owner mode
+  match entry_opt t res with
+  | None -> true
+  | Some e -> grantable t e owner (owner_modes t e owner) mode
 
 (* ---------------- deadlock detection ---------------- *)
 
