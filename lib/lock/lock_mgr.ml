@@ -243,14 +243,13 @@ let remove_holding t e o res mode =
   | Some h -> (
     match held_count mode h.h_modes with
     | 0 -> invalid_arg "Lock_mgr.release: mode not held"
-    | n ->
-      if n > 1 then h.h_modes <- (mode, n - 1) :: without mode h.h_modes
-      else
-        match without mode h.h_modes with
-        | [] ->
-          e.holders <- List.filter (fun h' -> h' != h) e.holders;
-          index_remove t o res
-        | ms -> h.h_modes <- ms)
+    | 1 -> (
+      match without mode h.h_modes with
+      | [] ->
+        e.holders <- List.filter (fun h' -> h' != h) e.holders;
+        index_remove t o res
+      | ms -> h.h_modes <- ms)
+    | n -> h.h_modes <- (mode, n - 1) :: without mode h.h_modes)
 
 (* Drop every mode [o] holds on [e] at once (release_all path, which drops
    the owner's index itself). *)
