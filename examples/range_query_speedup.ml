@@ -10,7 +10,7 @@ module Db = Sim.Db
 let measure_scans db label =
   (* Cold buffer pool over the same disk, so page reads hit the "disk". *)
   Db.flush_all db;
-  let pool = Pager.Buffer_pool.create db.Db.backend in
+  let pool = Pager.Buffer_pool.create db.Db.disk in
   let journal = Transact.Journal.create pool db.Db.log in
   let tree = Tree.attach ~journal ~alloc:db.Db.alloc ~meta_pid:0 () in
   Disk.reset_stats db.Db.disk;

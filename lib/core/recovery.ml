@@ -503,9 +503,8 @@ let sweep_old_generation ctx =
   let pool = Ctx.pool ctx in
   let alloc = Ctx.alloc ctx in
   let cur = Tree.generation tree in
-  let backend = Buffer_pool.backend pool in
   let _, leaf_hi = Alloc.leaf_zone alloc in
-  for pid = leaf_hi to Pager.Backend.page_count backend - 1 do
+  for pid = leaf_hi to Pager.Disk.page_count (Buffer_pool.disk pool) - 1 do
     let p = Buffer_pool.get pool pid in
     let stale_internal = Inode.is_internal p && Inode.generation p < cur in
     let stray_meta = Page.kind p = Btree.Layout.kind_meta && pid <> Tree.meta_pid tree in
@@ -523,10 +522,9 @@ let rebuild_builder_state ctx ~stable_key =
   let pool = Ctx.pool ctx in
   let alloc = Ctx.alloc ctx in
   let gen = Tree.generation tree + 1 in
-  let backend = Buffer_pool.backend pool in
   let _, leaf_hi = Alloc.leaf_zone alloc in
   let keep = ref [] in
-  for pid = leaf_hi to Pager.Backend.page_count backend - 1 do
+  for pid = leaf_hi to Pager.Disk.page_count (Buffer_pool.disk pool) - 1 do
     let p = Buffer_pool.get pool pid in
     if Inode.is_internal p && Inode.generation p = gen then
       if Inode.level p = 1 && Inode.low_mark p < stable_key then

@@ -23,10 +23,9 @@ let note t ev =
   if Obs.Bus.wants bus topic then Obs.Bus.emit bus topic ev
 
 let create ~pool ~meta_pages ~leaf_pages =
-  let backend = Buffer_pool.backend pool in
   let leaf_lo = meta_pages in
   let leaf_hi = meta_pages + leaf_pages in
-  Backend.grow backend leaf_hi;
+  Disk.grow (Buffer_pool.disk pool) leaf_hi;
   let rec range lo hi acc = if lo >= hi then acc else range (lo + 1) hi (Iset.add lo acc) in
   {
     pool;
@@ -45,10 +44,9 @@ let leaf_zone t = (t.leaf_lo, t.leaf_hi)
 let zone_of t pid = if pid >= t.leaf_lo && pid < t.leaf_hi then Leaf else Internal
 
 let grow_internal t =
-  let backend = Buffer_pool.backend t.pool in
   let lo = t.internal_hi in
   let n = max 8 (lo / 4) in
-  Backend.grow backend (lo + n);
+  Disk.grow (Buffer_pool.disk t.pool) (lo + n);
   for pid = lo to lo + n - 1 do
     t.free_internal <- Iset.add pid t.free_internal
   done;
@@ -154,15 +152,15 @@ let free_count t zone =
 let leaf_overflows t = t.leaf_overflows
 
 let rebuild t =
-  let backend = Buffer_pool.backend t.pool in
+  let disk = Buffer_pool.disk t.pool in
   Hashtbl.reset t.pending;
   t.free_leaf <- Iset.empty;
   t.free_internal <- Iset.empty;
-  t.internal_hi <- Backend.page_count backend;
-  for pid = t.meta_pages to Backend.page_count backend - 1 do
+  t.internal_hi <- Disk.page_count disk;
+  for pid = t.meta_pages to Disk.page_count disk - 1 do
     let kind =
       if Buffer_pool.in_pool t.pool pid then Page.kind (Buffer_pool.get t.pool pid)
-      else Page.kind (Backend.peek backend pid)
+      else Page.kind (Disk.peek disk pid)
     in
     if kind = Page.kind_free then
       match zone_of t pid with

@@ -36,7 +36,7 @@ let absent =
   }
 
 type t = {
-  backend : Backend.t;
+  disk : Disk.t;
   capacity : int;
   (* Resident frames indexed by page id, [absent] where none is cached.
      Page ids are dense (the disk is an array of pages), so the table grows
@@ -89,10 +89,10 @@ type Obs.Bus.event +=
    write-ordering bug the careful-writing machinery exists to catch. *)
 let default_capacity = 256
 
-let create ?(capacity = default_capacity) ?(bus = Obs.Bus.create ()) backend =
+let create ?(capacity = default_capacity) ?(bus = Obs.Bus.create ()) disk =
   if capacity < 1 then invalid_arg "Buffer_pool.create: capacity must be >= 1";
   {
-    backend;
+    disk;
     capacity;
     frames = Array.make 64 absent;
     resident = 0;
@@ -138,8 +138,8 @@ let register_obs t reg =
   Obs.Registry.gauge reg "pager.torn_detected" (fun () -> t.torn_detected);
   Obs.Registry.gauge reg "pager.frames" (fun () -> t.resident)
 
-let backend t = t.backend
-let page_size t = Backend.page_size t.backend
+let disk t = t.disk
+let page_size t = Disk.page_size t.disk
 let set_read_repair t b = t.read_repair <- b
 let torn_detected t = t.torn_detected
 
@@ -242,7 +242,7 @@ let rec flush_frame t fr =
     (* WAL rule. *)
     t.before_write (Page.lsn fr.data);
     Page.set_checksum fr.data (Page.body_checksum fr.data);
-    Backend.write t.backend fr.pid fr.data;
+    Disk.write t.disk fr.pid fr.data;
     t.flushes <- t.flushes + 1;
     if Obs.Bus.wants t.bus topic then Obs.Bus.emit t.bus topic (Flushed fr.pid);
     fr.dirty <- false;
@@ -334,12 +334,12 @@ let evict_one t =
     t.frames.(fr.pid) <- absent;
     t.resident <- t.resident - 1
 
-(* A load always takes the fresh copy the backend returns; an evicted
+(* A load always takes the fresh copy the disk returns; an evicted
    frame's bytes are never recycled, because callers may still hold the
    [Page.t] a fix returned earlier and must not see it change under them. *)
 let load t pid =
   if t.resident >= t.capacity then evict_one t;
-  let data = Backend.read t.backend pid in
+  let data = Disk.read t.disk pid in
   (* Checksum verification: a stored checksum of 0 means the image was never
      stamped by a pool flush (virgin page, or written around the pool) and is
      accepted.  A mismatch is a torn write: the prefix landed but the (LSN,

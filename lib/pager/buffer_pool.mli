@@ -1,7 +1,7 @@
 (** Write-back buffer pool with the WAL rule and {e careful writing}.
 
-    The pool caches page frames over a {!Backend.t}.  Dirty frames reach the
-    backend through {!flush_page} / {!flush_all} / eviction, and a crash
+    The pool caches page frames over a {!Disk.t}.  Dirty frames reach the
+    disk through {!flush_page} / {!flush_all} / eviction, and a crash
     ({!crash}) discards every frame, so only flushed state survives — exactly
     the failure model the paper's recovery section assumes.
 
@@ -39,7 +39,7 @@ exception Torn_page of int
 (** A load hit a page whose stored checksum does not match its body and
     read-repair mode is off. *)
 
-val create : ?capacity:int -> ?bus:Obs.Bus.t -> Backend.t -> t
+val create : ?capacity:int -> ?bus:Obs.Bus.t -> Disk.t -> t
 (** [bus] is the store's event stream (default: a fresh one of its own).
     [capacity] is the maximum number of frames, default
     {!default_capacity}.  When the pool is full, a victim is chosen by a
@@ -55,10 +55,10 @@ val default_capacity : int
 
 val capacity : t -> int
 
-val backend : t -> Backend.t
+val disk : t -> Disk.t
 
 val page_size : t -> int
-(** Shorthand for [Backend.page_size (backend t)]. *)
+(** Shorthand for [Disk.page_size (disk t)]. *)
 
 val set_before_write : t -> (int64 -> unit) -> unit
 (** Install the WAL-rule hook ([fun lsn -> Log.force log lsn]). *)
@@ -185,7 +185,7 @@ val dirty_topic : Obs.Bus.topic
 
 type Obs.Bus.event +=
   | Dirtied of int  (** {!mark_dirty}: every page mutation funnels through it *)
-  | Flushed of int  (** a dirty page was written to the backend *)
+  | Flushed of int  (** a dirty page was written to the disk *)
   | Dep_flushed of { blocked : int; prereq : int }
       (** careful writing: [prereq] is flushed first because [blocked] is *)
   | Torn_detected of int  (** a load found a torn page *)

@@ -8,6 +8,7 @@ type stats = {
 }
 
 type t = {
+  fault : Fault.t;
   page_size : int;
   mutable pages : Page.t array;
   mutable used : int;
@@ -21,23 +22,21 @@ type t = {
   mutable last_write_pid : int;
 }
 
-let create ?(initial_pages = 0) ~page_size () =
-  let t =
-    {
-      page_size;
-      pages = Array.init (max initial_pages 8) (fun _ -> Page.create ~size:page_size);
-      used = initial_pages;
-      reads = 0;
-      writes = 0;
-      seq_reads = 0;
-      rand_reads = 0;
-      seq_writes = 0;
-      rand_writes = 0;
-      last_read_pid = -10;
-      last_write_pid = -10;
-    }
-  in
-  t
+let create ?(initial_pages = 0) ~fault ~page_size () =
+  {
+    fault;
+    page_size;
+    pages = Array.init (max initial_pages 8) (fun _ -> Page.create ~size:page_size);
+    used = initial_pages;
+    reads = 0;
+    writes = 0;
+    seq_reads = 0;
+    rand_reads = 0;
+    seq_writes = 0;
+    rand_writes = 0;
+    last_read_pid = -10;
+    last_write_pid = -10;
+  }
 
 let page_size t = t.page_size
 let page_count t = t.used
@@ -53,6 +52,7 @@ let ensure_capacity t n =
   end
 
 let grow t n =
+  Fault.check t.fault;
   ensure_capacity t n;
   if n > t.used then t.used <- n
 
@@ -65,6 +65,7 @@ let check t pid =
    interleaved into an elevator write run should not turn the next write
    into a "random" one. *)
 let read t pid =
+  Fault.check t.fault;
   check t pid;
   t.reads <- t.reads + 1;
   if pid = t.last_read_pid + 1 then t.seq_reads <- t.seq_reads + 1
@@ -73,15 +74,22 @@ let read t pid =
   Bytes.copy t.pages.(pid)
 
 let write t pid page =
+  (* A torn write lands only the atomic prefix (kind + checksum); the LSN
+     and body do not.  The stored checksum (computed over the new LSN and
+     body) then disagrees with the surviving old pair, which is exactly what
+     read-side verification detects — and the old LSN still describes the
+     old body, so recovery knows where to resume replay. *)
+  let len = match Fault.on_write t.fault with `Full -> t.page_size | `Torn -> Page.torn_prefix in
   check t pid;
   if Bytes.length page <> t.page_size then invalid_arg "Disk.write: bad page size";
   t.writes <- t.writes + 1;
   if pid = t.last_write_pid + 1 then t.seq_writes <- t.seq_writes + 1
   else t.rand_writes <- t.rand_writes + 1;
   t.last_write_pid <- pid;
-  Bytes.blit page 0 t.pages.(pid) 0 t.page_size
-
-let sync _t = ()
+  Bytes.blit page 0 t.pages.(pid) 0 len;
+  (* If this write tripped the plan, die *after* applying it: the crash
+     happens at the boundary, not before it. *)
+  Fault.check t.fault
 
 let peek t pid =
   check t pid;

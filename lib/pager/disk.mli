@@ -8,7 +8,10 @@
     keep independent cursors, so a read interleaved into an elevator write
     run does not misclassify the next write as random.  Experiments apply a
     seek/transfer cost model to both paths — pass 2's contiguity argument
-    applies to the bottom-up build's write stream too. *)
+    applies to the bottom-up build's write stream too.
+
+    Every read, write and grow passes the store's {!Fault} controller, so a
+    simulated crash stops all page I/O at one boundary. *)
 
 type t
 
@@ -21,7 +24,11 @@ type stats = {
   rand_writes : int;
 }
 
-val create : ?initial_pages:int -> page_size:int -> unit -> t
+val create : ?initial_pages:int -> fault:Fault.t -> page_size:int -> unit -> t
+(** [fault] is the controller this disk obeys: every {!read}, {!write} and
+    {!grow} raises {!Fault.Crash} once the machine is dead, and the write
+    that trips an armed plan lands (in full, or torn to its first
+    {!Page.torn_prefix} bytes) before the crash is raised. *)
 
 val page_size : t -> int
 val page_count : t -> int
@@ -31,19 +38,16 @@ val read : t -> int -> Page.t
     [Invalid_argument] if [pid] is out of range. *)
 
 val write : t -> int -> Page.t -> unit
-(** Store a copy of the page image. *)
+(** Store a copy of the page image.  Every write is immediately durable. *)
 
 val grow : t -> int -> unit
 (** [grow disk n] ensures at least [n] pages exist (new ones zeroed/free). *)
 
-val sync : t -> unit
-(** Durability barrier.  A no-op for the in-memory disk (every {!write} is
-    immediately "durable"), but part of the backend contract so wrappers can
-    observe it. *)
-
 val peek : t -> int -> Page.t
-(** Like {!read} but without touching the I/O counters — for assertions and
-    recovery-time scans, which the cost model should not observe. *)
+(** Like {!read} but without touching the I/O counters or the fault — for
+    assertions and recovery-time scans, which model neither I/O cost nor the
+    crashed machine.  {!stats}, {!reset_stats} and {!io_cost} do not consult
+    the fault either. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

@@ -1,8 +1,8 @@
-(** Scheduled fault injection for the storage seam.
+(** Scheduled fault injection on the simulated machine's I/O path.
 
     A {!t} is a fault {e controller} shared by every component that sits on
-    the I/O path: the {!Backend.Faulty} wrapper consults it on each page
-    write, and [Wal.Log.force] consults it on each log force.  Arming a
+    the I/O path: {!Disk} consults it on each page read, write and grow,
+    and [Wal.Log.force] consults it on each log force.  Arming a
     {!plan} schedules a single simulated machine crash at a precise I/O
     boundary; once the plan trips, the controller is {e dead} and every
     subsequent I/O raises {!Crash} until the simulated reboot
@@ -60,14 +60,14 @@ val revive : t -> unit
 (** Simulated reboot: clear the dead flag and disarm any plan. *)
 
 val check : t -> unit
-(** Raise {!Crash} if dead.  I/O wrappers call this before touching the
-    backend, and again after applying a write so the boundary that killed
-    the machine itself raises. *)
+(** Raise {!Crash} if dead.  {!Disk} calls this before a read or a grow,
+    and after applying a write so the boundary that killed the machine
+    itself raises. *)
 
 val on_write : t -> [ `Full | `Torn ]
 (** Account one page write.  Raises {!Crash} if already dead.  If this write
     trips the plan the controller becomes dead and the result says how much
-    of the write the backend should apply; the wrapper applies it and then
+    of the write the disk should apply; the disk applies it and then
     {!check} raises. *)
 
 val on_force : t -> records:int -> int

@@ -12,7 +12,7 @@ module Disk = Pager.Disk
 
 let range_cost db =
   Db.flush_all db;
-  let pool = Pager.Buffer_pool.create db.Db.backend in
+  let pool = Pager.Buffer_pool.create db.Db.disk in
   let journal = Transact.Journal.create pool db.Db.log in
   let tree = Tree.attach ~journal ~alloc:db.Db.alloc ~meta_pid:0 () in
   Disk.reset_stats db.Db.disk;

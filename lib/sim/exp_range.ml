@@ -11,7 +11,7 @@ module Disk = Pager.Disk
 let scan_cost db ~ranges ~width =
   (* Cold cache: fresh pool over the same disk. *)
   Db.flush_all db;
-  let pool = Pager.Buffer_pool.create db.Db.backend in
+  let pool = Pager.Buffer_pool.create db.Db.disk in
   let journal = Transact.Journal.create pool db.Db.log in
   let alloc = db.Db.alloc in
   let tree = Tree.attach ~journal ~alloc ~meta_pid:0 () in

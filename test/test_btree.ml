@@ -23,8 +23,8 @@ type env = {
 }
 
 let mk ?(page_size = 512) ?(leaf_pages = 512) () =
-  let disk = Disk.create ~page_size () in
-  let pool = Buffer_pool.create (Pager.Backend.of_disk disk) in
+  let disk = Disk.create ~fault:(Pager.Fault.create ()) ~page_size () in
+  let pool = Buffer_pool.create disk in
   let log = Wal.Log.create () in
   let journal = Journal.create pool log in
   let alloc = Alloc.create ~pool ~meta_pages:1 ~leaf_pages in
@@ -124,8 +124,8 @@ let test_bulk_load () =
   let env = mk () in
   (* Build a second tree on the same disk via bulk load. *)
   let records = List.init 500 (fun i -> (2 * i, payload (2 * i))) in
-  let disk = Disk.create ~page_size:512 () in
-  let pool = Buffer_pool.create (Pager.Backend.of_disk disk) in
+  let disk = Disk.create ~fault:(Pager.Fault.create ()) ~page_size:512 () in
+  let pool = Buffer_pool.create disk in
   let journal = Journal.create pool (Wal.Log.create ()) in
   let alloc = Alloc.create ~pool ~meta_pages:1 ~leaf_pages:512 in
   let tree = Bulk.load ~journal ~alloc ~meta_pid:0 ~tree_name:1 ~fill:0.9 records in
@@ -143,7 +143,7 @@ let test_persistence () =
   done;
   Buffer_pool.flush_all env.pool;
   (* Reopen through a cold pool over the same disk. *)
-  let pool2 = Buffer_pool.create (Pager.Backend.of_disk env.disk) in
+  let pool2 = Buffer_pool.create env.disk in
   let journal2 = Journal.create pool2 env.log in
   let alloc2 = Alloc.create ~pool:pool2 ~meta_pages:1 ~leaf_pages:512 in
   Alloc.rebuild alloc2;

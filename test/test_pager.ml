@@ -2,14 +2,13 @@
 
 module Page = Pager.Page
 module Disk = Pager.Disk
-module Backend = Pager.Backend
 module Fault = Pager.Fault
 module Buffer_pool = Pager.Buffer_pool
 module Alloc = Pager.Alloc
 
 let mk ?(pages = 16) ?(page_size = 256) () =
-  let disk = Disk.create ~initial_pages:pages ~page_size () in
-  (disk, Buffer_pool.create (Backend.of_disk disk))
+  let disk = Disk.create ~initial_pages:pages ~fault:(Fault.create ()) ~page_size () in
+  (disk, Buffer_pool.create disk)
 
 (* First u16 slot past the pager header — scratch space for the tests. *)
 let uoff = Page.header_size + 3
@@ -196,7 +195,7 @@ let test_discharge_by_reverse_index () =
 
 let test_eviction () =
   let disk, _ = mk ~pages:32 () in
-  let pool = Buffer_pool.create ~capacity:4 (Backend.of_disk disk) in
+  let pool = Buffer_pool.create ~capacity:4 disk in
   for pid = 0 to 7 do
     let p = Buffer_pool.get pool pid in
     Page.set_u16 p uoff pid;
@@ -210,7 +209,7 @@ let test_eviction () =
 
 let test_pin_blocks_eviction () =
   let disk, _ = mk ~pages:32 () in
-  let pool = Buffer_pool.create ~capacity:2 (Backend.of_disk disk) in
+  let pool = Buffer_pool.create ~capacity:2 disk in
   let p0 = Buffer_pool.pin pool 0 in
   let p1 = Buffer_pool.pin pool 1 in
   Alcotest.check_raises "all pinned" (Failure "Buffer_pool: all frames pinned") (fun () ->
@@ -258,7 +257,7 @@ let test_split_rw_cursors () =
 
 let test_flush_elevator_order () =
   let disk, _ = mk ~pages:32 () in
-  let pool = Buffer_pool.create ~capacity:16 (Backend.of_disk disk) in
+  let pool = Buffer_pool.create ~capacity:16 disk in
   List.iter
     (fun pid ->
       let p = Buffer_pool.get pool pid in
@@ -313,29 +312,42 @@ let test_dep_chain () =
   Alcotest.(check (list int)) "durable callbacks prereq-first" [ 4; 3; 2; 1 ] (List.rev !fired)
 
 let test_fault_crash_boundary () =
-  let disk = Disk.create ~initial_pages:16 ~page_size:256 () in
   let fault = Fault.create () in
-  let b = Backend.faulty ~fault (Backend.of_disk disk) in
+  let disk = Disk.create ~initial_pages:16 ~fault ~page_size:256 () in
   let p = Page.create ~size:256 in
   Page.set_u16 p uoff 7;
   Fault.arm fault { Fault.no_faults with Fault.crash_after_writes = Some 2 };
-  Backend.write b 1 p;
-  let crashed = try Backend.write b 2 p; false with Fault.Crash -> true in
-  Alcotest.(check bool) "dies on 2nd write" true crashed;
+  Disk.write disk 1 p;
+  let crashes f = try f (); false with Fault.Crash -> true in
+  Alcotest.(check bool) "dies on 2nd write" true (crashes (fun () -> Disk.write disk 2 p));
   (* The tripping write itself was applied in full before the crash. *)
   Alcotest.(check int) "tripping write applied" 7 (Page.get_u16 (Disk.peek disk 2) uoff);
-  (* The dead machine refuses all I/O until revived. *)
-  let dead = try ignore (Backend.read b 1); false with Fault.Crash -> true in
-  Alcotest.(check bool) "dead after crash" true dead;
+  (* The dead machine refuses all I/O until revived; inspection still
+     answers. *)
+  Alcotest.(check bool) "read dead" true (crashes (fun () -> ignore (Disk.read disk 1)));
+  Alcotest.(check bool) "write dead" true (crashes (fun () -> Disk.write disk 3 p));
+  Alcotest.(check bool) "grow dead" true (crashes (fun () -> Disk.grow disk 32));
+  Alcotest.(check int) "dead grow added no page" 16 (Disk.page_count disk);
+  Alcotest.(check int) "dead write stored nothing" 0 (Page.get_u16 (Disk.peek disk 3) uoff);
+  Alcotest.(check int) "stats count the two landed writes" 2 (Disk.stats disk).Disk.writes;
   Fault.revive fault;
-  Alcotest.(check int) "alive after reboot" 7 (Page.get_u16 (Backend.read b 1) uoff);
-  Alcotest.(check int) "one crash counted" 1 (Fault.crashes fault)
+  Alcotest.(check int) "alive after reboot" 7 (Page.get_u16 (Disk.read disk 1) uoff);
+  Alcotest.(check int) "one crash counted" 1 (Fault.crashes fault);
+  (* A torn tripping write lands its first [Page.torn_prefix] bytes only. *)
+  let q = Bytes.make 256 '\xAB' in
+  Fault.arm fault { Fault.no_faults with Fault.crash_after_writes = Some 1; torn_write = true };
+  Alcotest.(check bool) "dies on torn write" true (crashes (fun () -> Disk.write disk 1 q));
+  let img = Disk.peek disk 1 in
+  Alcotest.(check string) "torn prefix landed"
+    (Bytes.sub_string q 0 Page.torn_prefix)
+    (Bytes.sub_string img 0 Page.torn_prefix);
+  Alcotest.(check int) "body kept the old image" 7 (Page.get_u16 img uoff);
+  Fault.revive fault
 
 let test_torn_write_detect_and_repair () =
-  let disk = Disk.create ~initial_pages:16 ~page_size:256 () in
   let fault = Fault.create () in
-  let b = Backend.faulty ~fault (Backend.of_disk disk) in
-  let pool = Buffer_pool.create b in
+  let disk = Disk.create ~initial_pages:16 ~fault ~page_size:256 () in
+  let pool = Buffer_pool.create disk in
   let p = Buffer_pool.get pool 2 in
   Page.set_u16 p uoff 41;
   Buffer_pool.mark_dirty pool 2;
@@ -352,14 +364,14 @@ let test_torn_write_detect_and_repair () =
   Alcotest.(check int) "torn write counted" 1 (Fault.torn_writes fault);
   Fault.revive fault;
   (* An ordinary load sees the checksum mismatch and refuses the page. *)
-  let pool2 = Buffer_pool.create b in
+  let pool2 = Buffer_pool.create disk in
   let torn = try ignore (Buffer_pool.get pool2 2); false
     with Buffer_pool.Torn_page 2 -> true
   in
   Alcotest.(check bool) "torn page detected" true torn;
   (* Recovery's read-repair accepts it with a zeroed LSN and a dirty frame,
      so the whole log replays against the stale body. *)
-  let pool3 = Buffer_pool.create b in
+  let pool3 = Buffer_pool.create disk in
   Buffer_pool.set_read_repair pool3 true;
   let q = Buffer_pool.get pool3 2 in
   Alcotest.(check int64) "lsn zeroed" 0L (Page.lsn q);
@@ -443,8 +455,8 @@ let alloc_model_test =
   QCheck.Test.make ~name:"allocator vs model (+rebuild)" ~count:100
     QCheck.(make Gen.(list_size (int_bound 120) bool))
     (fun ops ->
-      let disk = Disk.create ~initial_pages:1 ~page_size:128 () in
-      let pool = Buffer_pool.create (Backend.of_disk disk) in
+      let disk = Disk.create ~initial_pages:1 ~fault:(Fault.create ()) ~page_size:128 () in
+      let pool = Buffer_pool.create disk in
       let alloc = Alloc.create ~pool ~meta_pages:1 ~leaf_pages:32 in
       let held = ref [] in
       List.iter
@@ -493,8 +505,8 @@ let careful_order_test =
             (list_size (int_bound 20) (pair (int_bound 9) (int_bound 9)))
             (list_size (int_bound 15) (int_bound 9))))
     (fun (deps, flushes) ->
-      let disk = Disk.create ~initial_pages:10 ~page_size:128 () in
-      let pool = Buffer_pool.create (Backend.of_disk disk) in
+      let disk = Disk.create ~initial_pages:10 ~fault:(Fault.create ()) ~page_size:128 () in
+      let pool = Buffer_pool.create disk in
       (* Dirty all pages with a marker. *)
       for pid = 0 to 9 do
         let p = Buffer_pool.get pool pid in
@@ -534,14 +546,14 @@ let test_bounded_default_capacity () =
   Alcotest.(check int) "default is bounded" Buffer_pool.default_capacity
     (Buffer_pool.capacity pool);
   Alcotest.(check bool) "and reasonable" true (Buffer_pool.default_capacity < 100_000);
-  let disk = Disk.create ~initial_pages:4 ~page_size:256 () in
+  let disk = Disk.create ~initial_pages:4 ~fault:(Fault.create ()) ~page_size:256 () in
   Alcotest.check_raises "capacity >= 1"
     (Invalid_argument "Buffer_pool.create: capacity must be >= 1") (fun () ->
-      ignore (Buffer_pool.create ~capacity:0 (Backend.of_disk disk)))
+      ignore (Buffer_pool.create ~capacity:0 disk))
 
 let test_clock_second_chance () =
   let disk, _ = mk ~pages:32 () in
-  let pool = Buffer_pool.create ~capacity:3 (Backend.of_disk disk) in
+  let pool = Buffer_pool.create ~capacity:3 disk in
   ignore (Buffer_pool.get pool 0);
   ignore (Buffer_pool.get pool 1);
   ignore (Buffer_pool.get pool 2);
@@ -560,7 +572,7 @@ let test_clock_second_chance () =
 
 let test_dirty_eviction_flushes_prereqs_in_order () =
   let disk, _ = mk ~pages:32 () in
-  let pool = Buffer_pool.create ~capacity:2 (Backend.of_disk disk) in
+  let pool = Buffer_pool.create ~capacity:2 disk in
   (* Ring order [4; 5]: page 4 (blocked) is the eviction victim, and evicting
      it must push its careful-writing prerequisite (page 5) to disk first. *)
   let blocked = Buffer_pool.get pool 4 in
@@ -589,7 +601,7 @@ let test_stats_counter_trace () =
      get 2 (miss; sweep clears 0 and 1, wraps, evicts 0),
      get 0 (miss; 1's bit is still clear, evicts 1). *)
   let disk, _ = mk ~pages:8 () in
-  let pool = Buffer_pool.create ~capacity:2 (Backend.of_disk disk) in
+  let pool = Buffer_pool.create ~capacity:2 disk in
   ignore (Buffer_pool.get pool 0);
   ignore (Buffer_pool.get pool 0);
   ignore (Buffer_pool.get pool 1);
@@ -609,7 +621,7 @@ let test_stats_counter_trace () =
    end grows it, and crash empties it. *)
 let test_frame_table () =
   let disk, _ = mk ~pages:300 () in
-  let pool = Buffer_pool.create ~capacity:16 (Backend.of_disk disk) in
+  let pool = Buffer_pool.create ~capacity:16 disk in
   let order = [ 40; 3; 17; 63; 0; 9; 250 ] in
   List.iter
     (fun pid ->
@@ -649,7 +661,7 @@ let test_frame_table () =
    re-fixes an evicted one. *)
 let test_refix () =
   let disk, _ = mk ~pages:32 () in
-  let pool = Buffer_pool.create ~capacity:2 (Backend.of_disk disk) in
+  let pool = Buffer_pool.create ~capacity:2 disk in
   let p0 = Buffer_pool.get pool 0 in
   let s = Buffer_pool.stats pool in
   Alcotest.(check bool) "resident: same handle" true (Buffer_pool.refix pool 0 p0 == p0);

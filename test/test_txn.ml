@@ -16,8 +16,8 @@ module Lock_mgr = Lockmgr.Lock_mgr
 module Engine = Sched.Engine
 
 let mk () =
-  let disk = Disk.create ~initial_pages:16 ~page_size:256 () in
-  let pool = Buffer_pool.create (Pager.Backend.of_disk disk) in
+  let disk = Disk.create ~initial_pages:16 ~fault:(Pager.Fault.create ()) ~page_size:256 () in
+  let pool = Buffer_pool.create disk in
   let log = Log.create () in
   let journal = Journal.create pool log in
   let locks = Lock_mgr.create () in
