@@ -81,7 +81,6 @@ type mode_stats = {
 type t = {
   entries : entry Rtbl.t;
   owner_index : Resource.t list Itbl.t; (* owner -> resources held, each once *)
-  max_locked : int Itbl.t;
   pending : Resource.t Itbl.t; (* owner -> resource it waits on *)
   mutable reorganizers : owner list;
   mutable acquires : int;
@@ -107,7 +106,6 @@ let create ?(bus = Obs.Bus.create ()) () =
   {
     entries = Rtbl.create 64;
     owner_index = Itbl.create 16;
-    max_locked = Itbl.create 8;
     pending = Itbl.create 8;
     reorganizers = [];
     extra_edges = None;
@@ -199,12 +197,7 @@ let rec without (mode : Mode.t) = function
 
 let index_add t o res =
   let rs = match Itbl.find_opt t.owner_index o with Some rs -> rs | None -> [] in
-  let n = List.length rs in
-  t.scan_steps <- t.scan_steps + n;
-  Itbl.replace t.owner_index o (res :: rs);
-  match Itbl.find_opt t.max_locked o with
-  | Some m when m > n -> ()
-  | _ -> Itbl.replace t.max_locked o (n + 1)
+  Itbl.replace t.owner_index o (res :: rs)
 
 (* The index lists each resource once, so the walk stops at it. *)
 let rec without_res t res = function
@@ -594,15 +587,9 @@ let waiters t res =
 let locked_count t ~owner =
   match Itbl.find_opt t.owner_index owner with None -> 0 | Some rs -> List.length rs
 
-let max_locked_count t ~owner =
-  match Itbl.find_opt t.max_locked owner with Some m -> m | None -> 0
-
-let reset_max_locked t ~owner = Itbl.remove t.max_locked owner
-
 let clear t =
   Rtbl.reset t.entries;
   Itbl.reset t.owner_index;
-  Itbl.reset t.max_locked;
   Itbl.reset t.pending
 
 let stats t =

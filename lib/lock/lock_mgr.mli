@@ -54,8 +54,8 @@ type stats = {
           count when an owner's cell is looked up and when a request is
           judged against the other holders; waiters count in a new request's
           fairness check; owner-index elements count when the index is
-          walked (a new resource, a dropped one, {!release_all},
-          {!held_resources}).  The [`Conflict] payload, deadlock detection
+          walked (a dropped resource, {!release_all}, {!held_resources});
+          a new resource joins the index without a walk.  The [`Conflict] payload, deadlock detection
           and the {!holders}/{!waiters}/{!locked_count} inspectors are not
           counted. *)
   instant_checks : int;
@@ -132,12 +132,6 @@ val set_extra_edges : t -> (owner -> owner list) option -> unit
 val locked_count : t -> owner:owner -> int
 (** Number of distinct resources on which [owner] holds at least one mode —
     the "how much of the tree does the reorganizer lock" metric. *)
-
-val max_locked_count : t -> owner:owner -> int
-(** High-water mark of {!locked_count} since creation or the last
-    {!reset_max_locked}. *)
-
-val reset_max_locked : t -> owner:owner -> unit
 
 val clear : t -> unit
 (** Drop every lock and pending wait without waking anyone — crash

@@ -2,7 +2,7 @@
    reorganizer holds only one S lock (on the base page being read) plus the
    side-file locks — the availability argument of §7/§7.5.
 
-   A sampler process records the maximum number of page locks the
+   A lock-event subscriber records the maximum number of resources the
    reorganizer holds concurrently during the internal-page rebuild. *)
 
 module Engine = Sched.Engine
@@ -26,16 +26,33 @@ let run () =
       let before = Tree.stats db.Db.tree in
       let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.paper () in
       let eng = Engine.create () in
-      let max_locks = ref 0 in
       let owner = ctx.Reorg.Ctx.actor.Transact.Txn.id in
+      (* Acquisitions the reorganizer holds per resource, from the lock
+         events.  The peak moves only when it takes a resource it did not
+         hold, so a conversion on a held resource never raises it. *)
+      let held = Hashtbl.create 16 in
+      let peak = ref 0 in
+      Obs.Bus.subscribe db.Db.bus [ Lock_mgr.topic ] (function
+        | Lock_mgr.Ev_granted { owner = o; res; _ } when o = owner -> (
+          match Hashtbl.find_opt held res with
+          | Some n -> Hashtbl.replace held res (n + 1)
+          | None ->
+            Hashtbl.replace held res 1;
+            peak := max !peak (Hashtbl.length held))
+        | Lock_mgr.Ev_released { owner = o; res; _ } when o = owner -> (
+          match Hashtbl.find held res with
+          | 1 -> Hashtbl.remove held res
+          | n -> Hashtbl.replace held res (n - 1))
+        | _ -> ());
+      let max_locks = ref 0 in
       Engine.spawn eng (fun () ->
           ignore (Reorg.Pass1.run ctx);
           ignore (Reorg.Pass2.run ctx);
-          (* Track the reorganizer's lock high-water mark during pass 3
-             only: the availability claim is about the rebuild phase. *)
-          Lock_mgr.reset_max_locked db.Db.locks ~owner;
+          (* Keep the reorganizer's peak during pass 3 only: the
+             availability claim is about the rebuild phase. *)
+          peak := 0;
           ignore (Reorg.Pass3.run ctx ());
-          max_locks := Lock_mgr.max_locked_count db.Db.locks ~owner);
+          max_locks := !peak);
       Engine.run eng;
       Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
       Btree.Invariant.check_consistent_with db.Db.tree ~expected;
