@@ -13,7 +13,6 @@ type t = {
   mutable on_base_update : (Txn.t -> Wal.Record.side_op -> unit) option;
   mutable side_undo : (Wal.Record.side_op -> unit) option;
   mutable olc_enabled : bool;
-  mutable olc_max_retries : int;
 }
 
 let topic = Obs.Bus.topic ()
@@ -21,7 +20,9 @@ let topic = Obs.Bus.topic ()
 type Obs.Bus.event += Olc_read of { leaf : int; key : int; result : string option }
 
 let olc_default = true
-let olc_max_retries_default = 3
+
+(* Optimistic retries per operation before the locked fallback. *)
+let olc_max_retries = 3
 
 let create ~tree ~mgr ?(record_locking = false) () =
   {
@@ -31,12 +32,9 @@ let create ~tree ~mgr ?(record_locking = false) () =
     on_base_update = None;
     side_undo = None;
     olc_enabled = olc_default;
-    olc_max_retries = olc_max_retries_default;
   }
 
-let set_olc t ?(max_retries = olc_max_retries_default) enabled =
-  t.olc_enabled <- enabled;
-  t.olc_max_retries <- max_retries
+let set_olc t enabled = t.olc_enabled <- enabled
 
 let olc_enabled t = t.olc_enabled
 
@@ -271,7 +269,7 @@ let olc_read t ~txn key =
     | exception Olc_conflict ->
       (* A re-descent starts by checking [Olc.active] without yielding: while
          a unit is in flight every retry would fail the same check. *)
-      if tries < t.olc_max_retries && not (Olc.active olc) then begin
+      if tries < olc_max_retries && not (Olc.active olc) then begin
         Olc.note_retry olc;
         attempt (tries + 1)
       end
@@ -290,7 +288,7 @@ let olc_range_read t ~txn ~lo ~hi =
     | leaf -> visit ~from acc tries leaf
     | exception Olc_conflict -> conflict ~from acc tries
   and conflict ~from acc tries =
-    if tries < t.olc_max_retries && not (Olc.active olc) then begin
+    if tries < olc_max_retries && not (Olc.active olc) then begin
       Olc.note_retry olc;
       attempt ~from acc (tries + 1)
     end

@@ -33,10 +33,6 @@ val olc_default : bool
 (** Whether a new handle reads optimistically ([true]); the one source of
     [Reorg.Config.default.olc]. *)
 
-val olc_max_retries_default : int
-(** A new handle's optimistic retries before the locked fallback (3); the
-    one source of [Reorg.Config.default.olc_max_retries]. *)
-
 val create : tree:Tree.t -> mgr:Transact.Txn_mgr.t -> ?record_locking:bool -> unit -> t
 (** Reads start as {!olc_default} says ({!set_olc}).  With [record_locking]
     (off by default), readers take IS on the leaf page
@@ -66,7 +62,7 @@ val run_side_undo : t -> Wal.Record.side_op -> unit
 val bus : t -> Obs.Bus.t
 (** The store's event stream (the lock manager's). *)
 
-val set_olc : t -> ?max_retries:int -> bool -> unit
+val set_olc : t -> bool -> unit
 (** Enable/disable the optimistic read path (DESIGN.md §11; on from
     {!create}, as in [Reorg.Config.default]): point lookups and range scans
     descend lock-free, validating {!Olc} per-node versions across scheduler
@@ -75,9 +71,8 @@ val set_olc : t -> ?max_retries:int -> bool -> unit
     ({!Lockmgr.Lock_mgr.probe} — never enqueues); a refused probe (a held
     RX or X) sends the read to the locked Table-1 protocol at once.  On a
     validation conflict, an active reorganization unit, or a crash-advanced
-    epoch, the reader retries up to [max_retries] (default 3) times, then
-    falls back to the locked protocol.  Writers and the reorganizer are
-    unaffected.  Ignored (locked path used) when the access layer does
+    epoch, the reader retries up to 3 times, then falls back to the locked
+    protocol.  Writers and the reorganizer are unaffected.  Ignored (locked path used) when the access layer does
     record-level locking — record S locks are the point there. *)
 
 val olc_enabled : t -> bool

@@ -39,8 +39,6 @@ let set_entry p i e =
 
 let entries p = List.init (nentries p) (entry_at p)
 
-let fill_factor p = float_of_int (nentries p) /. float_of_int (capacity p)
-
 let key_at p i = Page.get_key p (entry_off i)
 let child_at p i = Page.get_u32 p (entry_off i + 8)
 

@@ -31,7 +31,6 @@ val child_at : Pager.Page.t -> int -> int
 (** Child page of entry [i], read in place. *)
 
 val entries : Pager.Page.t -> entry list
-val fill_factor : Pager.Page.t -> float
 
 val child_for : Pager.Page.t -> int -> int
 (** Child page whose subtree covers the key: the entry with the greatest key

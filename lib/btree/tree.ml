@@ -41,7 +41,6 @@ let tree_name t = Meta.tree_name (meta t)
 let reorg_bit t = Meta.reorg_bit (meta t)
 
 let set_root t ?txn pid = physical t ?txn t.meta_pid (fun p -> Meta.set_root p pid)
-let set_tree_name t ?txn v = physical t ?txn t.meta_pid (fun p -> Meta.set_tree_name p v)
 
 let set_reorg_bit t v =
   physical t t.meta_pid (fun p -> Meta.set_reorg_bit p v)

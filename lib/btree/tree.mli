@@ -59,7 +59,6 @@ val set_root : t -> ?txn:Transact.Txn.t -> int -> unit
 (** Logged meta-page update (the switch writes this). *)
 
 val tree_name : t -> int
-val set_tree_name : t -> ?txn:Transact.Txn.t -> int -> unit
 val reorg_bit : t -> bool
 val set_reorg_bit : t -> bool -> unit
 

@@ -10,15 +10,17 @@ type t = {
   mutable closed : (int * int) list; (* (low mark, pid), newest first *)
   mutable cur : int option;
   mutable fresh : int list; (* pages not yet force-written *)
-  mutable built : int;
 }
+
+(* Fill factor for the rebuilt internal pages. *)
+let internal_fill = 0.9
 
 let per_node_of ctx =
   let capacity = (Ctx.page_size ctx - Btree.Layout.body_start) / Btree.Layout.entry_size in
-  max 2 (int_of_float (ctx.Ctx.config.Config.internal_fill *. float_of_int capacity))
+  max 2 (int_of_float (internal_fill *. float_of_int capacity))
 
 let create ctx ~gen =
-  { ctx; gen; per_node = per_node_of ctx; closed = []; cur = None; fresh = []; built = 0 }
+  { ctx; gen; per_node = per_node_of ctx; closed = []; cur = None; fresh = [] }
 
 let restore ctx ~gen ~closed =
   let t = create ctx ~gen in
@@ -50,7 +52,6 @@ let feed t ~key ~child =
       Buffer_pool.mark_dirty (Ctx.pool t.ctx) pid;
       t.cur <- Some pid;
       t.fresh <- pid :: t.fresh;
-      t.built <- t.built + 1;
       pid
   in
   let p = page t pid in
@@ -72,8 +73,6 @@ let stable_point t ~next_key =
 
 let closed_pages t = List.rev t.closed
 
-let pages_built t = t.built
-
 let finalize t =
   seal t;
   let entries = List.rev t.closed in
@@ -85,11 +84,10 @@ let finalize t =
       let pages = ref [] in
       let root =
         Btree.Bulk.build_internal_levels ~journal:(Ctx.journal t.ctx) ~alloc:(Ctx.alloc t.ctx)
-          ~fill:t.ctx.Ctx.config.Config.internal_fill ~start_level:2 ~gen:t.gen
+          ~fill:internal_fill ~start_level:2 ~gen:t.gen
           ~on_page:(fun pid -> pages := pid :: !pages)
           entries
       in
-      t.built <- t.built + List.length !pages;
       t.fresh <- !pages @ t.fresh;
       root
   in

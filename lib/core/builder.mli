@@ -36,5 +36,3 @@ val finalize : t -> int
 
 val closed_pages : t -> (int * int) list
 (** Sealed level-1 pages so far, oldest first (exposed for tests). *)
-
-val pages_built : t -> int

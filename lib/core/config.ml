@@ -2,7 +2,6 @@ type heuristic = Paper_heuristic | First_free | No_new_place
 
 type t = {
   f2 : float;
-  internal_fill : float;
   careful_writing : bool;
   swap_pass : bool;
   shrink_pass : bool;
@@ -10,19 +9,16 @@ type t = {
   stable_every : int;
   scan_pacing : int;
   switch_wait : int;
-  unit_retry_limit : int;
   io_pacing : int;
   lambda_switch : bool;
   unit_pages : int;
   catchup_batch : int;
   olc : bool;
-  olc_max_retries : int;
 }
 
 let default =
   {
     f2 = 0.9;
-    internal_fill = 0.9;
     careful_writing = true;
     swap_pass = true;
     shrink_pass = true;
@@ -30,13 +26,11 @@ let default =
     stable_every = 5;
     scan_pacing = 1;
     switch_wait = 200;
-    unit_retry_limit = 10;
     io_pacing = 0;
     lambda_switch = false;
     unit_pages = 1;
     catchup_batch = 16;
     olc = Btree.Access.olc_default;
-    olc_max_retries = Btree.Access.olc_max_retries_default;
   }
 
 let paper = { default with olc = false }

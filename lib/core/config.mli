@@ -9,7 +9,6 @@ type heuristic =
 
 type t = {
   f2 : float;  (** target leaf fill factor after reorganization *)
-  internal_fill : float;  (** fill factor for rebuilt internal pages (pass 3) *)
   careful_writing : bool;
       (** when true, MOVE records log keys only and write-order dependencies
           + deferred deallocation protect the data (§5) *)
@@ -24,7 +23,6 @@ type t = {
   switch_wait : int;
       (** ticks the switch waits for the old tree to drain before forcing
           old-tree transactions to abort (§7.4's time limit) *)
-  unit_retry_limit : int;  (** give-up/retry attempts per reorganization unit *)
   io_pacing : int;
       (** ticks slept per reorganization unit, modelling the unit's page
           I/O; with 0 (default) units are CPU-bound in simulated time.
@@ -56,10 +54,6 @@ type t = {
           reorganization unit is active.  Writers and the reorganizer keep
           Table-1 semantics either way.  Default
           {!Btree.Access.olc_default} ([true]). *)
-  olc_max_retries : int;
-      (** bounded optimistic retries per operation before falling back to
-          the locked descent (default
-          {!Btree.Access.olc_max_retries_default}, 3). *)
 }
 
 val default : t

@@ -65,8 +65,6 @@ let create ?registry () =
 
 let register_obs t reg = List.iter (Obs.Registry.attach_counter reg) (all t)
 
-let reset t = List.iter Obs.Counter.reset (all t)
-
 (* Read accessors share the field names: [m.units] inside this module is the
    counter, [Metrics.units m] outside is its value. *)
 let units t = Obs.Counter.get t.units

@@ -32,8 +32,6 @@ val create : ?registry:Obs.Registry.t -> unit -> t
 val register_obs : t -> Obs.Registry.t -> unit
 (** Attach every counter to the registry (idempotent by name). *)
 
-val reset : t -> unit
-
 (** {2 Read accessors} *)
 
 val units : t -> int

@@ -48,11 +48,6 @@ let plan_group_v ?(hi_key = max_int) ctx ~base ~after_key =
       | leaves -> Group { leaves; max_key }
     end
 
-let plan_group ctx ~base ~after_key =
-  match plan_group_v ctx ~base ~after_key with
-  | Group { leaves; max_key } -> Some (leaves, max_key)
-  | Skip _ | Exhausted -> None
-
 (* Base page whose key range covers keys just above [k], if the tree has
    base pages at all. *)
 let base_covering ctx k =

@@ -21,10 +21,3 @@ val run_parallel : Ctx.t -> workers:int -> int
     boundaries and compact the ranges concurrently, one worker process (own
     lock identity, own unit-id lattice) per range.  Falls back to {!run}
     for [workers <= 1]. *)
-
-val plan_group :
-  Ctx.t -> base:int -> after_key:int -> (int list * int) option
-(** Exposed for tests: the greedy group of consecutive children of [base]
-    with entry keys > [after_key] that compact into one page at [f2], plus
-    the largest key currently in the group.  [None] when nothing under this
-    base needs work. *)

@@ -47,7 +47,6 @@ let set_ck t v = t.ck <- v
    re-derives it from the stable log before its end-of-recovery checkpoint,
    which is the only checkpoint that could otherwise truncate too far. *)
 let floor t = t.floor
-let set_floor t lsn = t.floor <- lsn
 
 let lower_floor t lsn =
   if lsn <> Wal.Lsn.nil && (t.floor = Wal.Lsn.nil || lsn < t.floor) then t.floor <- lsn

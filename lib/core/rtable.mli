@@ -46,7 +46,6 @@ val set_ck : t -> int option -> unit
 val floor : t -> Wal.Lsn.t
 (** [Wal.Lsn.nil] when no floor is pinned. *)
 
-val set_floor : t -> Wal.Lsn.t -> unit
 val lower_floor : t -> Wal.Lsn.t -> unit
 (** Lower the floor to [lsn] if unset or higher; [nil] is ignored. *)
 

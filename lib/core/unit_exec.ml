@@ -637,11 +637,13 @@ let execute_once ctx plan =
     Ctx.emit ctx (Attempt_end None);
     raise e
 
+(* Give-up/retry attempts per reorganization unit. *)
+let retry_limit = 10
+
 let execute ctx plan =
-  let limit = ctx.Ctx.config.Config.unit_retry_limit in
   let rec go attempt =
     match execute_once ctx plan with
-    | Gave_up when attempt < limit ->
+    | Gave_up when attempt < retry_limit ->
       Obs.Counter.incr ctx.Ctx.metrics.Metrics.unit_retries;
       Sched.Engine.sleep (1 + attempt);
       go (attempt + 1)

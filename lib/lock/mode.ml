@@ -45,16 +45,6 @@ let covers ~held ~need =
   | IX, IS -> true
   | _ -> false
 
-let is_upgrade ~from_ ~to_ =
-  (not (covers ~held:from_ ~need:to_))
-  &&
-  match (from_, to_) with
-  | IS, (IX | S | X) -> true
-  | IX, X -> true
-  | S, X -> true
-  | R, X -> true
-  | _ -> false
-
 (* The literal Table 1 of the paper.  Blank cells are mode pairs that never
    contend for the same resource (e.g. IX is only used on the tree lock and
    leaf pages, R only on base pages).  RS is requested but never granted. *)

@@ -44,11 +44,6 @@ val covers : held:t -> need:t -> bool
 (** Does holding [held] subsume a request for [need]?  ([X] covers all, [S]
     covers [IS], [IX] covers [IS].) *)
 
-val is_upgrade : from_:t -> to_:t -> bool
-(** True when converting [from_] to [to_] strengthens the lock (the
-    conversions the system performs: [R]->[X], [IS]->[IX], [S]->[X],
-    [IX]->[X], [IS]->[S|X]). *)
-
 val paper_cell : granted:t -> requested:t -> [ `Yes | `No | `Blank ]
 (** The literal content of the paper's Table 1 (with [RS] never granted). *)
 

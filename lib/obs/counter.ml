@@ -9,6 +9,5 @@ let make name = { name; value = 0 }
 let name t = t.name
 let get t = t.value
 let incr ?(by = 1) t = t.value <- t.value + by
-let set t v = t.value <- v
 let reset t = t.value <- 0
 let pp ppf t = Format.fprintf ppf "%s=%d" t.name t.value

@@ -7,6 +7,5 @@ val make : string -> t
 val name : t -> string
 val get : t -> int
 val incr : ?by:int -> t -> unit
-val set : t -> int -> unit
 val reset : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -112,7 +112,6 @@ let refresh t =
   end
 
 let pending_count t = Hashtbl.length t.pending
-let tracked t = Hashtbl.length t.pages
 
 let side_event t ~size ev =
   t.backlog <- size;

@@ -49,7 +49,6 @@ val refresh : t -> unit
 (** Drain the pending set now.  Called implicitly by every reader. *)
 
 val pending_count : t -> int
-val tracked : t -> int
 
 (** {2 Signals fed by the store's event stream} *)
 

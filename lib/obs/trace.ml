@@ -53,16 +53,8 @@ let create ?(clock = fun () -> 0) ?(limit = 0) () =
   }
 
 let set_clock t clock = t.clock <- clock
-let now t = t.clock ()
 let event_count t = t.count
 let dropped t = t.dropped
-
-let clear t =
-  t.events <- [];
-  t.count <- 0;
-  t.dropped <- 0;
-  Hashtbl.reset t.stacks;
-  t.threads <- []
 
 let name_thread t ~tid name =
   if not (List.mem_assoc tid t.threads) then t.threads <- (tid, name) :: t.threads

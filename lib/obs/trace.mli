@@ -32,10 +32,8 @@ val create : ?clock:(unit -> int) -> ?limit:int -> unit -> t
     recorded events; the excess is counted in {!dropped}. *)
 
 val set_clock : t -> (unit -> int) -> unit
-val now : t -> int
 val event_count : t -> int
 val dropped : t -> int
-val clear : t -> unit
 
 val name_thread : t -> tid:int -> string -> unit
 (** Label a timeline row (first registration wins). *)

@@ -88,8 +88,6 @@ let begin_x t =
   emit t (Ev_begun { x_id = id });
   { coord = t; x_id = id; slots = Array.make (Array.length t.stores) None; x_state = `Active }
 
-let xid x = x.x_id
-
 let check_active x fn =
   match x.x_state with
   | `Active -> ()
@@ -159,8 +157,6 @@ let abort t x =
   emit t (Ev_aborted { x_id = x.x_id });
   t.aborted <- t.aborted + 1
 
-let finished x = x.x_state <> `Active
-
 let sum_slots x f =
   Array.fold_left (fun acc -> function Some s -> acc + f s.tx | None -> acc) 0 x.slots
 
@@ -183,10 +179,3 @@ let stats (t : t) =
     cross_shard_commits = t.cross_shard_commits;
     commit_records = t.commit_records;
   }
-
-let register_obs (t : t) reg =
-  Obs.Registry.gauge reg "coord.begun" (fun () -> t.begun);
-  Obs.Registry.gauge reg "coord.committed" (fun () -> t.committed);
-  Obs.Registry.gauge reg "coord.aborted" (fun () -> t.aborted);
-  Obs.Registry.gauge reg "coord.cross_shard_commits" (fun () -> t.cross_shard_commits);
-  Obs.Registry.gauge reg "coord.commit_records" (fun () -> t.commit_records)

@@ -46,8 +46,6 @@ val begin_x : t -> xtxn
 (** Mint a fresh global id and start a transaction.  Must (like every
     operation on the transaction) run inside a scheduler process. *)
 
-val xid : xtxn -> int
-
 val txn_in : xtxn -> int -> Transact.Txn.t
 (** The transaction's handle in shard [i], created on first use (read-only:
     no log record).  Locks taken through it belong to the global id. *)
@@ -68,8 +66,6 @@ val abort : t -> xtxn -> unit
 (** Undo in every written shard (logging CLRs and [Txn_abort] per shard),
     release all locks everywhere. *)
 
-val finished : xtxn -> bool
-
 val blocked_ticks : xtxn -> int
 (** Lock-wait ticks summed over the transaction's per-shard handles. *)
 
@@ -87,10 +83,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val register_obs : t -> Obs.Registry.t -> unit
-(** Register [coord.begun], [coord.committed], [coord.aborted],
-    [coord.cross_shard_commits], [coord.commit_records]. *)
 
 (** {2 Protocol events}
 

@@ -1,11 +1,8 @@
 module Engine = Sched.Engine
 
-let spawn ?ctx eng ~db ~every ~stop =
+let spawn ~ctx eng ~every ~stop =
   Engine.spawn eng (fun () ->
       while not (stop ()) do
         Engine.sleep every;
-        if not (stop ()) then
-          match ctx with
-          | Some ctx -> Reorg.Ctx.checkpoint ctx
-          | None -> Db.checkpoint db ()
+        if not (stop ()) then Reorg.Ctx.checkpoint ctx
       done)

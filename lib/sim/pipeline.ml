@@ -19,7 +19,7 @@ let commit_hook gc log lsn =
   if lsn > Wal.Log.flushed_lsn log then
     Engine.suspend (fun wake -> Group_commit.request gc lsn wake)
 
-let attach ?(gc_every = 2) ?(flush_every = 8) ?flush_limit ?ckpt_every ?ctx eng db ~stop =
+let attach ?(gc_every = 2) ?(flush_every = 8) ?flush_limit ?checkpoint eng db ~stop =
   let gc = Group_commit.create db.Db.log in
   Journal.set_commit_force db.Db.journal (commit_hook gc db.Db.log);
   (* The ticker outlives [stop] until its batch is drained: a process parked
@@ -38,9 +38,7 @@ let attach ?(gc_every = 2) ?(flush_every = 8) ?flush_limit ?ckpt_every ?ctx eng 
   Sched.Daemon.spawn eng ~name:"flusher" ~every:flush_every ~until:stop (fun () ->
       ignore (Buffer_pool.flush_elevator ?limit:flush_limit db.Db.pool : int));
   (* Fuzzy checkpoints bound recovery replay and let the log truncate. *)
-  (match ckpt_every with
-  | None -> ()
-  | Some every -> Checkpointer.spawn ?ctx eng ~db ~every ~stop);
+  Option.iter (fun (every, ctx) -> Checkpointer.spawn ~ctx eng ~every ~stop) checkpoint;
   { gc; db; detached = false }
 
 let detach t =

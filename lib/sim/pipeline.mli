@@ -15,8 +15,7 @@ val attach :
   ?gc_every:int ->
   ?flush_every:int ->
   ?flush_limit:int ->
-  ?ckpt_every:int ->
-  ?ctx:Reorg.Ctx.t ->
+  ?checkpoint:int * Reorg.Ctx.t ->
   Sched.Engine.t ->
   Db.t ->
   stop:(unit -> bool) ->
@@ -24,9 +23,10 @@ val attach :
 (** Install the commit-force hook on [db]'s journal and spawn the daemons on
     [eng].  [gc_every] (default 2) is the group-commit window in scheduler
     ticks, [flush_every] (default 8) the elevator period, [flush_limit] the
-    per-sweep page cap (default: all dirty pages), [ckpt_every] (default:
-    none) the fuzzy-checkpoint period — through [ctx] when given, so the §5
-    system table rides along and reorg-aware truncation floors apply.  The
+    per-sweep page cap (default: all dirty pages).  [checkpoint] (default:
+    none) is [(every, ctx)]: a fuzzy checkpoint of [ctx] every [every]
+    ticks, so the §5 system table rides along and reorg-aware truncation
+    floors apply.  The
     daemons exit once [stop ()] holds and no commit waiter is pending; the
     group-commit ticker always drains its last batch first.
 

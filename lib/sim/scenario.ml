@@ -51,9 +51,7 @@ let purged ?(page_size = 512) ~seed ~n ~ranges ~width () =
   in
   (db, expected)
 
-let arm_olc ~config db =
-  Btree.Access.set_olc db.Db.access ~max_retries:config.Reorg.Config.olc_max_retries
-    config.Reorg.Config.olc
+let arm_olc ~config db = Btree.Access.set_olc db.Db.access config.Reorg.Config.olc
 
 let trace_run eng tracer stores =
   Engine.set_tracer eng tracer;

@@ -261,7 +261,7 @@ let run ?registry ?tracer ?checker ?(config = Reorg.Config.default) ?(leaf_pages
            windows and elevator sweeps, and fuzzy checkpoints truncate the
            log mid-workload — the sweep then proves recovery across all of
            it. *)
-        if pipeline then pipe := Some (Pipeline.attach ~ckpt_every:40 ~ctx eng db ~stop);
+        if pipeline then pipe := Some (Pipeline.attach ~checkpoint:(40, ctx) eng db ~stop);
         (* The sweep's registry accumulates across cycles: only the
            reorganizer's counters join it, not the gauges of this cycle's
            fresh engine and store. *)

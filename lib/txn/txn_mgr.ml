@@ -43,11 +43,6 @@ let begin_txn t =
   adopt t tx;
   tx
 
-let begin_with_id t id =
-  let tx = Txn.make id in
-  adopt t tx;
-  tx
-
 let set_logical_undo t f = t.logical_undo <- f
 
 let commit t tx =
@@ -150,8 +145,6 @@ let oldest_begin_lsn t =
         | None -> Some tx.Txn.begin_lsn
         | Some b -> Some (min b tx.Txn.begin_lsn))
     t.active None
-
-let find_active t id = Hashtbl.find_opt t.active id
 
 (* Round [n] up onto this manager's id lattice (first_id + k*id_stride) so
    recovery advancing past ids seen in the log — which may belong to other

@@ -33,14 +33,6 @@ val adopt : t -> Txn.t -> unit
     shard to a writing one (the handle already holds locks under its id).
     Raises [Invalid_argument] if the id is already active here. *)
 
-val begin_with_id : t -> int -> Txn.t
-(** Like {!begin_txn} but with a caller-supplied id: a cross-shard
-    coordinator mints one global id and begins a local transaction under it
-    in every shard it touches, so all of a distributed transaction's locks
-    and log records share a single identity.  The id must come from a
-    lattice disjoint from this manager's own (see {!create}); beginning an
-    id that is already active here is an error. *)
-
 val commit : t -> Txn.t -> unit
 (** Log [Txn_commit], make it durable through the journal's
     {!Journal.commit_force} seam (a synchronous force by default, group
@@ -60,8 +52,6 @@ val active_txns : t -> (int * Wal.Lsn.t) list
 val oldest_begin_lsn : t -> Wal.Lsn.t option
 (** Oldest [Txn_begin] LSN among active transactions (a WAL-truncation
     floor), [None] when no active transaction has logged one. *)
-
-val find_active : t -> int -> Txn.t option
 
 val ensure_next_id : t -> int -> unit
 (** Make sure future owner ids are at least this (restart runs this with the

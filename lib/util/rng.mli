@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator.  Equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy with the same current state. *)
-
 val split : t -> t
 (** [split t] derives a new independent generator from [t], advancing [t].
     Useful to give subcomponents their own streams. *)

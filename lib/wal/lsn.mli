@@ -6,7 +6,6 @@
 type t = int
 
 val nil : t
-val compare : t -> t -> int
 val to_int64 : t -> int64
 val of_int64 : int64 -> t
 val pp : Format.formatter -> t -> unit

@@ -245,7 +245,7 @@ let test_crash_with_checkpointer () =
       Engine.spawn eng (fun () ->
           ignore (Reorg.Driver.run ctx);
           finished := true);
-      Sim.Checkpointer.spawn ~ctx eng ~db ~every:20 ~stop:(fun () -> !finished);
+      Sim.Checkpointer.spawn ~ctx eng ~every:20 ~stop:(fun () -> !finished);
       Engine.spawn eng (fun () ->
           Engine.sleep crash_at;
           Engine.stop eng);
