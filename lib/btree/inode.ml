@@ -37,6 +37,11 @@ let set_entry p i e =
   Page.set_key p off e.key;
   Page.set_u32 p (off + 8) e.child
 
+(* Move [count] entries from index [from] to index [to_] in one copy. *)
+let shift p ~from ~to_ ~count =
+  Page.blit ~src:p ~src_off:(entry_off from) ~dst:p ~dst_off:(entry_off to_)
+    ~len:(count * Layout.entry_size)
+
 let entries p = List.init (nentries p) (entry_at p)
 
 let key_at p i = Page.get_key p (entry_off i)
@@ -76,9 +81,7 @@ let insert p e =
     let i = lower_bound p e.key in
     if i < n && key_at p i = e.key then
       invalid_arg (Printf.sprintf "Inode.insert: duplicate key %d" e.key);
-    for j = n downto i + 1 do
-      set_entry p j (entry_at p (j - 1))
-    done;
+    shift p ~from:i ~to_:(i + 1) ~count:(n - i);
     set_entry p i e;
     Page.set_u16 p Layout.off_count (n + 1);
     true
@@ -86,9 +89,7 @@ let insert p e =
 
 let delete_at p i =
   let n = nentries p in
-  for j = i to n - 2 do
-    set_entry p j (entry_at p (j + 1))
-  done;
+  shift p ~from:(i + 1) ~to_:i ~count:(n - 1 - i);
   Page.set_u16 p Layout.off_count (n - 1)
 
 let delete_key p k =

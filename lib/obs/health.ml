@@ -17,6 +17,9 @@ type watch_def = {
 type t = {
   pages : (int, page_info) Hashtbl.t;
   pending : (int, unit) Hashtbl.t;
+  (* Byte [pid] is 1 exactly when [pid] is in [pending], so noting a page
+     that is already pending costs one load. *)
+  mutable marks : Bytes.t;
   mutable refresher : (int -> page_info option) option;
   mutable free_probe : (unit -> int) option;
   (* Aggregates, maintained by delta as pages enter/leave [pages]. *)
@@ -50,6 +53,7 @@ let create () =
   {
     pages = Hashtbl.create 256;
     pending = Hashtbl.create 64;
+    marks = Bytes.make 64 '\000';
     refresher = None;
     free_probe = None;
     total_live = 0;
@@ -70,10 +74,18 @@ let create () =
 
 let set_refresher t f = t.refresher <- Some f
 let set_free_probe t f = t.free_probe <- Some f
-let note_dirty t pid = Hashtbl.replace t.pending pid ()
+let note_dirty t pid =
+  if pid >= Bytes.length t.marks then begin
+    let bigger = Bytes.make (max (pid + 1) (2 * Bytes.length t.marks)) '\000' in
+    Bytes.blit t.marks 0 bigger 0 (Bytes.length t.marks);
+    t.marks <- bigger
+  end;
+  if Bytes.get t.marks pid = '\000' then begin
+    Bytes.set t.marks pid '\001';
+    Hashtbl.replace t.pending pid ()
+  end
 
-let invalidate_all t =
-  Hashtbl.iter (fun pid _ -> Hashtbl.replace t.pending pid ()) t.pages
+let invalidate_all t = Hashtbl.iter (fun pid _ -> note_dirty t pid) t.pages
 
 let is_break pid info =
   match info.next_pid with Some n -> n <> pid + 1 | None -> false
@@ -105,6 +117,7 @@ let refresh t =
     | Some look ->
       let pids = Hashtbl.fold (fun pid () acc -> pid :: acc) t.pending [] in
       Hashtbl.reset t.pending;
+      List.iter (fun pid -> Bytes.set t.marks pid '\000') pids;
       List.iter
         (fun pid ->
           match look pid with Some info -> learn t pid info | None -> forget t pid)

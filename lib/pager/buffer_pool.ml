@@ -49,6 +49,12 @@ type t = {
   mutable ring : int array;
   mutable ring_len : int; (* used prefix of [ring], tombstones included *)
   mutable ring_live : int; (* non-tombstone entries *)
+  (* The ring's logical capacity: a push into a full ring compacts or
+     doubles it.  [ring] itself only grows, so compaction moves entries down
+     in place; the capacity follows the sizes a fresh array per compaction
+     would have had, which keeps compactions, and so the hand, where they
+     were. *)
+  mutable ring_cap : int;
   mutable hand : int;
   mutable before_write : int64 -> unit;
   (* blocked pid -> prerequisite pids that must be durable before it may be
@@ -61,6 +67,11 @@ type t = {
      finds no [deps] entry, or one that no longer names the prereq. *)
   rdeps : int list ref Itbl.t;
   waiters : (unit -> unit) list ref Itbl.t;
+  (* Visit marks of [reaches]: page [p] was visited by the current search
+     when byte [p] holds [reach_epoch].  The bytes are cleared when the
+     epoch wraps. *)
+  mutable reach_seen : Bytes.t;
+  mutable reach_epoch : int;
   mutable flushes : int;
   mutable hits : int;
   mutable misses : int;
@@ -99,11 +110,14 @@ let create ?(capacity = default_capacity) ?(bus = Obs.Bus.create ()) disk =
     ring = Array.make 16 (-1);
     ring_len = 0;
     ring_live = 0;
+    ring_cap = 16;
     hand = 0;
     before_write = (fun _ -> ());
     deps = Itbl.create 16;
     rdeps = Itbl.create 16;
     waiters = Itbl.create 16;
+    reach_seen = Bytes.make 64 '\000';
+    reach_epoch = 0;
     flushes = 0;
     hits = 0;
     misses = 0;
@@ -158,19 +172,32 @@ let is_durable t pid = not (is_dirty t pid)
 let prereqs t pid =
   match Itbl.find_opt t.deps pid with Some l -> !l | None -> []
 
+(* Marks [p] visited; true if it already was. *)
+let visited t p =
+  if p >= Bytes.length t.reach_seen then begin
+    let bigger = Bytes.make (max (p + 1) (2 * Bytes.length t.reach_seen)) '\000' in
+    Bytes.blit t.reach_seen 0 bigger 0 (Bytes.length t.reach_seen);
+    t.reach_seen <- bigger
+  end;
+  let e = Char.unsafe_chr t.reach_epoch in
+  Bytes.get t.reach_seen p = e || (Bytes.set t.reach_seen p e; false)
+
+let rec reaches_from t dst p = p = dst || ((not (visited t p)) && reaches_any t dst (prereqs t p))
+
+and reaches_any t dst = function
+  | [] -> false
+  | q :: rest -> reaches_from t dst q || reaches_any t dst rest
+
 (* Would adding blocked -> prereq close a cycle?  I.e. can we already reach
-   [blocked] from [prereq] through the dependency graph? *)
+   [blocked] from [prereq] through the dependency graph?  A depth-first
+   search that allocates nothing. *)
 let reaches t ~src ~dst =
-  let seen = Itbl.create 8 in
-  let rec go p =
-    p = dst
-    || (not (Itbl.mem seen p)
-        && begin
-             Itbl.replace seen p ();
-             List.exists go (prereqs t p)
-           end)
-  in
-  go src
+  if t.reach_epoch = 255 then begin
+    Bytes.fill t.reach_seen 0 (Bytes.length t.reach_seen) '\000';
+    t.reach_epoch <- 1
+  end
+  else t.reach_epoch <- t.reach_epoch + 1;
+  reaches_from t dst src
 
 let add_dependency ?(force = false) t ~blocked ~prereq =
   if blocked = prereq then raise (Cycle (blocked, prereq));
@@ -261,8 +288,9 @@ and flush_page t pid =
 
 (* --- clock ring maintenance --- *)
 
+(* Squeeze the tombstones out, in place: entry [i] moves down to [j <= i],
+   so every read is ahead of every write. *)
 let ring_compact t =
-  let live = Array.make (max 16 (2 * t.ring_live)) (-1) in
   let j = ref 0 in
   let new_hand = ref 0 in
   for i = 0 to t.ring_len - 1 do
@@ -271,21 +299,25 @@ let ring_compact t =
     if pid >= 0 then begin
       (let fr = lookup t pid in
        if fr != absent then fr.slot <- !j);
-      live.(!j) <- pid;
+      t.ring.(!j) <- pid;
       incr j
     end
   done;
-  t.ring <- live;
+  Array.fill t.ring !j (t.ring_len - !j) (-1);
   t.ring_len <- !j;
+  t.ring_cap <- max 16 (2 * t.ring_live);
   t.hand <- (if !j = 0 then 0 else !new_hand mod !j)
 
 let ring_push t fr =
-  if t.ring_len = Array.length t.ring then
+  if t.ring_len = t.ring_cap then
     if t.ring_live * 2 <= t.ring_len then ring_compact t
     else begin
-      let bigger = Array.make (2 * Array.length t.ring) (-1) in
-      Array.blit t.ring 0 bigger 0 t.ring_len;
-      t.ring <- bigger
+      t.ring_cap <- 2 * t.ring_cap;
+      if t.ring_cap > Array.length t.ring then begin
+        let bigger = Array.make t.ring_cap (-1) in
+        Array.blit t.ring 0 bigger 0 t.ring_len;
+        t.ring <- bigger
+      end
     end;
   fr.slot <- t.ring_len;
   t.ring.(t.ring_len) <- fr.pid;
@@ -489,9 +521,10 @@ let crash t =
   Itbl.reset t.deps;
   Itbl.reset t.rdeps;
   Itbl.reset t.waiters;
-  t.ring <- Array.make 16 (-1);
+  Array.fill t.ring 0 t.ring_len (-1);
   t.ring_len <- 0;
   t.ring_live <- 0;
+  t.ring_cap <- 16;
   t.hand <- 0;
   t.sweep_pid <- 0
 

@@ -39,31 +39,51 @@ let set_lsn p v = set_i64 p 5 v
    pair intact, so the survivor self-describes how far the log had been
    applied to it and redo can resume from exactly there.
 
-   The region is consumed a little-endian 32-bit word at a time (the last
-   [(len - torn_prefix) mod 4] bytes one at a time).  Each step xors the
-   input into a 32-bit state, multiplies by an odd constant and xors in the
-   state shifted right by 15; every one of those is a bijection on 32-bit
-   values, so two images that differ in a single word or byte always end in
-   different states.  0 is
-   mapped to 1 so that a stored checksum of 0 can keep its meaning of "never
-   stamped" (virgin pages, images written outside the buffer pool). *)
-let mix h w =
-  let h = (h lxor w) * 0x01000193 land 0xFFFFFFFF in
-  h lxor (h lsr 15)
+   The region is read as little-endian 64-bit words dealt round-robin to four
+   independent lanes, so the four multiply chains overlap instead of running
+   one after another; the last [(len - torn_prefix) mod 8] bytes form one
+   more little-endian word.  A lane step xors the word into the 64-bit lane
+   state, multiplies by an odd constant and xors in the state shifted right
+   by 29: a bijection on the state for a fixed word, and on the word for a
+   fixed state.  The lanes and the tail word are then chained through the
+   same step into one 64-bit value, bijective in each of them, so a change
+   confined to one word always changes that value.  Its two 32-bit halves
+   are xored into the stored 32 bits; that fold is where the guarantee
+   ends (see page.mli).  0 is mapped to 1 so that a stored checksum of 0 can
+   keep its meaning of "never stamped" (virgin pages, images written outside
+   the buffer pool). *)
+let lane_mul = 0x9E3779B97F4A7C15L
+
+let[@inline] lane h w =
+  let h = Int64.mul (Int64.logxor h w) lane_mul in
+  Int64.logxor h (Int64.shift_right_logical h 29)
 
 let body_checksum p =
   let len = Bytes.length p in
-  let words_end = torn_prefix + ((len - torn_prefix) land lnot 3) in
-  let h = ref 0x811c9dc5 in
+  let rounds_end = torn_prefix + ((len - torn_prefix) land lnot 31) in
+  let words_end = torn_prefix + ((len - torn_prefix) land lnot 7) in
+  let a = ref 1L and b = ref 2L and c = ref 3L and d = ref 4L in
   let i = ref torn_prefix in
-  while !i < words_end do
-    h := mix !h (Int32.to_int (Bytes.get_int32_le p !i) land 0xFFFFFFFF);
-    i := !i + 4
+  while !i < rounds_end do
+    let k = !i in
+    a := lane !a (Bytes.get_int64_le p k);
+    b := lane !b (Bytes.get_int64_le p (k + 8));
+    c := lane !c (Bytes.get_int64_le p (k + 16));
+    d := lane !d (Bytes.get_int64_le p (k + 24));
+    i := k + 32
   done;
-  for j = words_end to len - 1 do
-    h := mix !h (Char.code (Bytes.unsafe_get p j))
+  (* Up to three whole words are left over; they go to the lanes in turn. *)
+  let k = !i in
+  if k < words_end then a := lane !a (Bytes.get_int64_le p k);
+  if k + 8 < words_end then b := lane !b (Bytes.get_int64_le p (k + 8));
+  if k + 16 < words_end then c := lane !c (Bytes.get_int64_le p (k + 16));
+  let tail = ref 0 in
+  for j = len - 1 downto words_end do
+    tail := (!tail lsl 8) lor Char.code (Bytes.unsafe_get p j)
   done;
-  if !h = 0 then 1 else !h
+  let s = lane (lane (lane (lane (lane 0L !a) !b) !c) !d) (Int64.of_int !tail) in
+  let h = Int64.to_int (Int64.logxor s (Int64.shift_right_logical s 32)) land 0xFFFFFFFF in
+  if h = 0 then 1 else h
 
 let blit ~src ~src_off ~dst ~dst_off ~len = Bytes.blit src src_off dst dst_off len
 

@@ -51,14 +51,22 @@ val set_checksum : t -> int -> unit
 
 val body_checksum : t -> int
 (** 32-bit checksum over bytes [[torn_prefix, size)] — the page LSN and the
-    body — computed a 32-bit word at a time.  Each input word (or trailing
-    byte) enters through a mixing step that is a bijection on the 32-bit
-    state, so changing any single one of them changes the result (barring
-    the one collision the 0-to-1 mapping below introduces).  Never returns
-    0, so a stamped page always verifies against a nonzero stored value.
-    The prefix itself (kind, checksum) is {e not} covered: a torn write that
-    lands the prefix but not the rest is exactly what the checksum
-    detects. *)
+    body.  The region is read as little-endian 64-bit words in four
+    independent lanes (the trailing [(size - torn_prefix) mod 8] bytes form
+    one more word), and every lane step and the step that chains the lanes
+    together are bijections, so a change confined to one 64-bit word (or to
+    the trailing bytes) always changes the 64-bit value [s] they end in.
+    The result is [s]'s two 32-bit halves xored together (0 mapped to 1).
+    That fold is linear, so the result stays the same exactly when the old
+    and new [s] differ by a value whose two halves are equal: 2{^32} of the
+    2{^64} possible differences, which a well-mixed [s] hits for about one
+    change in 2{^32}.  Unlike a checksum kept in a 32-bit state, a
+    single-word change is therefore not certain to show; the pager tests
+    check every single-bit change of fixed images of sizes 64–67 and 512
+    instead.  Never returns 0, so a stamped page always verifies against a
+    nonzero stored value.  The prefix itself (kind, checksum) is {e not}
+    covered: a torn write that lands the prefix but not the rest is exactly
+    what the checksum detects. *)
 
 (** {2 Raw accessors}  Bounds-checked by the underlying [Bytes] primitives. *)
 
