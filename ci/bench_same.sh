@@ -4,7 +4,7 @@
 #
 #   ci/bench_same.sh BASE_REV
 #
-# BASE_REV is checked out into a git worktree under .bench_out/same/ and
+# BASE_REV is exported with `git archive` into .bench_out/same/base-tree and
 # built there; the working tree is built in place.  On both trees it runs
 #
 #   bench/main.exe --json            (every experiment, schema v7)
@@ -41,9 +41,13 @@ base_rev=$1
 out=$root/.bench_out/same
 base_tree=$out/base-tree
 mkdir -p "$out"
-if [ -e "$base_tree" ]; then git worktree remove --force "$base_tree"; fi
-git worktree add --detach "$base_tree" "$base_rev" >/dev/null
-trap 'git -C "$root" worktree remove --force "$base_tree"' EXIT
+# The base tree is a plain export of BASE_REV (no .git, no worktree entry).
+git rev-parse --verify --quiet "$base_rev^{commit}" >/dev/null \
+  || { echo "unknown revision: $base_rev" >&2; exit 2; }
+rm -rf "$base_tree"
+mkdir -p "$base_tree"
+git archive "$base_rev" | tar -x -C "$base_tree"
+trap 'rm -rf "$base_tree"' EXIT
 
 echo "== building $base_rev and the working tree =="
 (cd "$base_tree" && dune build --root . bench/main.exe bin/reorg_cli.exe perfbench/perf.exe)

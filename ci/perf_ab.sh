@@ -4,8 +4,8 @@
 #
 #   ci/perf_ab.sh BASE_REV [WORKLOAD...]
 #
-# BASE_REV is checked out into a git worktree under .bench_out/ab/ and built
-# there; the working tree is built in place.  For each workload (default:
+# BASE_REV is exported with `git archive` into .bench_out/ab/base-tree and
+# built there; the working tree is built in place.  For each workload (default:
 # every workload in BENCHMARK.json) it runs PAIRS pairs (default 10), one
 # seed per pair, alternating which side runs first, with the command and
 # run_seconds from BENCHMARK.json.  Every run's output is kept under
@@ -38,9 +38,13 @@ fi
 out=$root/.bench_out/ab
 base_tree=$out/base-tree
 mkdir -p "$out"
-if [ -e "$base_tree" ]; then git worktree remove --force "$base_tree"; fi
-git worktree add --detach "$base_tree" "$base_rev" >/dev/null
-trap 'git -C "$root" worktree remove --force "$base_tree"' EXIT
+# The base tree is a plain export of BASE_REV (no .git, no worktree entry).
+git rev-parse --verify --quiet "$base_rev^{commit}" >/dev/null \
+  || { echo "unknown revision: $base_rev" >&2; exit 2; }
+rm -rf "$base_tree"
+mkdir -p "$base_tree"
+git archive "$base_rev" | tar -x -C "$base_tree"
+trap 'rm -rf "$base_tree"' EXIT
 
 echo "== building $base_rev and the working tree =="
 (cd "$base_tree" && dune build --root . perfbench/perf.exe)
