@@ -322,6 +322,36 @@ let test_health_survives_crash () =
   ignore (Reorg.Recovery.restart ~access:db.Sim.Db.access ~config:Reorg.Config.default ());
   check_agrees ~ctx:"after crash + recovery" db
 
+(* A page noted many times is pending once; draining the set (refresh) or
+   re-marking every tracked page (invalidate_all) lets it be noted again. *)
+let test_note_dirty_counts_once () =
+  let pages = Hashtbl.create 8 in
+  let h = Health.create () in
+  List.iter (fun pid -> Hashtbl.replace pages pid (info 10)) [ 3; 4; 100_000 ];
+  for _ = 1 to 5 do
+    List.iter (Health.note_dirty h) [ 3; 100_000; 3 ]
+  done;
+  Alcotest.(check int) "each pid once" 2 (Health.pending_count h);
+  (* Without a refresher nothing drains, and the marks stay set. *)
+  Health.refresh h;
+  Health.note_dirty h 3;
+  Alcotest.(check int) "no refresher: still pending once" 2 (Health.pending_count h);
+  Health.set_refresher h (Hashtbl.find_opt pages);
+  Health.refresh h;
+  Alcotest.(check int) "drained" 0 (Health.pending_count h);
+  Health.note_dirty h 3;
+  Health.note_dirty h 3;
+  Alcotest.(check int) "re-armed by refresh" 1 (Health.pending_count h);
+  Health.note_dirty h 4;
+  Alcotest.(check int) "tracked: 3, 4, 100000" 3 (Health.stats h).Health.leaves;
+  Health.invalidate_all h;
+  Alcotest.(check int) "invalidate_all marks every tracked page" 3 (Health.pending_count h);
+  List.iter (Health.note_dirty h) [ 3; 4; 100_000 ];
+  Alcotest.(check int) "already pending after invalidate_all" 3 (Health.pending_count h);
+  Health.refresh h;
+  Health.note_dirty h 100_000;
+  Alcotest.(check int) "re-armed after invalidate_all's drain" 1 (Health.pending_count h)
+
 let () =
   Alcotest.run "health"
     [
@@ -329,6 +359,7 @@ let () =
         [
           Alcotest.test_case "incremental basics" `Quick test_tracker_basics;
           Alcotest.test_case "watch edge-triggering" `Quick test_watch_edge_trigger;
+          Alcotest.test_case "note_dirty counts a page once" `Quick test_note_dirty_counts_once;
         ] );
       ( "property",
         [
