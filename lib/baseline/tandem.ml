@@ -99,24 +99,27 @@ let compact ~access ~f2 stats =
     Layout.usable_bytes ~page_size:(Buffer_pool.page_size (Tree.pool tree))
   in
   let usable = int_of_float (f2 *. float_of_int usable) in
-  let target = usable in
-  (* One merge per transaction; rescan from the front after each (the merged
-     page may absorb further successors). *)
-  let rec pass () =
-    let candidate =
-      let found = ref None in
-      Tree.iter_leaves tree (fun pid p ->
-          if !found = None then
-            match Leaf.next p with
-            | Some nxt when Leaf.live_bytes p < target ->
-              if
-                Leaf.live_bytes p + Leaf.live_bytes (page tree nxt) <= target
-                && same_parent tree pid nxt
-              then found := Some (pid, nxt)
-            | _ -> ());
-      !found
-    in
-    match candidate with
+  (* The first merge candidate at or after [pid]: a leaf under [usable]
+     whose successor fits with it under the same parent. *)
+  let rec candidate pid =
+    let p = page tree pid in
+    match Leaf.next p with
+    | None -> None
+    | Some nxt ->
+      if
+        Leaf.live_bytes p < usable
+        && Leaf.live_bytes p + Leaf.live_bytes (page tree nxt) <= usable
+        && same_parent tree pid nxt
+      then Some (pid, nxt)
+      else candidate nxt
+  in
+  (* One merge per transaction.  After a merge the scan resumes at the
+     merged page, which may absorb further successors: a leaf before it
+     was no candidate, and its successor only grew.  After a refused merge
+     (the chain changed under a concurrent transaction) it restarts at the
+     front. *)
+  let rec pass from =
+    match candidate from with
     | None -> ()
     | Some (a, b) ->
       let moved =
@@ -137,9 +140,10 @@ let compact ~access ~f2 stats =
         stats.merges <- stats.merges + 1;
         stats.records_moved <- stats.records_moved + moved
       end;
-      pass ()
+      (* A user may have emptied and freed the merged page since. *)
+      pass (if moved >= 0 && Leaf.is_leaf (page tree a) then a else Tree.first_leaf tree)
   in
-  pass ()
+  pass (Tree.first_leaf tree)
 
 (* Exchange the contents of two leaves, or move a leaf into a free page —
    two blocks per transaction, full-page logging. *)
